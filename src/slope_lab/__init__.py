@@ -6,6 +6,7 @@ __version__ = "0.1.0"
 from .errors import (
     BiasError,
     BracketError,
+    CertificateError,
     CurvatureError,
     DivergentIntegralError,
     DomainError,

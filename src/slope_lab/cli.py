@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import QuadratureError, SlopeLabError
+from .errors import DomainError, QuadratureError, SlopeLabError
 from .families import Bernoulli, reparam
 from .gcore import (
     bernoulli_efficiency_curves,
@@ -34,7 +34,15 @@ from .gcore import (
     squared_slope,
     standardize,
 )
-from .mc import PAPER_ADJUSTMENTS, RAW_ADJUSTMENTS, SimConfig, bin_by_obs_info, qq_data, run_coverage
+from .mc import (
+    PAPER_ADJUSTMENTS,
+    RAW_ADJUSTMENTS,
+    SimConfig,
+    bin_by_obs_info,
+    qq_data,
+    run_coverage,
+    threads_from_env,
+)
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -58,6 +66,7 @@ class _Manifest:
         self.command = command
         self.flags = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
         self.outputs: list = []
+        self.telemetry: dict = {}
         self.t0 = time.time()
 
     def add(self, path: Path) -> Path:
@@ -73,6 +82,8 @@ class _Manifest:
             "outputs": self.outputs,
             "wall_seconds": round(time.time() - self.t0, 3),
         }
+        if self.telemetry:
+            doc["telemetry"] = self.telemetry
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -168,8 +179,21 @@ def cmd_curves(args: argparse.Namespace) -> int:
 def cmd_cauchy_sim(args: argparse.Namespace) -> int:
     man = _Manifest("cauchy-sim", args)
     adjustments = dict(PAPER_ADJUSTMENTS if args.adjusted else RAW_ADJUSTMENTS)
-    cfg = SimConfig(n=args.n, reps=args.reps, seed=args.seed, adjustments=adjustments)
-    summary = run_coverage(cfg)
+    try:
+        workers = threads_from_env()
+        cfg = SimConfig(n=args.n, reps=args.reps, seed=args.seed, adjustments=adjustments)
+        if not 1 <= args.bins <= args.reps:
+            raise DomainError(f"--bins must lie in [1, --reps={args.reps}], got {args.bins}")
+    except DomainError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    summary = run_coverage(cfg, workers=workers)
+    man.telemetry = {
+        "stage_seconds": {k: round(v, 6) for k, v in summary.stage_seconds.items()},
+        "counters": summary.counters,
+        "failed_replicates": summary.n_failures,
+        "threads": workers,
+    }
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
 
@@ -283,6 +307,8 @@ def _apply_config_file(argv: list) -> list:
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise ValueError("--config needs a file path")
     path = Path(argv[i + 1])
     rest = argv[:i] + argv[i + 2 :]
     extra = []
@@ -347,6 +373,9 @@ def main(argv=None) -> int:
         argv = _apply_config_file(argv)
     except OSError as exc:
         print(f"cannot read config file: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     parser = build_parser()
     try:

@@ -49,5 +49,9 @@ class CurvatureError(SlopeLabError, ArithmeticError):
     """Observed information is nonpositive at the supplied maximizer."""
 
 
+class CertificateError(SlopeLabError, RuntimeError):
+    """The global-maximum certificate could not close within its cap."""
+
+
 class SimulationError(SlopeLabError, RuntimeError):
     """Too many per-replicate failures in a Monte Carlo run."""

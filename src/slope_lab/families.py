@@ -31,7 +31,7 @@ from typing import Union
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError
+from .errors import DivergentIntegralError, DomainError
 from .quadrature import integrate_real_line, integrate_real_line_or_divergent
 
 Sample = Union[int, float, np.ndarray, tuple]
@@ -240,6 +240,45 @@ class NormalLocation(Family):
         return np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
 
 
+# The Cauchy location log-likelihood and its derivatives, for one sample
+# or many at once.  Each takes the offsets t = x_i - theta from
+# cauchy_offsets, so one offset array serves several of them.
+
+
+def cauchy_offsets(x, theta) -> np.ndarray:
+    """x_i - theta, with the observations along axis 0.
+
+    ``x`` is one sample of shape (n,), with ``theta`` of any shape, or
+    samples in the rows of an (m, n) array, with ``theta`` of shape (m,)
+    (one point per row) or (m, k) (k points per row).  The result is
+    C-ordered, so the sums below add the observations in sample order at
+    every point, however many points there are.
+    """
+    x = np.asarray(x, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    xt = x.T[(Ellipsis,) + (None,) * (theta.ndim - x.ndim + 1)]
+    return np.subtract(xt, theta, order="C")
+
+
+def cauchy_loglik(t: np.ndarray) -> np.ndarray:
+    """Log-likelihood -sum log(1 + t^2), without the constant -n log(pi)."""
+    return -np.log1p(t * t).sum(axis=0)
+
+
+def cauchy_score(t: np.ndarray) -> np.ndarray:
+    """Score l'(theta) = sum 2 t / (1 + t^2)."""
+    return (2.0 * t / (t * t + 1.0)).sum(axis=0)
+
+
+def cauchy_obs_info(t: np.ndarray) -> np.ndarray:
+    """Observed information -l''(theta) = sum 2 (1 - t^2) / (1 + t^2)^2.
+
+    Each term lies in [-1/4, 2], so -l'' lies in [-n/4, 2n].
+    """
+    u = t * t
+    return (2.0 * (1.0 - u) / (u + 1.0) ** 2).sum(axis=0)
+
+
 @dataclass(frozen=True)
 class CauchyLocation(Family):
     """Standard Cauchy shifted by theta; the sample is the full vector."""
@@ -262,14 +301,12 @@ class CauchyLocation(Family):
     def loglik(self, theta: float, y: Sample) -> float:
         self.check_param(theta)
         self.check_sample(y)
-        t = np.asarray(y, dtype=float) - theta
-        return float(-np.sum(np.log1p(t * t)) - self.n * math.log(math.pi))
+        return float(cauchy_loglik(cauchy_offsets(y, theta))) - self.n * math.log(math.pi)
 
     def score(self, theta: float, y: Sample) -> float:
         self.check_param(theta)
         self.check_sample(y)
-        t = np.asarray(y, dtype=float) - theta
-        return float(np.sum(2.0 * t / (t * t + 1.0)))
+        return float(cauchy_score(cauchy_offsets(y, theta)))
 
     def fisher_info(self, theta: float) -> float:
         self.check_param(theta)
@@ -382,10 +419,20 @@ def median_fisher_info(k: int) -> float:
 
 
 def median_variance(k: int) -> float:
-    """Variance of the median law; raises DivergentIntegralError for k < 2."""
+    """Variance of the median law; raises DivergentIntegralError for k < 2.
+
+    The divergence is cached like a value, so a repeated call for k < 2
+    raises again without rerunning the truncation ladder.
+    """
     if k not in _MEDIAN_VAR_CACHE:
         def integrand(t: float) -> float:
             return t * t * median_density(k, t, 0.0)
 
-        _MEDIAN_VAR_CACHE[k] = integrate_real_line_or_divergent(integrand)
-    return _MEDIAN_VAR_CACHE[k]
+        try:
+            _MEDIAN_VAR_CACHE[k] = integrate_real_line_or_divergent(integrand)
+        except DivergentIntegralError as exc:
+            _MEDIAN_VAR_CACHE[k] = exc
+    value = _MEDIAN_VAR_CACHE[k]
+    if isinstance(value, DivergentIntegralError):
+        raise DivergentIntegralError(*value.args)
+    return value

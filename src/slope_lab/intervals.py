@@ -12,10 +12,17 @@ Four constructions:
 * the exact Bernoulli interval obtained by inverting binomial tail
   areas, which coincides with the Clopper-Pearson interval.
 
-The Cauchy likelihood can be multimodal, so the global maximizer is
-found by a dense grid scan before any local refinement, and the LRT
-level set is reported as its connected hull with a flag when it is
-actually a union of intervals.
+The Cauchy likelihood can be multimodal.  Its local maxima all lie in
+the unit windows [x_i - 1, x_i + 1] around the observations, because
+l'' < 0 needs some |x_i - theta| < 1.  ``cauchy_mle_batch`` scans those
+windows on a 0.1 lattice, bisects every + to - sign change of the score,
+and certifies cell by cell, from l'' in [-2n, n/4] and
+|l'''| <= (3/2 + sqrt 2) n, that no cell holds a better maximum: a
+finite result is the global maximizer (ties to the smaller theta), and
+a sample it cannot certify is reported as failed, never returned
+unchecked.  The scalar ``cauchy_mle`` is that kernel on a batch of one.
+The LRT level set is reported as its connected hull, with a flag when
+it is actually a union of intervals.
 """
 
 from __future__ import annotations
@@ -28,12 +35,23 @@ import numpy as np
 
 from .errors import (
     BracketError,
+    CertificateError,
     CurvatureError,
     DomainError,
     NonexistenceError,
     NonMonotoneError,
 )
-from .families import Bernoulli, CauchyLocation, CauchyMedian, Family, NormalLocation
+from .families import (
+    Bernoulli,
+    CauchyLocation,
+    CauchyMedian,
+    Family,
+    NormalLocation,
+    cauchy_loglik,
+    cauchy_obs_info,
+    cauchy_offsets,
+    cauchy_score,
+)
 
 METHOD_SCORE = "score_inversion"
 METHOD_LRT = "lrt"
@@ -72,68 +90,209 @@ class Interval:
 # ---------------------------------------------------------------------------
 
 
-def _cauchy_loglik_many(x: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Cauchy log-likelihood (constants dropped) at many thetas."""
-    ll = np.zeros_like(thetas, dtype=float)
-    for xi in x:
-        ll -= np.log1p((xi - thetas) ** 2)
-    return ll
+# Lattice step of the scan: 21 lattice points per unit window.
+_CELL = 0.1
+# Lattice points laid per window, from below x_i - 1 - _CELL to past
+# x_i + 1 + _CELL, so rounding in floor() cannot leave a window edge bare.
+_WINDOW_POINTS = 24
+_BISECTIONS = 64
+_MAX_HALVINGS = 40
+_TIE_RTOL = 1e-12
+_GRID_CHUNK = 1 << 16  # lattice points evaluated at once: 8 MiB per temporary at n = 15
+# Beyond this the lattice index of an observation could overflow int64
+# and the lattice would no longer cover its window.
+_X_MAX = 1e15
+# sup over t of |d/dt 2(t^2 - 1)/(t^2 + 1)^2|, reached at t = tan(pi/8),
+# so |l'''(theta)| <= _L3 * n.
+_L3 = 1.5 + math.sqrt(2.0)
 
 
-def _cauchy_score_many(x: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    s = np.zeros_like(thetas, dtype=float)
-    for xi in x:
-        t = xi - thetas
-        s += 2.0 * t / (t * t + 1.0)
-    return s
+@dataclass
+class MleCounters:
+    """Work and outcomes of ``cauchy_mle_batch``, summed over calls."""
+
+    brackets: int = 0  # score sign changes bisected
+    halved: int = 0  # cells split because no test closed them
+    capped: int = 0  # samples with a cell still open after _MAX_HALVINGS rounds
+
+
+def cauchy_mle_batch(x, counters: Optional[MleCounters] = None) -> np.ndarray:
+    """Global Cauchy location MLE of every row of ``x`` (m samples by n).
+
+    Guarantee: a finite result is a global maximizer of
+    l(theta) = -sum log(1 + (x_i - theta)^2), up to rounding in l and a
+    tie tolerance of 1e-12 (1 + |l|); among roots that tie, the smallest
+    theta is returned.  A row that cannot be certified comes back NaN,
+    never as an unchecked value.  The argument:
+
+    * Every local maximum lies in the union of the unit windows
+      [x_i - 1, x_i + 1], because l'' = sum 2(t_i^2 - 1)/(t_i^2 + 1)^2,
+      t_i = x_i - theta, is negative only if some |t_i| < 1.
+    * The windows are covered by the cells of a lattice of step h = 0.1
+      (21 points per window, shared where windows overlap).  Every cell
+      whose end scores go from + to - is bisected, all cells at once,
+      down to adjacent floats; these roots are the candidates.
+    * Every cell is then closed by one of three tests, which use
+      l'' in [-2n, n/4] and |l'''| <= (3/2 + sqrt 2) n:
+      score slope -- a score below -nh/4 at the left end or above nh/4
+      at the right end keeps the score one sign across the cell, so it
+      holds no maximum;
+      upper bound -- l <= l(a) + max(0, s(a) h + n h^2/8) over [a, b]
+      (or the mirror bound from b) lies below the best root;
+      concavity -- the cell lies within |l''(r)| / ((3/2 + sqrt 2) n) of
+      a root r, where l is strictly concave, so r is its only maximum.
+    * A cell no test closes is halved and tested again, and halves whose
+      end scores go from + to - are bisected too, at most 40 times.  A row
+      with a cell still open after that is NaN and is counted in
+      ``counters.capped``.  A row with an observation that is not finite
+      or beyond +-1e15 is NaN as well; a constant row returns its value.
+    """
+    x = np.asarray(x, dtype=float)
+    B, n = x.shape
+    outside = ~(np.abs(x) <= _X_MAX).all(axis=1)
+    if outside.any():
+        x = np.where(outside[:, None], 0.0, x)
+    first = np.floor((x - 1.0) / _CELL).astype(np.int64) - 1
+    j = np.sort((first[:, :, None] + np.arange(_WINDOW_POINTS)).reshape(B, -1), axis=1)
+    fresh = np.ones(j.shape, dtype=bool)
+    fresh[:, 1:] = j[:, 1:] != j[:, :-1]
+    row = np.nonzero(fresh)[0]
+    j = j[fresh]
+    theta = j * _CELL
+    l, s = _loglik_score_at(x, row, theta)
+    # a cell joins consecutive lattice points of the same sample
+    k = np.nonzero((row[1:] == row[:-1]) & (j[1:] == j[:-1] + 1))[0]
+    cells = {
+        "row": row[k], "a": theta[k], "b": theta[k + 1], "la": l[k], "lb": l[k + 1],
+        "sa": s[k], "sb": s[k + 1], "root": np.full(k.size, np.nan), "radius": np.zeros(k.size),
+    }
+    del row, j, theta, l, s, k
+    found = []  # (row, root, l(root)) of every bisection round
+    best = np.full(B, -np.inf)  # largest l over the roots found
+    top = np.full(B, np.nan)  # a root attaining it, and its concave radius
+    top_radius = np.zeros(B)
+    capped = np.zeros(B, dtype=bool)
+    if counters is None:
+        counters = MleCounters()
+    for depth in range(_MAX_HALVINGS + 1):
+        new = (cells["sa"] > 0.0) & (cells["sb"] <= 0.0) & np.isnan(cells["root"])
+        if new.any():
+            k = np.nonzero(new)[0]
+            rows = cells["row"][k]
+            xr = x[rows]
+            r = _bisect_score(xr, cells["a"][k], cells["b"][k])
+            t = cauchy_offsets(xr, r)
+            lr = cauchy_loglik(t)
+            radius = np.maximum(cauchy_obs_info(t), 0.0) / (_L3 * n)
+            cells["root"][k], cells["radius"][k] = r, radius
+            np.maximum.at(best, rows, lr)
+            lead = lr == best[rows]
+            top[rows[lead]], top_radius[rows[lead]] = r[lead], radius[lead]
+            found.append((rows, r, lr))
+            counters.brackets += k.size
+        still = ~_closed(cells, n, best, top, top_radius)
+        if not still.any():
+            break
+        if depth == _MAX_HALVINGS:
+            capped[cells["row"][still]] = True
+            break
+        counters.halved += int(still.sum())
+        cells = _halve(x, {key: v[still] for key, v in cells.items()})
+    counters.capped += int(capped.sum())
+    theta_hat = np.full(B, np.inf)
+    if found:
+        rows, r, lr = (np.concatenate(v) for v in zip(*found))
+        tied = lr >= best[rows] - _TIE_RTOL * (1.0 + np.abs(best[rows]))
+        np.minimum.at(theta_hat, rows[tied], r[tied])
+    theta_hat[capped | outside | ~np.isfinite(theta_hat)] = np.nan
+    # a constant sample's mode is its value; bisection could end an ulp off
+    constant = (x == x[:, :1]).all(axis=1) & ~outside
+    theta_hat[constant] = x[constant, 0]
+    return theta_hat
+
+
+def _loglik_score_at(x: np.ndarray, row: np.ndarray, theta: np.ndarray):
+    """l and l' of sample ``x[row[k]]`` at ``theta[k]``, in bounded chunks."""
+    l = np.empty_like(theta)
+    s = np.empty_like(theta)
+    for c in range(0, theta.size, _GRID_CHUNK):
+        part = slice(c, c + _GRID_CHUNK)
+        t = cauchy_offsets(x[row[part]], theta[part])
+        l[part] = cauchy_loglik(t)
+        s[part] = cauchy_score(t)
+    return l, s
+
+
+def _bisect_score(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Shrink brackets s(lo) > 0 >= s(hi), one per row of ``x``, to
+    adjacent floats; returns their midpoints."""
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        if not ((lo < mid) & (mid < hi)).any():
+            break
+        # at adjacent floats mid is lo or hi, whose score keeps its side
+        pos = cauchy_score(cauchy_offsets(x, mid)) > 0.0
+        lo = np.where(pos, mid, lo)
+        hi = np.where(pos, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _closed(c: dict, n: int, best: np.ndarray, top: np.ndarray, top_radius: np.ndarray) -> np.ndarray:
+    """Cells shown to hold no local maximum above the best root."""
+    h = c["b"] - c["a"]
+    slope = (c["sa"] < -0.25 * n * h) | (c["sb"] > 0.25 * n * h)
+    q = 0.125 * n * h * h
+    bound = np.minimum(
+        c["la"] + np.maximum(0.0, c["sa"] * h + q), c["lb"] + np.maximum(0.0, q - c["sb"] * h)
+    ) < best[c["row"]]
+    t, tr = top[c["row"]], top_radius[c["row"]]
+    concave = ((c["a"] > t - tr) & (c["b"] < t + tr)) | (
+        (c["a"] > c["root"] - c["radius"]) & (c["b"] < c["root"] + c["radius"])
+    )
+    return slope | bound | concave
+
+
+def _halve(x: np.ndarray, c: dict) -> dict:
+    """Split each cell at its midpoint; a root found in a cell stays with
+    the halves that contain it."""
+    m = 0.5 * (c["a"] + c["b"])
+    lm, sm = _loglik_score_at(x, c["row"], m)
+    left = c["root"] <= m
+    right = c["root"] >= m
+    return {
+        "row": np.concatenate([c["row"], c["row"]]),
+        "a": np.concatenate([c["a"], m]),
+        "b": np.concatenate([m, c["b"]]),
+        "la": np.concatenate([c["la"], lm]),
+        "lb": np.concatenate([lm, c["lb"]]),
+        "sa": np.concatenate([c["sa"], sm]),
+        "sb": np.concatenate([sm, c["sb"]]),
+        "root": np.concatenate([np.where(left, c["root"], np.nan), np.where(right, c["root"], np.nan)]),
+        "radius": np.concatenate([np.where(left, c["radius"], 0.0), np.where(right, c["radius"], 0.0)]),
+    }
 
 
 def cauchy_mle(y) -> float:
     """Global maximizer of the Cauchy location log-likelihood.
 
-    Dense scan over [x_(1), x_(n)] at resolution range/2000 (plus the
-    sample points themselves), then local refinement down to 1e-10.
-    The likelihood has at most 2n-1 stationary points, all inside the
-    sample range, so the scan cannot miss the global mode by more than
-    one grid cell.
+    This is ``cauchy_mle_batch`` on a batch of one, with its guarantee:
+    every local maximum lies in the unit windows [x_i - 1, x_i + 1]; the
+    score's sign changes on a lattice over them are bisected, and every
+    lattice cell is certified to hold no better maximum.  The result is a
+    global maximizer up to rounding and a 1e-12 relative tie tolerance,
+    ties going to the smaller theta.  Raises CertificateError when the
+    certificate cannot close within its halving cap, or an observation
+    lies beyond +-1e15, rather than return an unchecked value.
     """
     x = np.sort(np.asarray(y, dtype=float).ravel())
     if x.size == 0:
         raise DomainError("empty sample")
     if not np.all(np.isfinite(x)):
         raise DomainError("non-finite observation")
-    if x.size == 1 or x[0] == x[-1]:
-        return float(x[0])
-    step = (x[-1] - x[0]) / 2000.0
-    cand = np.concatenate([x[0] + step * np.arange(2001), x])
-    ll = _cauchy_loglik_many(x, cand)
-    order = np.lexsort((cand, -ll))  # best loglik first, then smaller theta
-    theta0 = float(cand[order[0]])
-    return _refine_cauchy_max(x, theta0, step)
-
-
-def _refine_cauchy_max(x: np.ndarray, theta0: float, h: float) -> float:
-    # grid refinement until the bracket is tight enough for the score
-    # to change sign exactly once, then derivative bisection
-    for _ in range(4):
-        grid = theta0 + h * np.linspace(-1.0, 1.0, 65)
-        ll = _cauchy_loglik_many(x, grid)
-        theta0 = float(grid[int(np.argmax(ll))])
-        h /= 16.0
-    lo, hi = theta0 - 16.0 * h, theta0 + 16.0 * h
-    s_lo = float(_cauchy_score_many(x, np.array([lo]))[0])
-    s_hi = float(_cauchy_score_many(x, np.array([hi]))[0])
-    if not (s_lo > 0.0 > s_hi):
-        # numerically flat around the max; the grid value is already
-        # within ~1e-6 of the stationary point
-        return theta0
-    while hi - lo > _THETA_TOL:
-        mid = 0.5 * (lo + hi)
-        if _cauchy_score_many(x, np.array([mid]))[0] > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    theta = float(cauchy_mle_batch(x[None, :])[0])
+    if math.isnan(theta):
+        raise CertificateError("no certified global maximum: halving cap reached or |x_i| > 1e15")
+    return theta
 
 
 def family_mle(f: Family, y) -> float:
@@ -158,8 +317,7 @@ def family_mle(f: Family, y) -> float:
 def observed_info(f: Family, theta_hat: float, y) -> float:
     """Observed information -l''(theta_hat; y)."""
     if isinstance(f, CauchyLocation):
-        t = np.asarray(y, dtype=float) - theta_hat
-        val = float(np.sum(2.0 * (1.0 - t * t) / (t * t + 1.0) ** 2))
+        val = float(cauchy_obs_info(cauchy_offsets(y, theta_hat)))
     elif isinstance(f, NormalLocation):
         val = f.n / f.sigma**2
     else:

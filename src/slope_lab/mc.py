@@ -3,10 +3,13 @@
 Each replicate draws its own counter-based Philox stream keyed by
 (seed, replicate index), so results are bit-identical regardless of how
 replicates are batched or how many worker threads run them.  Replicates
-are processed in vectorized batches: the global-MLE grid scan, the
-observed information, and the LRT root bisections are all done on whole
-batches at once, which keeps a 100,000-replicate run in the low tens of
-seconds.
+are processed in vectorized batches: the certified global MLE
+(``intervals.cauchy_mle_batch``), the observed information, and the LRT
+root bisections are all done on whole batches at once.  On a 2-core Xeon
+VM with one thread, ``cauchy-sim --raw`` runs about 7,700 replicates/s
+end to end (10,000/s at the benchmark's reference speed; ``bench/``
+workload ``coverage``), and ``run_coverage`` takes about 12 s for
+100,000 replicates.
 
 The per-replicate table records everything the downstream projections
 need (coverage flags, KL lengths, observed information, and the raw
@@ -16,9 +19,9 @@ never re-run the simulation.
 
 from __future__ import annotations
 
-import io
 import math
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
@@ -27,7 +30,8 @@ import numpy as np
 from scipy.stats import norm
 
 from .errors import DomainError, SimulationError
-from .families import median_variance
+from .families import cauchy_loglik, cauchy_obs_info, cauchy_offsets, cauchy_score, median_variance
+from .intervals import MleCounters, cauchy_mle_batch as _mle_batch
 from .klgeom import cauchy_kl_length_from_width
 
 METHODS = ("wald_expected", "wald_observed", "lrt")
@@ -42,6 +46,10 @@ _BATCH = 4096
 _FAILURE_ABORT_FRACTION = 1e-4
 
 QQ_STATISTICS = ("signed_root_lrt", "standardized_score_at_true", "median_standardized")
+# Stages of a batch, timed in run_coverage: the Philox draw, the global
+# MLE, the observed information, the LRT roots, and the rest (hits,
+# widths, KL lengths and the at-true statistics behind the Q-Q plots).
+STAGES = ("draw", "mle", "obs_info", "lrt_roots", "widths_kl")
 
 
 @dataclass(frozen=True)
@@ -55,6 +63,8 @@ class SimConfig:
     methods: Tuple[str, ...] = METHODS
 
     def __post_init__(self):
+        if self.n < 1:
+            raise DomainError(f"n must be >= 1, got {self.n}")
         if self.reps < 1:
             raise DomainError(f"reps must be >= 1, got {self.reps}")
         if not 0.0 < self.alpha < 1.0:
@@ -77,20 +87,35 @@ class SimSummary:
     mean_width: Dict[str, float]
     replicates: np.ndarray  # structured array, one row per replicate
     n_failures: int = 0
+    # seconds per STAGES entry, summed over batches (and so over threads)
+    stage_seconds: Dict[str, float] = field(default_factory=dict)
+    # MLE work (brackets bisected, cells halved) and failed replicates
+    # by reason (certificate cap, non-finite theta_hat, i_obs <= 0)
+    counters: Dict[str, int] = field(default_factory=dict)
 
     def csv_bytes(self) -> bytes:
         """Per-replicate table as RFC-4180 CSV."""
-        buf = io.StringIO()
-        buf.write("#schema=slope_lab.replicates.v1\r\n")
-        buf.write("rep,theta_hat,i_obs,hit_we,hit_wo,hit_lrt,kl_we,kl_wo,kl_lrt\r\n")
         t = self.replicates
-        for i in range(t.shape[0]):
-            buf.write(
-                f"{t['rep'][i]},{t['theta_hat'][i]:.17g},{t['i_obs'][i]:.17g},"
-                f"{int(t['hit_we'][i])},{int(t['hit_wo'][i])},{int(t['hit_lrt'][i])},"
-                f"{t['kl_we'][i]:.17g},{t['kl_wo'][i]:.17g},{t['kl_lrt'][i]:.17g}\r\n"
-            )
-        return buf.getvalue().encode()
+
+        def floats(name):
+            return [format(v, ".17g") for v in t[name].tolist()]
+
+        def flags(name):
+            return ["1" if v else "0" for v in t[name].tolist()]
+
+        columns = [
+            [str(v) for v in t["rep"].tolist()],
+            floats("theta_hat"), floats("i_obs"),
+            flags("hit_we"), flags("hit_wo"), flags("hit_lrt"),
+            floats("kl_we"), floats("kl_wo"), floats("kl_lrt"),
+        ]
+        lines = [
+            "#schema=slope_lab.replicates.v1",
+            "rep,theta_hat,i_obs,hit_we,hit_wo,hit_lrt,kl_we,kl_wo,kl_lrt",
+            *map(",".join, zip(*columns)),
+            "",
+        ]
+        return "\r\n".join(lines).encode()
 
 
 _REPLICATE_DTYPE = np.dtype(
@@ -127,72 +152,16 @@ def _draw_batch(seed: int, start: int, count: int, n: int, theta: float) -> np.n
     return np.sort(x, axis=1)
 
 
-def _loglik_batch(x: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    ll = np.zeros_like(thetas, dtype=float)
-    for i in range(x.shape[1]):
-        ll -= np.log1p((x[:, i] - thetas) ** 2)
-    return ll
-
-
-def _score_batch(x: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    s = np.zeros_like(thetas, dtype=float)
-    for i in range(x.shape[1]):
-        t = x[:, i] - thetas
-        s += 2.0 * t / (t * t + 1.0)
-    return s
-
-
-def _mle_batch(x: np.ndarray) -> np.ndarray:
-    """Vectorized global Cauchy MLE: grid scan, refinement, score bisection."""
-    B, n = x.shape
-    lo, hi = x[:, 0], x[:, -1]
-    step = (hi - lo) / 2000.0
-    grid = lo[:, None] + step[:, None] * np.arange(2001)[None, :]
-    ll = np.zeros_like(grid)
-    for i in range(n):
-        ll -= np.log1p((x[:, i : i + 1] - grid) ** 2)
-    llx = np.zeros_like(x)
-    for i in range(n):
-        llx -= np.log1p((x[:, i : i + 1] - x) ** 2)
-    cand = np.concatenate([grid, x], axis=1)
-    cll = np.concatenate([ll, llx], axis=1)
-    theta = cand[np.arange(B), np.argmax(cll, axis=1)]
-    h = np.maximum(step, 1e-9)
-    offs = np.linspace(-1.0, 1.0, 65)
-    for _ in range(4):
-        g2 = theta[:, None] + h[:, None] * offs[None, :]
-        l2 = np.zeros_like(g2)
-        for i in range(n):
-            l2 -= np.log1p((x[:, i : i + 1] - g2) ** 2)
-        theta = g2[np.arange(B), np.argmax(l2, axis=1)]
-        h = h / 16.0
-    lo_b, hi_b = theta - 16.0 * h, theta + 16.0 * h
-    for _ in range(55):
-        mid = 0.5 * (lo_b + hi_b)
-        pos = _score_batch(x, mid) > 0.0
-        lo_b = np.where(pos, mid, lo_b)
-        hi_b = np.where(pos, hi_b, mid)
-    return 0.5 * (lo_b + hi_b)
-
-
-def _observed_info_batch(x: np.ndarray, theta_hat: np.ndarray) -> np.ndarray:
-    info = np.zeros_like(theta_hat)
-    for i in range(x.shape[1]):
-        t = x[:, i] - theta_hat
-        info += 2.0 * (1.0 - t * t) / (t * t + 1.0) ** 2
-    return info
-
-
 def _lrt_roots_batch(x: np.ndarray, theta_hat: np.ndarray, z: float) -> Tuple[np.ndarray, np.ndarray]:
     """Outermost roots of S(theta) = -z^2 on both sides of the MLE."""
-    lmax = _loglik_batch(x, theta_hat)
+    lmax = cauchy_loglik(cauchy_offsets(x, theta_hat))
     target = lmax - z * z / 2.0  # S = -z^2  <=>  l = lmax - z^2/2
     roots = []
     for sgn in (-1.0, 1.0):
         d = np.full(x.shape[0], 0.5)
         far = theta_hat + sgn * d
         for _ in range(200):
-            inside = _loglik_batch(x, far) > target
+            inside = cauchy_loglik(cauchy_offsets(x, far)) > target
             if not inside.any():
                 break
             d = np.where(inside, d * 2.0, d)
@@ -200,23 +169,41 @@ def _lrt_roots_batch(x: np.ndarray, theta_hat: np.ndarray, z: float) -> Tuple[np
         lo_b, hi_b = theta_hat.copy(), far
         for _ in range(55):
             mid = 0.5 * (lo_b + hi_b)
-            keep = _loglik_batch(x, mid) > target
+            keep = cauchy_loglik(cauchy_offsets(x, mid)) > target
             lo_b = np.where(keep, mid, lo_b)
             hi_b = np.where(keep, hi_b, mid)
         roots.append(0.5 * (lo_b + hi_b))
     return roots[0], roots[1]
 
 
-def _run_batch(cfg: SimConfig, start: int, count: int) -> np.ndarray:
+def _run_batch(cfg: SimConfig, start: int, count: int):
+    """One batch of replicates, with its seconds per STAGES entry and its
+    MLE and failure counters."""
+    marks = [time.perf_counter()]
     x = _draw_batch(cfg.seed, start, count, cfg.n, cfg.theta_true)
+    marks.append(time.perf_counter())
     out = np.zeros(count, dtype=_REPLICATE_DTYPE)
     out["rep"] = np.arange(start, start + count)
-    theta_hat = _mle_batch(x)
+    mle = MleCounters()
+    theta_hat = _mle_batch(x, mle)
     out["theta_hat"] = theta_hat
-    i_obs = _observed_info_batch(x, theta_hat)
+    marks.append(time.perf_counter())
+    i_obs = cauchy_obs_info(cauchy_offsets(x, theta_hat))
     out["i_obs"] = i_obs
-    out["failed"] = ~np.isfinite(theta_hat) | (i_obs <= 0.0)
+    finite = np.isfinite(theta_hat)
+    out["failed"] = ~finite | (i_obs <= 0.0)
+    counters = {
+        "brackets": mle.brackets,
+        "cells_halved": mle.halved,
+        "failed_cap": mle.capped,
+        "failed_nonfinite": int((~finite).sum()) - mle.capped,
+        "failed_info": int((finite & (i_obs <= 0.0)).sum()),
+    }
+    marks.append(time.perf_counter())
     z = cfg.z
+    if "lrt" in cfg.methods:
+        lrt_bounds = _lrt_roots_batch(x, theta_hat, cfg.adjustments.get("lrt", 1.0) * z)
+    marks.append(time.perf_counter())
     info_hat = cfg.n / 2.0
     th0 = cfg.theta_true
     for method in cfg.methods:
@@ -229,14 +216,33 @@ def _run_batch(cfg: SimConfig, start: int, count: int) -> np.ndarray:
             half = adj * z / np.sqrt(np.maximum(i_obs, 1e-300))
             lo, hi = theta_hat - half, theta_hat + half
         else:
-            lo, hi = _lrt_roots_batch(x, theta_hat, adj * z)
+            lo, hi = lrt_bounds
         out["hit_" + sfx] = (lo < th0) & (th0 < hi)
         out["width_" + sfx] = hi - lo
         out["kl_" + sfx] = cauchy_kl_length_from_width(hi - lo)
-    out["lrt_at_true"] = 2.0 * (_loglik_batch(x, np.full(count, th0)) - _loglik_batch(x, theta_hat))
-    out["score_at_true"] = _score_batch(x, np.full(count, th0))
+    at_true = cauchy_offsets(x, np.full(count, th0))
+    out["lrt_at_true"] = 2.0 * (cauchy_loglik(at_true) - cauchy_loglik(cauchy_offsets(x, theta_hat)))
+    out["score_at_true"] = cauchy_score(at_true)
     out["median"] = x[:, cfg.n // 2]
-    return out
+    marks.append(time.perf_counter())
+    return out, dict(zip(STAGES, np.diff(marks).tolist())), counters
+
+
+def threads_from_env() -> int:
+    """Worker threads named by SLOPE_LAB_THREADS (unset or empty: 1).
+
+    Raises DomainError unless the value is a positive integer.
+    """
+    raw = os.environ.get("SLOPE_LAB_THREADS", "").strip()
+    if not raw:
+        return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise DomainError(f"SLOPE_LAB_THREADS must be a positive integer, got {raw!r}") from None
+    if workers < 1:
+        raise DomainError(f"SLOPE_LAB_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def run_coverage(cfg: SimConfig, workers: Optional[int] = None) -> SimSummary:
@@ -244,23 +250,27 @@ def run_coverage(cfg: SimConfig, workers: Optional[int] = None) -> SimSummary:
 
     Batches are fixed-size and keyed only by replicate index, so the
     output is byte-identical for any worker count (workers defaults to
-    the SLOPE_LAB_THREADS environment variable, else 1).
+    the SLOPE_LAB_THREADS environment variable, else 1).  The summary
+    also carries the seconds spent in each of STAGES and the MLE and
+    failure counters, summed over batches.
     """
     if workers is None:
-        workers = int(os.environ.get("SLOPE_LAB_THREADS", "1") or "1")
+        workers = threads_from_env()
     starts = list(range(0, cfg.reps, _BATCH))
     table = np.zeros(cfg.reps, dtype=_REPLICATE_DTYPE)
 
-    def work(start: int) -> None:
+    def work(start: int):
         count = min(_BATCH, cfg.reps - start)
-        table[start : start + count] = _run_batch(cfg, start, count)
+        table[start : start + count], seconds, counters = _run_batch(cfg, start, count)
+        return seconds, counters
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, starts))
+            results = list(pool.map(work, starts))
     else:
-        for s in starts:
-            work(s)
+        results = [work(s) for s in starts]
+    stage_seconds = {k: sum(r[0][k] for r in results) for k in STAGES}
+    counters = {k: sum(r[1][k] for r in results) for k in results[0][1]}
 
     n_fail = int(table["failed"].sum())
     if n_fail > _FAILURE_ABORT_FRACTION * cfg.reps:
@@ -283,6 +293,8 @@ def run_coverage(cfg: SimConfig, workers: Optional[int] = None) -> SimSummary:
         mean_width=mean_w,
         replicates=table,
         n_failures=n_fail,
+        stage_seconds=stage_seconds,
+        counters=counters,
     )
 
 
@@ -301,6 +313,8 @@ def bin_by_obs_info(summary: SimSummary, bins: int) -> ObsInfoBins:
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
     table = summary.replicates[~summary.replicates["failed"]]
+    if bins > table.shape[0]:
+        raise DomainError(f"bins={bins} exceeds the {table.shape[0]} usable replicates")
     order = np.argsort(table["i_obs"], kind="stable")
     table = table[order]
     splits = np.array_split(np.arange(table.shape[0]), bins)

@@ -128,6 +128,47 @@ class TestCauchySim:
         assert a != r
 
 
+    def test_manifest_reports_stages_and_counters(self, tmp_path):
+        run(["cauchy-sim", "--reps", "300", "--raw", "--bins", "3", "--out-prefix",
+             str(tmp_path / "sim")])
+        tel = json.loads((tmp_path / "sim_manifest.json").read_text())["telemetry"]
+        assert set(tel["stage_seconds"]) == {"draw", "mle", "obs_info", "lrt_roots", "widths_kl"}
+        assert all(v >= 0.0 for v in tel["stage_seconds"].values())
+        assert tel["counters"]["brackets"] >= 300
+        failed = sum(v for k, v in tel["counters"].items() if k.startswith("failed_"))
+        assert failed == tel["failed_replicates"] == 0
+
+
+def assert_usage_error(code, capsys):
+    # exit 3 with one line on stderr and no traceback
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    return err
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_thread_count(self, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SLOPE_LAB_THREADS", value)
+        code = run(["cauchy-sim", "--reps", "20", "--bins", "2", "--out-prefix", str(tmp_path / "s")])
+        assert "SLOPE_LAB_THREADS" in assert_usage_error(code, capsys)
+
+    def test_config_without_path(self, capsys):
+        assert_usage_error(run(["table1", "--config"]), capsys)
+
+    def test_more_bins_than_replicates(self, tmp_path, capsys):
+        code = run(["cauchy-sim", "--reps", "50", "--bins", "100", "--out-prefix", str(tmp_path / "s")])
+        assert_usage_error(code, capsys)
+        assert not (tmp_path / "s_replicates.csv").exists()
+
+    @pytest.mark.parametrize("flag", [["--reps", "0"], ["--bins", "0"], ["--n", "0"]])
+    def test_nonpositive_sizes(self, flag, tmp_path, capsys):
+        code = run(["cauchy-sim", "--reps", "20", "--bins", "2", *flag, "--out-prefix", str(tmp_path / "s")])
+        assert_usage_error(code, capsys)
+
+
 class TestCheck:
     def test_passes_and_prints(self, tmp_path, capsys):
         out = tmp_path / "check.csv"

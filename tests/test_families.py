@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate
 
 import slope_lab as sl
+from slope_lab import families
 from slope_lab.quadrature import integrate_real_line
 
 RNG = lambda seed=0: np.random.Generator(np.random.Philox(key=[seed, 0]))
@@ -129,6 +130,29 @@ class TestMedianDensity:
     @pytest.mark.parametrize("k", [2, 3, 7])
     def test_variance_exists_k_ge_2(self, k):
         assert sl.median_variance(k) > 0
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_variance_cached_including_divergence(self, k, monkeypatch):
+        # the truncation ladder runs once per k, also when it finds the
+        # variance divergent (k < 2): later calls answer from the cache
+        calls = []
+        ladder = families.integrate_real_line_or_divergent
+
+        def counted(f):
+            calls.append(1)
+            return ladder(f)
+
+        monkeypatch.setattr(families, "_MEDIAN_VAR_CACHE", {})
+        monkeypatch.setattr(families, "integrate_real_line_or_divergent", counted)
+        outcomes = []
+        for _ in range(3):
+            try:
+                outcomes.append(sl.median_variance(k))
+            except sl.DivergentIntegralError as exc:
+                outcomes.append(type(exc))
+        assert len(calls) == 1
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert (outcomes[0] is sl.DivergentIntegralError) == (k < 2)
 
 
 class TestDensitiesNormalize:

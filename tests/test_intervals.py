@@ -16,6 +16,11 @@ class TestCauchyMle:
     def test_single_observation(self):
         assert sl.cauchy_mle([3.7]) == 3.7
 
+    @pytest.mark.parametrize("v", [0.3, -7.3, 123.456, 1e-3])
+    def test_constant_sample_is_exact(self, v):
+        assert sl.cauchy_mle([v]) == v
+        assert sl.cauchy_mle([v, v, v]) == v
+
     def test_two_symmetric_observations(self):
         # loglik is symmetric about 0 with a mode there for |x| < 1
         assert sl.cauchy_mle([-0.5, 0.5]) == pytest.approx(0.0, abs=1e-9)
@@ -43,6 +48,36 @@ class TestCauchyMle:
         ll = np.array([-np.sum(np.log1p((x - t) ** 2)) for t in grid])
         best = grid[np.argmax(ll)]
         assert f.loglik(th, x) >= f.loglik(best, x) - 1e-9
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            # range/2000 is about 10, far wider than a mode
+            [-1.0e4, -9.0e3, 2.31, 2.35, 2.4, 2.52, 9.5e3, 1.0e4],
+            [-1.0e4, -1.0e4 + 0.05, 3.3, 3.9, 1.0e4],
+            # two modes whose log-likelihoods differ by about 1e-5
+            [-5.0, -4.9, 5.0, 5.1 + 1e-4],
+            [-5.1 - 1e-4, -5.0, 4.9, 5.0],
+        ],
+    )
+    def test_wide_and_near_bimodal_samples(self, x):
+        # independent oracle: a 1e-4 grid over the unit windows, which
+        # hold every local maximum
+        x = np.array(x)
+        grid = (x[:, None] + np.linspace(-1.0, 1.0, 20_001)[None, :]).ravel()
+        ll = np.zeros_like(grid)
+        for xi in x:
+            ll -= np.log1p((xi - grid) ** 2)
+        th = sl.cauchy_mle(x)
+        assert -np.sum(np.log1p((x - th) ** 2)) >= ll.max() - 1e-12
+        assert th == pytest.approx(grid[np.argmax(ll)], abs=1e-4)
+
+    def test_observation_beyond_lattice_range_is_not_certified(self):
+        # past +-1e15 the scan lattice cannot cover the windows
+        with pytest.raises(sl.CertificateError):
+            sl.cauchy_mle([0.0, 0.5, 1e16])
+        theta = sl.mc._mle_batch(np.array([[0.0, 0.5, 1e16], [0.0, 0.5, 1.0]]))
+        assert np.isnan(theta[0]) and theta[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(sl.DomainError):

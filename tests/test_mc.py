@@ -1,15 +1,35 @@
 """Monte Carlo coverage engine: determinism, projections, edge cases."""
 
+import dataclasses
+import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import slope_lab as sl
-from slope_lab.mc import _draw_batch, _mle_batch
+from slope_lab import intervals
+from slope_lab.mc import _draw_batch, _lrt_roots_batch, _mle_batch, _run_batch
 
 CFG_SMALL = sl.SimConfig(n=15, reps=2000, seed=0)
+
+
+def _csv_bytes_by_rows(summary):
+    """The row-by-row formatting that SimSummary.csv_bytes replaced, kept
+    as the reference its bytes must equal."""
+    buf = io.StringIO()
+    buf.write("#schema=slope_lab.replicates.v1\r\n")
+    buf.write("rep,theta_hat,i_obs,hit_we,hit_wo,hit_lrt,kl_we,kl_wo,kl_lrt\r\n")
+    t = summary.replicates
+    for i in range(t.shape[0]):
+        buf.write(
+            f"{t['rep'][i]},{t['theta_hat'][i]:.17g},{t['i_obs'][i]:.17g},"
+            f"{int(t['hit_we'][i])},{int(t['hit_wo'][i])},{int(t['hit_lrt'][i])},"
+            f"{t['kl_we'][i]:.17g},{t['kl_wo'][i]:.17g},{t['kl_lrt'][i]:.17g}\r\n"
+        )
+    return buf.getvalue().encode()
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +78,53 @@ class TestBatchMle:
         batch = _mle_batch(x)
         for r in range(50):
             assert batch[r] == pytest.approx(sl.cauchy_mle(x[r]), abs=1e-8)
+
+    def test_tie_goes_to_smaller_theta(self):
+        # two exactly tied modes at -sqrt(8) and sqrt(8), as in the scalar
+        # test; the second row is the first shifted by 2 and unsorted
+        theta = _mle_batch(np.array([[-3.0, 3.0], [5.0, -1.0]]))
+        assert theta[0] == pytest.approx(-math.sqrt(8.0), abs=1e-12)
+        assert theta[1] == pytest.approx(2.0 - math.sqrt(8.0), abs=1e-12)
+
+    def test_capped_rows_fail_instead_of_returning(self, monkeypatch):
+        x = _draw_batch(0, 0, 200, 15, 0.0)
+        full = _mle_batch(x)
+        needs_halving = np.zeros(200, dtype=bool)
+        for r in range(200):
+            counters = intervals.MleCounters()
+            _mle_batch(x[r : r + 1], counters)
+            needs_halving[r] = counters.halved > 0
+        assert needs_halving.any() and not needs_halving.all()
+        monkeypatch.setattr(intervals, "_MAX_HALVINGS", 0)
+        counters = intervals.MleCounters()
+        capped = _mle_batch(x, counters)
+        assert np.array_equal(np.isnan(capped), needs_halving)
+        assert np.array_equal(capped[~needs_halving], full[~needs_halving])
+        assert counters.capped == needs_halving.sum()
+        with pytest.raises(sl.CertificateError):
+            sl.cauchy_mle(x[np.argmax(needs_halving)])
+        out, _, reasons = _run_batch(sl.SimConfig(reps=200, seed=0), 0, 200)
+        assert reasons["failed_cap"] == out["failed"].sum() == needs_halving.sum()
+
+
+class TestLrtRoots:
+    def test_batch_roots_match_scalar_interval(self):
+        # sampled parity between the batch LRT roots and the scalar
+        # lrt_interval, which also scans for a disconnected level set
+        x = _draw_batch(0, 0, 300, 15, 0.0)
+        z = sl.SimConfig().z
+        lo, hi = _lrt_roots_batch(x, _mle_batch(x), z)
+        f = sl.CauchyLocation(15)
+        disconnected, off = [], []
+        for r in range(x.shape[0]):
+            iv = sl.lrt_interval(sl.lrt_estimate(f, x[r]), z)
+            if iv.disconnected:
+                disconnected.append(r)
+            if abs(iv.lo - lo[r]) > 1e-8 or abs(iv.hi - hi[r]) > 1e-8:
+                off.append((r, iv.lo - lo[r], iv.hi - hi[r]))
+        if disconnected:
+            warnings.warn(f"disconnected LRT level sets at replicates {disconnected}")
+        assert not off, f"endpoint mismatches {off}; disconnected sets at {disconnected}"
 
 
 class TestRunCoverage:
@@ -111,6 +178,23 @@ class TestRunCoverage:
         assert s.replicates.shape == (1,)
         assert set(s.coverage_error) == set(sl.mc.METHODS)
 
+    def test_stage_seconds_and_counters(self, small_summary):
+        assert set(small_summary.stage_seconds) == set(sl.mc.STAGES)
+        assert all(v >= 0.0 for v in small_summary.stage_seconds.values())
+        c = small_summary.counters
+        assert c["brackets"] >= CFG_SMALL.reps
+        failed = c["failed_cap"] + c["failed_nonfinite"] + c["failed_info"]
+        assert failed == small_summary.n_failures
+
+    def test_csv_bytes_match_row_reference(self, small_summary):
+        table = small_summary.replicates.copy()
+        table["theta_hat"][:3] = [np.nan, np.inf, -0.0]
+        table["i_obs"][3] = -1e-300
+        table["hit_lrt"][4] = not table["hit_lrt"][4]
+        edited = dataclasses.replace(small_summary, replicates=table)
+        for summary in (small_summary, edited):
+            assert summary.csv_bytes() == _csv_bytes_by_rows(summary)
+
     def test_csv_schema_line(self, small_summary):
         data = small_summary.csv_bytes().decode()
         lines = data.split("\r\n")
@@ -144,6 +228,8 @@ class TestBins:
     def test_bad_bins(self, small_summary):
         with pytest.raises(sl.DomainError):
             sl.bin_by_obs_info(small_summary, 0)
+        with pytest.raises(sl.DomainError):
+            sl.bin_by_obs_info(small_summary, CFG_SMALL.reps + 1)
         with pytest.raises(sl.DomainError):
             sl.coverage_by_obs_info(CFG_SMALL, 1, summary=small_summary)
 
