@@ -39,6 +39,7 @@ from .mc import (
     RAW_ADJUSTMENTS,
     SimConfig,
     bin_by_obs_info,
+    median_sd,
     qq_data,
     run_coverage,
     threads_from_env,
@@ -182,6 +183,7 @@ def cmd_cauchy_sim(args: argparse.Namespace) -> int:
     try:
         workers = threads_from_env()
         cfg = SimConfig(n=args.n, reps=args.reps, seed=args.seed, adjustments=adjustments)
+        median_sd(args.n)  # the Q-Q file's median column needs it finite
         if not 1 <= args.bins <= args.reps:
             raise DomainError(f"--bins must lie in [1, --reps={args.reps}], got {args.bins}")
     except DomainError as exc:

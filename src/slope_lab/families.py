@@ -20,6 +20,13 @@ where the parameter moves only the first coordinate.
 Log-likelihoods drop additive constants that do not depend on the
 parameter (k(n,y) = 0 convention); scores, information, and slope
 quantities are invariant to this choice.
+
+A new family is one new class here, with ``check_sample``, ``loglik``,
+``score``, ``fisher_info``, ``sample``, and ``density`` (``Family.expect``
+integrates it by quadrature) or its own ``expect``; ``mle`` and ``kl``
+serve LRT intervals and KL lengths.  ``observed_info`` (a central
+difference of the score), ``sup_loglik`` (l at the MLE) and
+``reference_info`` (the Fisher information) have base defaults.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from .errors import DivergentIntegralError, DomainError
 from .quadrature import integrate_real_line, integrate_real_line_or_divergent
 
 Sample = Union[int, float, np.ndarray, tuple]
+DEFAULT_MC_DRAWS = 10**6
 
 CHART_P = "p"
 CHART_LOG_ODDS = "log_odds"
@@ -91,8 +99,8 @@ def _median_dlog_dtheta(k: int, t: np.ndarray) -> np.ndarray:
 class Family:
     """Base class; concrete families implement the likelihood triple.
 
-    Subclasses provide ``loglik``, ``score``, ``fisher_info``, and
-    ``sample``; the base class owns domain checking and chart metadata.
+    Subclasses provide the methods the module docstring lists; the base
+    class owns domain checking, chart metadata and the shared defaults.
     """
 
     charts: tuple = (CHART_THETA,)
@@ -120,6 +128,31 @@ class Family:
 
     def sample(self, theta: float, rng: np.random.Generator) -> Sample:
         raise NotImplementedError
+
+    def density(self, theta: float, y) -> np.ndarray:
+        raise NotImplementedError
+
+    def expect(self, theta: float, phi, *, mc_draws: int = DEFAULT_MC_DRAWS, mc_seed: int = 0) -> tuple:
+        """(E_theta[phi(Y)], standard error): quadrature of phi * density, SE 0."""
+        return integrate_real_line(lambda y: phi(y) * self.density(theta, y)), 0.0
+
+    def mle(self, y: Sample) -> float:
+        raise NotImplementedError
+
+    def observed_info(self, theta_hat: float, y: Sample) -> float:
+        """-l''(theta_hat; y), by a central difference of the score."""
+        h = 1e-5 * (1.0 + abs(theta_hat))
+        return -(self.score(theta_hat + h, y) - self.score(theta_hat - h, y)) / (2.0 * h)
+
+    def sup_loglik(self, y: Sample, mle: float) -> float:
+        return self.loglik(mle, y)
+
+    def kl(self, theta1: float, theta2: float) -> float:
+        raise NotImplementedError
+
+    def reference_info(self, theta: float) -> float:
+        """Full-sample information, the benchmark for efficiencies."""
+        return self.fisher_info(theta)
 
 
 @dataclass(frozen=True)
@@ -198,6 +231,36 @@ class Bernoulli(Family):
         p = self._p(theta)
         return int(np.count_nonzero(rng.random(self.n) < p))
 
+    def expect(self, theta, phi, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> tuple:
+        """The exact binomial sum over the support."""
+        w = self.pmf(theta)
+        vals = np.array([phi(int(y)) for y in self.support()], dtype=float)
+        return float(np.dot(w, vals)), 0.0
+
+    def mle(self, y: Sample) -> float:
+        p_hat = y / self.n
+        if self.chart == CHART_P:
+            return float(p_hat)
+        if y in (0, self.n):
+            return math.copysign(math.inf, y - self.n / 2)
+        return math.log(p_hat / (1.0 - p_hat))
+
+    def sup_loglik(self, y: Sample, mle: float) -> float:
+        """sup over the closed [0, 1], with the 0 log 0 = 0 convention."""
+        p_hat = y / self.n
+        sup = 0.0
+        if 0 < y:
+            sup += y * math.log(p_hat)
+        if y < self.n:
+            sup += (self.n - y) * math.log1p(-p_hat)
+        return sup
+
+    def kl(self, theta1: float, theta2: float) -> float:
+        if self.chart != CHART_P:
+            raise DomainError("Bernoulli KL divergence is defined in the p chart")
+        p1, p2 = theta1, theta2
+        return self.n * (p1 * math.log(p1 / p2) + (1.0 - p1) * math.log((1.0 - p1) / (1.0 - p2)))
+
 
 @dataclass(frozen=True)
 class NormalLocation(Family):
@@ -238,6 +301,16 @@ class NormalLocation(Family):
         sd = self.sigma / math.sqrt(self.n)
         z = (np.asarray(xbar, dtype=float) - theta) / sd
         return np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
+
+    def mle(self, y: Sample) -> float:
+        return float(y)
+
+    def observed_info(self, theta_hat: float, y: Sample) -> float:
+        return self.n / self.sigma**2
+
+    def kl(self, theta1: float, theta2: float) -> float:
+        d = theta1 - theta2
+        return self.n * d * d / (2.0 * self.sigma**2)
 
 
 # The Cauchy location log-likelihood and its derivatives, for one sample
@@ -318,6 +391,27 @@ class CauchyLocation(Family):
         x = theta + np.tan(math.pi * (u - 0.5))
         return np.sort(x)
 
+    def expect(self, theta, phi, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> tuple:
+        """Seeded Monte Carlo: ``mc_draws`` samples from Philox key (mc_seed, 0)."""
+        rng = np.random.Generator(np.random.Philox(key=[mc_seed, 0]))
+        u = rng.random((mc_draws, self.n))
+        x = np.sort(theta + np.tan(math.pi * (u - 0.5)), axis=1)
+        vals = np.array([phi(x[i]) for i in range(mc_draws)], dtype=float)
+        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mc_draws))
+
+    def mle(self, y: Sample) -> float:
+        from .intervals import cauchy_mle  # intervals imports this module
+
+        return cauchy_mle(y)
+
+    def observed_info(self, theta_hat: float, y: Sample) -> float:
+        return float(cauchy_obs_info(cauchy_offsets(y, theta_hat)))
+
+    def kl(self, theta1: float, theta2: float) -> float:
+        """Single-observation divergence log(d^2 + 4) - log 4, d the gap."""
+        d = theta1 - theta2
+        return math.log(d * d + 4.0) - math.log(4.0)
+
 
 @dataclass(frozen=True)
 class CauchyMedian(Family):
@@ -360,6 +454,20 @@ class CauchyMedian(Family):
         u = rng.random(self.n)
         return float(np.median(theta + np.tan(math.pi * (u - 0.5))))
 
+    def mle(self, y: Sample) -> float:
+        return float(y)
+
+    def kl(self, theta1: float, theta2: float) -> float:
+        """By quadrature of the median law's log-density ratio."""
+        return integrate_real_line(
+            lambda z: self.density(theta1, z)
+            * (np.log(self.density(theta1, z)) - np.log(self.density(theta2, z)))
+        )
+
+    def reference_info(self, theta: float) -> float:
+        """n/2: the information of the full sample the median reduces."""
+        return self.n / 2.0
+
 
 @dataclass(frozen=True)
 class BivariateNormalSlice(Family):
@@ -400,6 +508,16 @@ class BivariateNormalSlice(Family):
         self.check_param(theta)
         sd = 1.0 / math.sqrt(self.n)
         return (float(rng.normal(theta, sd)), float(rng.normal(0.0, sd)))
+
+    def expect(self, theta, phi, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> tuple:
+        """64 x 64 Gauss-Hermite rule over the two independent coordinates."""
+        nodes, weights = np.polynomial.hermite_e.hermegauss(64)
+        sd = 1.0 / math.sqrt(self.n)
+        total = 0.0
+        for a, wa in zip(nodes, weights):
+            z1 = theta + sd * a
+            total += wa * sum(wb * phi((z1, sd * b)) for b, wb in zip(nodes, weights))
+        return total / (2.0 * math.pi), 0.0
 
 
 # Module-level cache: the median information and variance are pure

@@ -21,31 +21,20 @@ n-dimensional one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BiasError, OrientationError, ZeroVarianceError
-from .families import (
-    Bernoulli,
-    BivariateNormalSlice,
-    CauchyLocation,
-    CauchyMedian,
-    Family,
-    NormalLocation,
-    median_fisher_info,
-    median_variance,
-)
-from .errors import DivergentIntegralError
-from .quadrature import integrate_real_line
+from .errors import BiasError, DivergentIntegralError, OrientationError, ZeroVarianceError
+from .families import DEFAULT_MC_DRAWS, Bernoulli, Family, median_fisher_info, median_variance
 
 KIND_SCORE = "score"
 KIND_LIFTED = "lifted_point"
 KIND_CUSTOM = "custom"
 
-DEFAULT_MC_DRAWS = 10**6
 _FD_STEP = 1e-5
 
 
@@ -62,47 +51,13 @@ def expect(
     mc_seed: int = 0,
     return_se: bool = False,
 ):
-    """E_theta[phi(Y)] under family ``f``.
-
-    Bernoulli uses the exact binomial sum; the continuous scalar
-    families use adaptive quadrature; the full Cauchy sample space uses
-    seeded Monte Carlo.  With ``return_se=True`` the Monte Carlo
-    standard error is returned alongside (0.0 for the exact engines).
+    """E_theta[phi(Y)] under family ``f``, by ``f.expect``: an exact sum,
+    quadrature or seeded Monte Carlo.  With ``return_se=True`` the Monte
+    Carlo standard error is returned alongside (0.0 for the exact engines).
     """
     f.check_param(theta)
-    if isinstance(f, Bernoulli):
-        w = f.pmf(theta)
-        vals = np.array([phi(int(y)) for y in f.support()], dtype=float)
-        value = float(np.dot(w, vals))
-        return (value, 0.0) if return_se else value
-    if isinstance(f, NormalLocation):
-        value = integrate_real_line(lambda x: phi(x) * f.density(theta, x))
-        return (value, 0.0) if return_se else value
-    if isinstance(f, CauchyMedian):
-        value = integrate_real_line(lambda z: phi(z) * f.density(theta, z))
-        return (value, 0.0) if return_se else value
-    if isinstance(f, BivariateNormalSlice):
-        # product of two independent normal coordinates: Gauss-Hermite
-        nodes, weights = np.polynomial.hermite_e.hermegauss(64)
-        sd = 1.0 / math.sqrt(f.n)
-        total = 0.0
-        for a, wa in zip(nodes, weights):
-            z1 = theta + sd * a
-            row = sum(
-                wb * phi((z1, sd * b)) for b, wb in zip(nodes, weights)
-            )
-            total += wa * row
-        value = total / (2.0 * math.pi)
-        return (value, 0.0) if return_se else value
-    if isinstance(f, CauchyLocation):
-        rng = np.random.Generator(np.random.Philox(key=[mc_seed, 0]))
-        u = rng.random((mc_draws, f.n))
-        x = np.sort(theta + np.tan(math.pi * (u - 0.5)), axis=1)
-        vals = np.array([phi(x[i]) for i in range(mc_draws)], dtype=float)
-        value = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(mc_draws))
-        return (value, se) if return_se else value
-    raise TypeError(f"no expectation engine for family {type(f).__name__}")
+    value, se = f.expect(theta, phi, mc_draws=mc_draws, mc_seed=mc_seed)
+    return (value, se) if return_se else value
 
 
 def variance(f: Family, theta: float, phi: Callable, **kw) -> float:
@@ -132,38 +87,28 @@ class GenEstimator:
     def __call__(self, y, theta: float) -> float:
         return self.evaluate(y, theta)
 
+    def _fd_slope_at(self, theta: float) -> Callable:
+        """y -> central difference of g(y, .) at theta."""
+        h = _fd_step(theta)
+        return lambda y: (self.evaluate(y, theta + h) - self.evaluate(y, theta - h)) / (2.0 * h)
+
     # -- moments ----------------------------------------------------
 
     def mean(self, theta: float, **kw) -> float:
         return expect(self.family, theta, lambda y: self.evaluate(y, theta), **kw)
 
     def var(self, theta: float, **kw) -> float:
-        m = self.mean(theta, **kw)
-        return expect(
-            self.family, theta, lambda y: (self.evaluate(y, theta) - m) ** 2, **kw
-        )
+        return variance(self.family, theta, lambda y: self.evaluate(y, theta), **kw)
 
     def mean_slope(self, theta: float, **kw) -> float:
         """E[dg/dtheta] at theta; analytic derivative when available."""
         if self.deriv is not None:
             return expect(self.family, theta, lambda y: self.deriv(y, theta), **kw)
-        h = _fd_step(theta)
-        return expect(
-            self.family,
-            theta,
-            lambda y: (self.evaluate(y, theta + h) - self.evaluate(y, theta - h))
-            / (2.0 * h),
-            **kw,
-        )
+        return expect(self.family, theta, self._fd_slope_at(theta), **kw)
 
     def score_cov(self, theta: float, **kw) -> float:
         fam = self.family
-        return expect(
-            fam,
-            theta,
-            lambda y: self.evaluate(y, theta) * fam.score(theta, y),
-            **kw,
-        )
+        return expect(fam, theta, lambda y: self.evaluate(y, theta) * fam.score(theta, y), **kw)
 
 
 def score_estimator(f: Family) -> GenEstimator:
@@ -187,12 +132,16 @@ def lift_point_estimator(
     on ``check_grid`` when given; a violation raises rather than
     silently negating the statistic.
     """
-    ups = mean_fn if mean_fn is not None else (lambda th: expect(f, th, u, **kw))
+    # an expectation of h or h' at theta (or at theta +- h) evaluates ups or
+    # dups at every sample point: cached, the expectation behind each runs once
+    once_per_theta = functools.lru_cache(maxsize=3)
+    ups = mean_fn if mean_fn is not None else once_per_theta(lambda th: expect(f, th, u, **kw))
     if mean_deriv is not None:
         dups = mean_deriv
     else:
         # d/dtheta E[u] = E[u * score]: exact whenever the expectation
         # engine is exact, unlike a finite difference of the mean
+        @once_per_theta
         def dups(th: float) -> float:
             return expect(f, th, lambda y: u(y) * f.score(th, y), **kw)
 
@@ -251,16 +200,10 @@ def score_correlation2(g: GenEstimator, theta: float, **kw) -> float:
 
 
 def reference_info(f: Family, theta: float) -> float:
-    """Information benchmark for efficiency: the full-sample information.
-
-    For a family defined on a reduced statistic (the Cauchy median law)
-    this is the information n*I1 of the underlying n observations, so
-    that efficiencies quantify the loss from the reduction; for families
-    on the full sample space it coincides with the family information.
-    """
-    if isinstance(f, CauchyMedian):
-        return f.n / 2.0
-    return f.fisher_info(theta)
+    """Information benchmark for efficiency, ``f.reference_info``: the
+    full-sample information, n*I1 for a family on a reduced statistic (the
+    Cauchy median law), so that efficiencies charge the reduction too."""
+    return f.reference_info(theta)
 
 
 def lambda_efficiency(g: GenEstimator, theta: float, **kw) -> float:
@@ -303,13 +246,7 @@ def check_identity(g: GenEstimator, theta: float, **kw) -> float:
     elif g.deriv is not None and g.kind != KIND_LIFTED:
         lhs = -expect(g.family, theta, lambda y: g.deriv(y, theta), **kw)
     else:
-        h = _fd_step(theta)
-        lhs = -expect(
-            g.family,
-            theta,
-            lambda y: (g.evaluate(y, theta + h) - g.evaluate(y, theta - h)) / (2.0 * h),
-            **kw,
-        )
+        lhs = -expect(g.family, theta, g._fd_slope_at(theta), **kw)
     rhs = g.score_cov(theta, **kw)
     return abs(lhs - rhs)
 
@@ -337,9 +274,10 @@ def slope_report(g: GenEstimator, grid: Sequence[float], **kw) -> SlopeReport:
 
 
 def default_grid(f: Family, points: int = 41) -> np.ndarray:
-    """Default evaluation grid: p in [0.02, 0.98] or theta in [-4, 4]."""
-    if isinstance(f, Bernoulli) and f.chart == "p":
-        return np.linspace(0.02, 0.98, points)
+    """Default evaluation grid: the inner 96% of a bounded domain (p in [0.02, 0.98]) or [-4, 4]."""
+    lo, hi = f.param_domain()
+    if math.isfinite(lo) and math.isfinite(hi):
+        return np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), points)
     return np.linspace(-4.0, 4.0, points)
 
 

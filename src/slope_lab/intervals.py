@@ -41,17 +41,7 @@ from .errors import (
     NonexistenceError,
     NonMonotoneError,
 )
-from .families import (
-    Bernoulli,
-    CauchyLocation,
-    CauchyMedian,
-    Family,
-    NormalLocation,
-    cauchy_loglik,
-    cauchy_obs_info,
-    cauchy_offsets,
-    cauchy_score,
-)
+from .families import Family, cauchy_loglik, cauchy_obs_info, cauchy_offsets, cauchy_score
 
 METHOD_SCORE = "score_inversion"
 METHOD_LRT = "lrt"
@@ -298,31 +288,12 @@ def cauchy_mle(y) -> float:
 def family_mle(f: Family, y) -> float:
     """Maximum-likelihood point estimate (may lie on the closure for
     Bernoulli boundary counts)."""
-    if isinstance(f, Bernoulli):
-        p_hat = y / f.n
-        if f.chart == "p":
-            return float(p_hat)
-        if y in (0, f.n):
-            return math.copysign(math.inf, y - f.n / 2)
-        return math.log(p_hat / (1.0 - p_hat))
-    if isinstance(f, NormalLocation):
-        return float(y)
-    if isinstance(f, CauchyLocation):
-        return cauchy_mle(y)
-    if isinstance(f, CauchyMedian):
-        return float(y)
-    raise TypeError(f"no MLE rule for {type(f).__name__}")
+    return f.mle(y)
 
 
 def observed_info(f: Family, theta_hat: float, y) -> float:
     """Observed information -l''(theta_hat; y)."""
-    if isinstance(f, CauchyLocation):
-        val = float(cauchy_obs_info(cauchy_offsets(y, theta_hat)))
-    elif isinstance(f, NormalLocation):
-        val = f.n / f.sigma**2
-    else:
-        h = 1e-5 * (1.0 + abs(theta_hat))
-        val = -(f.score(theta_hat + h, y) - f.score(theta_hat - h, y)) / (2.0 * h)
+    val = f.observed_info(theta_hat, y)
     if val <= 0.0:
         raise CurvatureError(f"observed information {val} is not positive")
     return val
@@ -422,18 +393,8 @@ class LrtEstimate:
 
 
 def lrt_estimate(f: Family, y) -> LrtEstimate:
-    mle = family_mle(f, y)
-    if isinstance(f, Bernoulli):
-        # sup over the closed [0, 1]: 0 log 0 = 0 convention
-        p_hat = y / f.n
-        sup = 0.0
-        if 0 < y:
-            sup += y * math.log(p_hat)
-        if y < f.n:
-            sup += (f.n - y) * math.log1p(-p_hat)
-    else:
-        sup = f.loglik(mle, y)
-    return LrtEstimate(family=f, sample=y, mle=mle, sup_loglik=sup)
+    mle = f.mle(y)
+    return LrtEstimate(family=f, sample=y, mle=mle, sup_loglik=f.sup_loglik(y, mle))
 
 
 def lrt_interval(L: LrtEstimate, z: float, adjustment: float = 1.0) -> Interval:

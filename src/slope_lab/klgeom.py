@@ -4,10 +4,11 @@ The KL length of a parameter interval is the radius of the smallest KL
 ball covering it; being defined through divergences between models, it
 does not change under reparameterization, unlike the Euclidean width.
 
-Closed forms: the Cauchy location divergence (single-observation
-geometry) is log((d)^2 + 4) - log 4 for a parameter gap d; the normal
-location divergence is n d^2 / (2 sigma^2); the Bernoulli divergence
-is the usual n-weighted binary relative entropy.  For all three, the
+Each family computes its own divergence (``Family.kl``).  Closed
+forms: the Cauchy location divergence (single-observation geometry)
+is log((d)^2 + 4) - log 4 for a parameter gap d; the normal location
+divergence is n d^2 / (2 sigma^2); the Bernoulli divergence is the
+usual n-weighted binary relative entropy.  For all three, the
 divergence is increasing in |d|, so the farthest model from a candidate
 center is always an interval endpoint; the cover check therefore needs
 only the two endpoints.  This monotonicity is asserted by a grid test
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .families import Bernoulli, CauchyLocation, CauchyMedian, Family, NormalLocation
+from .families import Family
 from .intervals import Interval
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -33,27 +34,7 @@ def kl_divergence(f: Family, theta1: float, theta2: float) -> float:
     """D(m1 || m2) = E_{m1} log(m1/m2) for models at theta1, theta2."""
     f.check_param(theta1)
     f.check_param(theta2)
-    if isinstance(f, CauchyLocation):
-        d = theta1 - theta2
-        return math.log(d * d + 4.0) - math.log(4.0)
-    if isinstance(f, NormalLocation):
-        d = theta1 - theta2
-        return f.n * d * d / (2.0 * f.sigma**2)
-    if isinstance(f, Bernoulli):
-        if f.chart != "p":
-            raise DomainError("Bernoulli KL divergence is defined in the p chart")
-        p1, p2 = theta1, theta2
-        return f.n * (
-            p1 * math.log(p1 / p2) + (1.0 - p1) * math.log((1.0 - p1) / (1.0 - p2))
-        )
-    if isinstance(f, CauchyMedian):
-        from .quadrature import integrate_real_line
-
-        return integrate_real_line(
-            lambda z: f.density(theta1, z)
-            * (np.log(f.density(theta1, z)) - np.log(f.density(theta2, z)))
-        )
-    raise TypeError(f"no KL divergence for {type(f).__name__}")
+    return f.kl(theta1, theta2)
 
 
 @dataclass(frozen=True)
@@ -99,17 +80,14 @@ def _bounds(iv) -> tuple:
     return float(lo), float(hi)
 
 
-def kl_length(f: Family, iv) -> float:
-    """Radius of the smallest KL ball covering the interval.
-
-    Golden-section minimization over the center c in [lo, hi] of
-    max(D(lo||c), D(hi||c)); the max over the whole interval reduces to
-    the endpoints by monotonicity of D in the parameter gap.  Accepts
-    an Interval or a plain (lo, hi) pair; a degenerate pair has length 0.
-    """
+def _smallest_ball(f: Family, iv) -> tuple:
+    """(center, radius) of the smallest KL ball covering the interval:
+    golden-section minimization, one evaluation per step, of max(D(lo||c),
+    D(hi||c)) over c in [lo, hi]; the max over the whole interval reduces
+    to the endpoints by monotonicity of D in the parameter gap."""
     lo, hi = _bounds(iv)
     if lo == hi:
-        return 0.0
+        return lo, 0.0
 
     def worst(c: float) -> float:
         return max(kl_divergence(f, lo, c), kl_divergence(f, hi, c))
@@ -127,24 +105,16 @@ def kl_length(f: Family, iv) -> float:
             a, c1, f1 = c1, c2, f2
             c2 = a + _GOLDEN * (b - a)
             f2 = worst(c2)
-    return worst(0.5 * (a + b))
+    center = 0.5 * (a + b)
+    return center, worst(center)
+
+
+def kl_length(f: Family, iv) -> float:
+    """Radius of the smallest KL ball covering the interval, given as an
+    Interval or a plain (lo, hi) pair; a degenerate pair has length 0."""
+    return _smallest_ball(f, iv)[1]
 
 
 def kl_length_center(f: Family, iv) -> float:
     """Optimal ball center for the interval (same search as kl_length)."""
-    lo, hi = _bounds(iv)
-    if lo == hi:
-        return lo
-
-    def worst(c: float) -> float:
-        return max(kl_divergence(f, lo, c), kl_divergence(f, hi, c))
-
-    a, b = lo, hi
-    while b - a > _CENTER_TOL:
-        c1 = b - _GOLDEN * (b - a)
-        c2 = a + _GOLDEN * (b - a)
-        if worst(c1) <= worst(c2):
-            b = c2
-        else:
-            a = c1
-    return 0.5 * (a + b)
+    return _smallest_ball(f, iv)[0]

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
-from .errors import DomainError, SimulationError
+from .errors import DivergentIntegralError, DomainError, SimulationError
 from .families import cauchy_loglik, cauchy_obs_info, cauchy_offsets, cauchy_score, median_variance
 from .intervals import MleCounters, cauchy_mle_batch as _mle_batch
 from .klgeom import cauchy_kl_length_from_width
@@ -75,7 +75,7 @@ class SimConfig:
 
     @property
     def z(self) -> float:
-        return float(norm.ppf(1.0 - self.alpha / 2.0))
+        return float(ndtri(1.0 - self.alpha / 2.0))
 
 
 @dataclass
@@ -339,6 +339,14 @@ def coverage_by_obs_info(cfg: SimConfig, bins: int, summary: Optional[SimSummary
     return bin_by_obs_info(summary, bins)
 
 
+def median_sd(n: int) -> float:
+    """SD of the median of n unit Cauchy draws; a DomainError for n < 5, where it diverges."""
+    try:
+        return math.sqrt(median_variance((n - 1) // 2))
+    except DivergentIntegralError as exc:
+        raise DomainError(f"the median of n={n} Cauchy draws has no variance; n >= 5 is needed") from exc
+
+
 def qq_data(
     cfg: SimConfig,
     statistic: str,
@@ -352,6 +360,8 @@ def qq_data(
     """
     if statistic not in QQ_STATISTICS:
         raise DomainError(f"unknown statistic {statistic!r}")
+    if statistic == "median_standardized":
+        sd = median_sd(cfg.n)
     if summary is None:
         summary = run_coverage(cfg)
     table = summary.replicates[~summary.replicates["failed"]]
@@ -362,12 +372,10 @@ def qq_data(
     elif statistic == "standardized_score_at_true":
         vals = table["score_at_true"] / math.sqrt(cfg.n / 2.0)
     else:
-        k = (cfg.n - 1) // 2
-        sd = math.sqrt(median_variance(k))
         vals = (table["median"] - cfg.theta_true) / sd
     vals = np.sort(vals)
     m = vals.size
-    q = norm.ppf((np.arange(1, m + 1) - 0.5) / m)
+    q = ndtri((np.arange(1, m + 1) - 0.5) / m)
     return np.column_stack([q, vals])
 
 

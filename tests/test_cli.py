@@ -1,10 +1,15 @@
 """Command-line front end: outputs, manifests, reruns, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slope_lab
 from slope_lab import cli
 
 
@@ -168,6 +173,15 @@ class TestBadInput:
         code = run(["cauchy-sim", "--reps", "20", "--bins", "2", *flag, "--out-prefix", str(tmp_path / "s")])
         assert_usage_error(code, capsys)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sample_too_small_for_median_qq(self, n, tmp_path, capsys):
+        # the median Q-Q column needs a finite median variance: n >= 5
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run(["cauchy-sim", "--n", str(n), "--reps", "20", "--bins", "2", "--out-prefix", str(out / "s")])
+        assert f"n={n}" in assert_usage_error(code, capsys)
+        assert list(out.iterdir()) == []
+
 
 class TestCheck:
     def test_passes_and_prints(self, tmp_path, capsys):
@@ -210,3 +224,14 @@ class TestConfigAndUsage:
 
     def test_missing_required_flag(self):
         assert run(["table1"]) == cli.EXIT_USAGE
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a third of the package's import time, which
+    # every command pays
+    src = str(Path(slope_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, slope_lab; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -1,6 +1,7 @@
 """Family-level contracts: densities, scores, information, samplers."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -211,3 +212,154 @@ class TestReparam:
     def test_bad_chart_rejected(self):
         with pytest.raises(sl.DomainError):
             sl.reparam(sl.NormalLocation(1.0, 2), "p", "theta", 0.5)
+
+
+_CAUCHY_Y = np.array([-1.3, -0.2, 0.1, 0.4, 2.0])
+_CAUCHY_MLE = 0.07355630226354834  # a root of the score, pinned below
+_BERN_INFO = 10 / (0.3 * 0.7)
+
+# One (family, theta, sample) per family with the values its methods must
+# give: closed forms where there are any, otherwise numbers pinned from
+# the implementation before the methods moved onto the families.  KL is
+# taken from theta to theta + 0.3; None means the method is not defined.
+CONTRACT = [
+    (sl.Bernoulli(10), 0.3, 4, dict(
+        expect=(_BERN_INFO, 0.0),
+        reference_info=_BERN_INFO,
+        observed_info=4 / 0.3**2 + 6 / 0.7**2,
+        mle=0.4,
+        sup_loglik=4 * math.log(0.4) + 6 * math.log(0.6),
+        kl=10 * (0.3 * math.log(0.3 / 0.6) + 0.7 * math.log(0.7 / 0.4)),
+    )),
+    (sl.NormalLocation(1.3, 4), 0.2, 0.5, dict(
+        expect=(4 / 1.3**2, 0.0),
+        reference_info=4 / 1.3**2,
+        observed_info=4 / 1.3**2,
+        mle=0.5,
+        sup_loglik=0.0,
+        kl=4 * 0.3**2 / (2 * 1.3**2),
+    )),
+    (sl.CauchyLocation(5), 0.2, _CAUCHY_Y, dict(
+        # Philox Monte Carlo, 2000 draws with seed 1: 2.5 +- one se
+        expect=(2.5644510902971107, 0.077154519120221),
+        reference_info=5 / 2,
+        observed_info=float(np.sum(2 * (1 - (_CAUCHY_Y - 0.2) ** 2) / (1 + (_CAUCHY_Y - 0.2) ** 2) ** 2)),
+        mle=_CAUCHY_MLE,
+        sup_loglik=-float(np.sum(np.log(math.pi * (1 + (_CAUCHY_Y - _CAUCHY_MLE) ** 2)))),
+        kl=math.log(0.3**2 + 4) - math.log(4),
+    )),
+    (sl.CauchyMedian(3), 0.2, 0.5, dict(
+        expect=(2.4404172394939416, 0.0),
+        reference_info=7 / 2,
+        observed_info=3.4320310377256025,
+        mle=0.5,
+        # the median of 7 draws has density 7!/(3! 3!) 2^-6 / pi at its center
+        sup_loglik=math.log(140 / (64 * math.pi)),
+        kl=0.10794959467847175,
+    )),
+    (sl.BivariateNormalSlice(4), 0.2, (0.5, -0.1), dict(
+        expect=(4.0, 0.0),
+        reference_info=4.0,
+        observed_info=4.0,
+        mle=None,
+        sup_loglik=None,
+        kl=None,
+    )),
+]
+CONTRACT_IDS = [type(f).__name__ for f, _, _, _ in CONTRACT]
+REL = 1e-9  # quadrature and central differences; closed forms agree to ~1e-15
+
+
+class TestFamilyContract:
+    """Each Family method, and the public function it serves, gives the
+    family's known value at one (theta, sample)."""
+
+    @pytest.mark.parametrize("f,th,y,want", CONTRACT, ids=CONTRACT_IDS)
+    def test_expect(self, f, th, y, want):
+        phi = lambda s: f.score(th, s) ** 2
+        kw = dict(mc_draws=2000, mc_seed=1)
+        for value, se in (f.expect(th, phi, **kw), sl.expect(f, th, phi, return_se=True, **kw)):
+            assert value == pytest.approx(want["expect"][0], rel=REL)
+            assert se == pytest.approx(want["expect"][1], rel=REL)
+        # E[score^2] is the Fisher information, up to the Monte Carlo error
+        assert abs(value - f.fisher_info(th)) <= max(se, 1e-9)
+
+    @pytest.mark.parametrize("f,th,y,want", CONTRACT, ids=CONTRACT_IDS)
+    def test_information(self, f, th, y, want):
+        for info in (f.reference_info(th), sl.reference_info(f, th)):
+            assert info == pytest.approx(want["reference_info"], rel=1e-14)
+        # a central difference except for the Normal and Cauchy closed forms
+        for info in (f.observed_info(th, y), sl.observed_info(f, th, y)):
+            assert info == pytest.approx(want["observed_info"], rel=1e-8)
+
+    @pytest.mark.parametrize("f,th,y,want", CONTRACT, ids=CONTRACT_IDS)
+    def test_mle_and_sup_loglik(self, f, th, y, want):
+        if want["mle"] is None:
+            for call in (lambda: f.mle(y), lambda: sl.family_mle(f, y), lambda: sl.lrt_estimate(f, y)):
+                with pytest.raises(NotImplementedError):
+                    call()
+            return
+        for mle in (f.mle(y), sl.family_mle(f, y)):
+            assert mle == pytest.approx(want["mle"], rel=1e-12)
+        assert f.score(want["mle"], y) == pytest.approx(0.0, abs=1e-12)
+        L = sl.lrt_estimate(f, y)
+        assert L.mle == pytest.approx(want["mle"], rel=1e-12)
+        for sup in (L.sup_loglik, f.sup_loglik(y, L.mle)):
+            assert sup == pytest.approx(want["sup_loglik"], rel=1e-12, abs=1e-15)
+        assert L(L.mle) == 0.0
+
+    @pytest.mark.parametrize("f,th,y,want", CONTRACT, ids=CONTRACT_IDS)
+    def test_kl(self, f, th, y, want):
+        if want["kl"] is None:
+            for call in (lambda: f.kl(th, th + 0.3), lambda: sl.kl_divergence(f, th, th + 0.3)):
+                with pytest.raises(NotImplementedError):
+                    call()
+            return
+        for kl in (f.kl(th, th + 0.3), sl.kl_divergence(f, th, th + 0.3)):
+            assert kl == pytest.approx(want["kl"], rel=REL)
+        assert f.kl(th, th) == pytest.approx(0.0, abs=1e-12)
+
+
+@dataclass(frozen=True)
+class Logistic(sl.Family):
+    """Logistic location, one observation: a family defined outside the
+    package with only the required methods."""
+
+    def check_sample(self, y):
+        if not np.isfinite(y):
+            raise sl.DomainError(f"y={y} is not finite")
+
+    def density(self, theta, y):
+        e = np.exp(-np.abs(np.asarray(y, dtype=float) - theta))
+        return e / (1.0 + e) ** 2
+
+    def loglik(self, theta, y):
+        return float(np.log(self.density(theta, y)))
+
+    def score(self, theta, y):
+        return float(np.tanh((y - theta) / 2.0))
+
+    def fisher_info(self, theta):
+        return 1.0 / 3.0
+
+
+class TestNewFamily:
+    """A new family needs no edit elsewhere in the package."""
+
+    def test_base_methods_serve_the_public_functions(self):
+        f = Logistic()
+        assert sl.expect(f, 0.4, lambda y: f.score(0.4, y) ** 2) == pytest.approx(1 / 3, rel=1e-8)
+        # the sample value is unbiased with variance pi^2 / 3
+        g = sl.lift_point_estimator(f, lambda y: y, mean_fn=lambda th: th, mean_deriv=lambda th: 1.0)
+        assert sl.squared_slope(g, 0.4) == pytest.approx(3 / math.pi**2, rel=1e-7)
+        assert sl.lambda_efficiency(g, 0.4) == pytest.approx(9 / math.pi**2, rel=1e-7)
+        assert sl.observed_info(f, 0.0, 0.0) == pytest.approx(0.5, rel=1e-8)
+        assert sl.reference_info(f, 0.4) == 1 / 3
+        assert sl.default_grid(f, 3).tolist() == [-4.0, 0.0, 4.0]
+
+    def test_likelihood_ratio_and_kl_need_their_methods(self):
+        f = Logistic()
+        with pytest.raises(NotImplementedError):
+            sl.lrt_estimate(f, 0.0)
+        with pytest.raises(NotImplementedError):
+            sl.kl_divergence(f, 0.0, 1.0)

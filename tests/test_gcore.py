@@ -95,6 +95,26 @@ class TestLift:
         with pytest.raises(sl.OrientationError):
             sl.lift_point_estimator(BERN, lambda y: float(-y), check_grid=[0.3, 0.5])
 
+    def test_lifted_mean_computed_once_per_theta(self):
+        class Counted:
+            def __init__(self, fn):
+                self.fn, self.calls = fn, 0
+
+            def __call__(self, y):
+                self.calls += 1
+                return self.fn(y)
+
+        # 11 support points: E[u * score] for the slope, E[u] for the
+        # lift's mean, then E[h] and E[(h - E h)^2] for the variance
+        u = Counted(lambda y: float(y * (y - 1)))
+        sl.lambda_efficiency(sl.lift_point_estimator(BERN, u), 0.3)
+        assert u.calls == 4 * 11
+        # 1000 draws each for E[median] and the two passes of the variance
+        med = Counted(lambda x: float(x[7]))
+        g = sl.lift_point_estimator(sl.CauchyLocation(15), med, mc_draws=1000)
+        g.var(0.2, mc_draws=1000)
+        assert med.calls == 3 * 1000
+
 
 class TestStandardize:
     def test_hand_value(self):

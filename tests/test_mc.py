@@ -246,6 +246,12 @@ class TestQq:
         with pytest.raises(sl.DomainError):
             sl.qq_data(CFG_SMALL, "nope", summary=small_summary)
 
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_median_needs_n_at_least_5_before_simulating(self, n, monkeypatch):
+        monkeypatch.setattr(sl.mc, "run_coverage", lambda *a, **k: pytest.fail("simulated"))
+        with pytest.raises(sl.DomainError, match=f"n={n}"):
+            sl.qq_data(sl.SimConfig(n=n, reps=20, seed=0), "median_standardized")
+
     def test_signed_root_lrt_close_to_normal(self, small_summary):
         pairs = sl.qq_data(CFG_SMALL, "signed_root_lrt", summary=small_summary)
         # interquartile band hugs the diagonal
