@@ -19,6 +19,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .errors import DomainError, QuadratureError, SlopeLabError
@@ -35,6 +36,7 @@ from .gcore import (
     standardize,
 )
 from .mc import (
+    BATCH,
     PAPER_ADJUSTMENTS,
     RAW_ADJUSTMENTS,
     SimConfig,
@@ -195,6 +197,9 @@ def cmd_cauchy_sim(args: argparse.Namespace) -> int:
         "counters": summary.counters,
         "failed_replicates": summary.n_failures,
         "threads": workers,
+        "batch": BATCH,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
     }
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)

@@ -49,6 +49,17 @@ CHART_LOG_ODDS = "log_odds"
 CHART_THETA = "theta"
 
 
+def check_seed(seed, name: str = "seed") -> int:
+    """``seed`` as a Philox key word, a DomainError unless an integer in [0, 2**63).
+
+    numpy's ``Philox(key=[seed, r])`` casts a larger word through float64,
+    so such seeds would silently share streams (2**64 - 1 those of 0).
+    """
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**63:
+        raise DomainError(f"{name} must be an integer in [0, 2**63), got {seed!r}")
+    return int(seed)
+
+
 def reparam(family: "Family", from_chart: str, to_chart: str, value: float) -> float:
     """Map a parameter value between admissible charts of ``family``.
 
@@ -393,7 +404,7 @@ class CauchyLocation(Family):
 
     def expect(self, theta, phi, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> tuple:
         """Seeded Monte Carlo: ``mc_draws`` samples from Philox key (mc_seed, 0)."""
-        rng = np.random.Generator(np.random.Philox(key=[mc_seed, 0]))
+        rng = np.random.Generator(np.random.Philox(key=[check_seed(mc_seed, "mc_seed"), 0]))
         u = rng.random((mc_draws, self.n))
         x = np.sort(theta + np.tan(math.pi * (u - 0.5)), axis=1)
         vals = np.array([phi(x[i]) for i in range(mc_draws)], dtype=float)

@@ -3,13 +3,14 @@
 Each replicate draws its own counter-based Philox stream keyed by
 (seed, replicate index), so results are bit-identical regardless of how
 replicates are batched or how many worker threads run them.  Replicates
-are processed in vectorized batches: the certified global MLE
-(``intervals.cauchy_mle_batch``), the observed information, and the LRT
-root bisections are all done on whole batches at once.  On a 2-core Xeon
-VM with one thread, ``cauchy-sim --raw`` runs about 7,700 replicates/s
-end to end (10,000/s at the benchmark's reference speed; ``bench/``
-workload ``coverage``), and ``run_coverage`` takes about 12 s for
-100,000 replicates.
+are processed in vectorized batches: the Philox draw, the certified
+global MLE (``intervals.cauchy_mle_batch``), the observed information,
+and the LRT root bisections are all done on whole batches at once.  With
+one thread, ``cauchy-sim --raw`` runs about 12,500 replicates/s end to
+end at the benchmark's reference speed (``bench/`` workload
+``coverage``).  On a 2-core Xeon VM whose speed drifts by up to 2x over
+minutes, it ran 8,000-16,000 replicates/s, and ``run_coverage`` took
+5.5-10 s for 100,000 replicates, about 85% of it in the MLE.
 
 The per-replicate table records everything the downstream projections
 need (coverage flags, KL lengths, observed information, and the raw
@@ -30,7 +31,14 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DivergentIntegralError, DomainError, SimulationError
-from .families import cauchy_loglik, cauchy_obs_info, cauchy_offsets, cauchy_score, median_variance
+from .families import (
+    cauchy_loglik,
+    cauchy_obs_info,
+    cauchy_offsets,
+    cauchy_score,
+    check_seed,
+    median_variance,
+)
 from .intervals import MleCounters, cauchy_mle_batch as _mle_batch
 from .klgeom import cauchy_kl_length_from_width
 
@@ -42,7 +50,7 @@ METHODS = ("wald_expected", "wald_observed", "lrt")
 PAPER_ADJUSTMENTS = {"wald_expected": 1.08555, "wald_observed": 1.05518, "lrt": 1.0}
 RAW_ADJUSTMENTS = {"wald_expected": 1.0, "wald_observed": 1.0, "lrt": 1.0}
 
-_BATCH = 4096
+BATCH = 4096  # replicates per batch; a batch's arrays are (BATCH, n)
 _FAILURE_ABORT_FRACTION = 1e-4
 
 QQ_STATISTICS = ("signed_root_lrt", "standardized_score_at_true", "median_standardized")
@@ -67,6 +75,7 @@ class SimConfig:
             raise DomainError(f"n must be >= 1, got {self.n}")
         if self.reps < 1:
             raise DomainError(f"reps must be >= 1, got {self.reps}")
+        check_seed(self.seed)
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha={self.alpha} outside (0, 1)")
         for m in self.methods:
@@ -142,14 +151,54 @@ _REPLICATE_DTYPE = np.dtype(
 _METHOD_SUFFIX = {"wald_expected": "we", "wald_observed": "wo", "lrt": "lrt"}
 
 
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # round multipliers
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key increments
+
+
+def _mulhilo(m: int, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Low and high 64-bit words of the 128-bit product m * a, from the
+    four 32 x 32 -> 64 partial products."""
+    a0, a1 = a & _LO32, a >> _SHIFT32
+    m0, m1 = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    p01, p10 = a0 * m1, a1 * m0
+    carry = (((a0 * m0) >> _SHIFT32) + (p01 & _LO32) + (p10 & _LO32)) >> _SHIFT32
+    return a * np.uint64(m), a1 * m1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + carry
+
+
+def _philox4x64(c0: np.ndarray, key0: int, key1: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The ten-round Philox4x64 block function of Random123 on counters
+    (c0, 0, 0, 0) and keys (key0, key1): key0 shared, c0 a row and key1
+    a column, which broadcast to one block per (key1, c0) pair."""
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for i in range(10):
+        k0 = np.uint64((key0 + i * _PHILOX_W[0]) % 2**64)
+        if i:
+            key1 = key1 + np.uint64(_PHILOX_W[1])  # wraps mod 2**64
+        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
+        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ key1, lo0
+    return c0, c1, c2, c3
+
+
 def _draw_batch(seed: int, start: int, count: int, n: int, theta: float) -> np.ndarray:
-    """Sorted Cauchy samples for replicates start..start+count-1."""
-    x = np.empty((count, n))
-    for r in range(count):
-        rng = np.random.Generator(np.random.Philox(key=[seed, start + r]))
-        u = rng.random(n)
-        x[r] = theta + np.tan(math.pi * (u - 0.5))
-    return np.sort(x, axis=1)
+    """Sorted Cauchy samples for replicates start..start+count-1.
+
+    Replicate r reads the Philox4x64-10 stream with key (seed, r), the
+    stream of ``np.random.Generator(np.random.Philox(key=[seed, r]))``:
+    the counter (j, 0, 0, 0) runs from j = 1 and each block gives four
+    64-bit words in order.  Word w becomes the double (w >> 11) * 2**-53,
+    as in ``Generator.random``, and the observation
+    theta + tan(pi * (u - 0.5)).  The whole batch is one array pass and
+    bit-identical to drawing each replicate from its own Generator.
+    """
+    blocks = -(-n // 4)
+    ctr = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
+    reps = np.arange(start, start + count, dtype=np.uint64)[:, None]
+    words = np.stack(_philox4x64(ctr, int(seed), reps), axis=-1)  # (count, blocks, 4)
+    u = (words.reshape(count, 4 * blocks)[:, :n] >> np.uint64(11)) * (1.0 / 2**53)
+    return np.sort(theta + np.tan(math.pi * (u - 0.5)), axis=1)
 
 
 def _lrt_roots_batch(x: np.ndarray, theta_hat: np.ndarray, z: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -256,11 +305,11 @@ def run_coverage(cfg: SimConfig, workers: Optional[int] = None) -> SimSummary:
     """
     if workers is None:
         workers = threads_from_env()
-    starts = list(range(0, cfg.reps, _BATCH))
+    starts = list(range(0, cfg.reps, BATCH))
     table = np.zeros(cfg.reps, dtype=_REPLICATE_DTYPE)
 
     def work(start: int):
-        count = min(_BATCH, cfg.reps - start)
+        count = min(BATCH, cfg.reps - start)
         table[start : start + count], seconds, counters = _run_batch(cfg, start, count)
         return seconds, counters
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import slope_lab
 from slope_lab import cli
@@ -142,6 +143,9 @@ class TestCauchySim:
         assert tel["counters"]["brackets"] >= 300
         failed = sum(v for k, v in tel["counters"].items() if k.startswith("failed_"))
         assert failed == tel["failed_replicates"] == 0
+        assert tel["threads"] == slope_lab.mc.threads_from_env()
+        assert tel["batch"] == slope_lab.mc.BATCH
+        assert (tel["numpy"], tel["scipy"]) == (np.__version__, scipy.__version__)
 
 
 def assert_usage_error(code, capsys):
@@ -172,6 +176,13 @@ class TestBadInput:
     def test_nonpositive_sizes(self, flag, tmp_path, capsys):
         code = run(["cauchy-sim", "--reps", "20", "--bins", "2", *flag, "--out-prefix", str(tmp_path / "s")])
         assert_usage_error(code, capsys)
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551615", "18446744073709551616"])
+    def test_seed_outside_philox_key_range(self, seed, tmp_path, capsys):
+        code = run(["cauchy-sim", "--reps", "20", "--bins", "2", f"--seed={seed}",
+                    "--out-prefix", str(tmp_path / "s")])
+        assert "seed" in assert_usage_error(code, capsys)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_sample_too_small_for_median_qq(self, n, tmp_path, capsys):

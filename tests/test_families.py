@@ -183,6 +183,13 @@ class TestSampler:
         x = sl.CauchyLocation(15).sample(0.0, RNG(3))
         assert np.all(np.diff(x) >= 0)
 
+    def test_cauchy_expect_rejects_seeds_outside_philox_key_range(self):
+        f = sl.CauchyLocation(3)
+        for seed in (-1, 2**63, 2**64 - 1, 2**64):
+            with pytest.raises(sl.DomainError):
+                f.expect(0.0, lambda y: y[0], mc_draws=10, mc_seed=seed)
+        assert f.expect(0.0, lambda y: y[0], mc_draws=10, mc_seed=2**63 - 1)[1] > 0
+
     def test_empirical_median_matches_location(self):
         rng = RNG(11)
         f = sl.CauchyLocation(1)

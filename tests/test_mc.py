@@ -48,9 +48,32 @@ class TestConfig:
             sl.SimConfig(alpha=1.0)
         with pytest.raises(sl.DomainError):
             sl.SimConfig(methods=("wald", "lrt"))
+        # Philox key words: numpy casts larger ones through float64, so
+        # they would alias other seeds' streams
+        for seed in (-1, 2**63, 2**64 - 1, 2**64, 1.5):
+            with pytest.raises(sl.DomainError):
+                sl.SimConfig(seed=seed)
+        assert sl.SimConfig(seed=2**63 - 1).seed == 2**63 - 1
+
+
+def _draws_by_generator(seed, start, count, n, theta):
+    """One numpy Philox Generator per replicate: the reference stream."""
+    x = np.empty((count, n))
+    for r in range(count):
+        u = np.random.Generator(np.random.Philox(key=[seed, start + r])).random(n)
+        x[r] = theta + np.tan(math.pi * (u - 0.5))
+    return np.sort(x, axis=1)
 
 
 class TestDraws:
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 15, 16, 33])
+    def test_matches_numpy_philox_streams(self, n):
+        for seed in (0, 1, 2**32 + 5, 2**63 - 1):
+            for start in (0, 4093):
+                got = _draw_batch(seed, start, 6, n, 0.25)
+                want = _draws_by_generator(seed, start, 6, n, 0.25)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (seed, start)
+
     def test_deterministic_and_batch_invariant(self):
         a = _draw_batch(0, 0, 10, 15, 0.0)
         b = np.vstack([_draw_batch(0, 0, 4, 15, 0.0), _draw_batch(0, 4, 6, 15, 0.0)])
@@ -132,6 +155,10 @@ class TestRunCoverage:
         a = sl.run_coverage(sl.SimConfig(reps=5000, seed=7), workers=1)
         b = sl.run_coverage(sl.SimConfig(reps=5000, seed=7), workers=4)
         assert a.csv_bytes() == b.csv_bytes()
+        # a short last batch, and the largest seed
+        cfg = sl.SimConfig(reps=2 * sl.mc.BATCH + 3, seed=2**63 - 1)
+        a = sl.run_coverage(cfg, workers=1)
+        assert a.csv_bytes() == sl.run_coverage(cfg, workers=2).csv_bytes()
 
     def test_coverage_near_nominal(self, small_summary):
         # raw errors at n=15 sit in the 4-10% range around the 5% target
