@@ -28,7 +28,7 @@ def main() -> None:
     print(f"{args.reps} replicates, n=15, nominal error 5%")
     print(f"{'method':<14} {'error %':>8} {'se %':>6} {'mean width':>11} "
           f"{'mean kl len':>12}")
-    for m in cfg.methods:
+    for m in sl.mc.METHODS:
         print(f"{m:<14} {100 * summary.coverage_error[m]:8.2f} "
               f"{100 * summary.coverage_se[m]:6.2f} "
               f"{summary.mean_width[m]:11.4f} {summary.mean_kl_length[m]:12.5f}")

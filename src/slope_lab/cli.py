@@ -37,6 +37,7 @@ from .gcore import (
 )
 from .mc import (
     BATCH,
+    METHODS,
     PAPER_ADJUSTMENTS,
     RAW_ADJUSTMENTS,
     SimConfig,
@@ -206,7 +207,7 @@ def cmd_cauchy_sim(args: argparse.Namespace) -> int:
 
     summary_rows = [
         (m, summary.coverage_error[m], summary.coverage_se[m], summary.mean_kl_length[m], summary.mean_width[m])
-        for m in cfg.methods
+        for m in METHODS
     ]
     _write_csv(
         man.add(prefix.with_name(prefix.name + "_summary.csv")),
@@ -219,14 +220,14 @@ def cmd_cauchy_sim(args: argparse.Namespace) -> int:
     bin_rows = []
     for b in range(args.bins):
         row = [b, binned.edges_lo[b], binned.edges_hi[b], binned.counts[b]]
-        for m in cfg.methods:
+        for m in METHODS:
             row += [binned.coverage_error[m][b], binned.coverage_se[m][b]]
         bin_rows.append(row)
     _write_csv(
         man.add(prefix.with_name(prefix.name + "_bins.csv")),
         "slope_lab.sim_bins.v1",
         ["bin", "i_obs_lo", "i_obs_hi", "count"]
-        + [x for m in cfg.methods for x in (f"err_{m}", f"se_{m}")],
+        + [x for m in METHODS for x in (f"err_{m}", f"se_{m}")],
         bin_rows,
     )
 

@@ -38,11 +38,12 @@ from typing import Union
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DivergentIntegralError, DomainError
+from .errors import BracketError, CertificateError, DivergentIntegralError, DomainError
 from .quadrature import integrate_real_line, integrate_real_line_or_divergent
 
 Sample = Union[int, float, np.ndarray, tuple]
 DEFAULT_MC_DRAWS = 10**6
+_MC_CHUNK = 1 << 14  # Monte Carlo samples drawn and held at once
 
 CHART_P = "p"
 CHART_LOG_ODDS = "log_odds"
@@ -157,6 +158,28 @@ class Family:
 
     def sup_loglik(self, y: Sample, mle: float) -> float:
         return self.loglik(mle, y)
+
+    def lrt_hull(self, y: Sample, mle: float, sup_loglik: float, drop: float) -> tuple:
+        """(lo, hi, disconnected) of {theta : l(theta) > sup_loglik - drop}:
+        steps from the MLE that double (or halve the way to a finite end of
+        the domain) until l falls below the level, then bisection.  Exact
+        for a unimodal likelihood, whose level set is one interval."""
+        from .intervals import _MAX_DOUBLINGS, _bisect  # intervals imports this module
+
+        target = sup_loglik - drop
+        ends = []
+        for sgn, dom in zip((-1.0, 1.0), self.param_domain()):
+            for i in range(_MAX_DOUBLINGS):
+                if math.isfinite(dom):
+                    far = mle + (dom - mle) * (1.0 - 2.0 ** -(i + 1))
+                else:
+                    far = mle + sgn * 0.5 * (1.0 + abs(mle)) * 2.0**i
+                if self.loglik(far, y) < target:
+                    break
+            else:
+                raise BracketError(f"no point with l < {target:.4g} found after {_MAX_DOUBLINGS} doublings")
+            ends.append(_bisect(lambda t: self.loglik(t, y) > target, mle, far))
+        return ends[0], ends[1], False
 
     def kl(self, theta1: float, theta2: float) -> float:
         raise NotImplementedError
@@ -405,15 +428,29 @@ class CauchyLocation(Family):
     def expect(self, theta, phi, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> tuple:
         """Seeded Monte Carlo: ``mc_draws`` samples from Philox key (mc_seed, 0)."""
         rng = np.random.Generator(np.random.Philox(key=[check_seed(mc_seed, "mc_seed"), 0]))
-        u = rng.random((mc_draws, self.n))
-        x = np.sort(theta + np.tan(math.pi * (u - 0.5)), axis=1)
-        vals = np.array([phi(x[i]) for i in range(mc_draws)], dtype=float)
+        vals = np.empty(mc_draws)
+        for c in range(0, mc_draws, _MC_CHUNK):
+            # chunks read the stream in order, so they draw what one call would
+            u = rng.random((min(_MC_CHUNK, mc_draws - c), self.n))
+            vals[c : c + len(u)] = [phi(x) for x in np.sort(theta + np.tan(math.pi * (u - 0.5)), axis=1)]
         return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mc_draws))
 
     def mle(self, y: Sample) -> float:
         from .intervals import cauchy_mle  # intervals imports this module
 
         return cauchy_mle(y)
+
+    def lrt_hull(self, y: Sample, mle: float, sup_loglik: float, drop: float) -> tuple:
+        """The certified level-set kernel of ``intervals`` on a batch of
+        one: exact when the set is a union of intervals, and flagged."""
+        from .intervals import cauchy_level_set_batch, cauchy_level_set_ends
+
+        x = np.asarray(y, dtype=float)[None, :]
+        theta_hat, target, outer, disconnected = cauchy_level_set_batch(x, drop)
+        if np.isnan(theta_hat[0]):
+            raise CertificateError("no certified level set: halving or open-cell cap reached, or |x_i| > 1e15")
+        lo, hi = cauchy_level_set_ends(x, outer, target)
+        return float(lo[0]), float(hi[0]), bool(disconnected[0])
 
     def observed_info(self, theta_hat: float, y: Sample) -> float:
         return float(cauchy_obs_info(cauchy_offsets(y, theta_hat)))

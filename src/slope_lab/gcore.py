@@ -80,7 +80,6 @@ class GenEstimator:
     evaluate: Callable
     kind: str = KIND_CUSTOM
     deriv: Optional[Callable] = None
-    statistic: Optional[Callable] = None
     mean_fn: Optional[Callable] = None
     mean_deriv: Optional[Callable] = None
 
@@ -150,7 +149,6 @@ def lift_point_estimator(
         evaluate=lambda y, th: u(y) - ups(th),
         kind=KIND_LIFTED,
         deriv=lambda y, th: -dups(th),
-        statistic=u,
         mean_fn=ups,
         mean_deriv=dups,
     )

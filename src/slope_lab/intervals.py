@@ -14,15 +14,15 @@ Four constructions:
 
 The Cauchy likelihood can be multimodal.  Its local maxima all lie in
 the unit windows [x_i - 1, x_i + 1] around the observations, because
-l'' < 0 needs some |x_i - theta| < 1.  ``cauchy_mle_batch`` scans those
-windows on a 0.1 lattice, bisects every + to - sign change of the score,
+l'' < 0 needs some |x_i - theta| < 1.  ``cauchy_level_set_batch`` scans
+those windows on a 0.1 lattice, bisects the sign changes of the score,
 and certifies cell by cell, from l'' in [-2n, n/4] and
-|l'''| <= (3/2 + sqrt 2) n, that no cell holds a better maximum: a
-finite result is the global maximizer (ties to the smaller theta), and
-a sample it cannot certify is reported as failed, never returned
-unchecked.  The scalar ``cauchy_mle`` is that kernel on a batch of one.
-The LRT level set is reported as its connected hull, with a flag when
-it is actually a union of intervals.
+|l'''| <= (3/2 + sqrt 2) n, that no cell holds a better maximum, or a
+stationary point above the LRT level not bisected: a finite MLE is the
+global maximizer (ties to the smaller theta), a sample it cannot certify
+is reported as failed, and the LRT level set is reported as its hull,
+flagged when it is a union of intervals.  The scalar ``cauchy_mle`` and
+the Cauchy ``lrt_interval`` are that kernel on a batch of one.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
-    BracketError,
     CertificateError,
     CurvatureError,
     DomainError,
@@ -87,6 +86,9 @@ _CELL = 0.1
 _WINDOW_POINTS = 24
 _BISECTIONS = 64
 _MAX_HALVINGS = 40
+# Open cells a sample may have at once: rounding hides the score's sign on
+# a flat stretch, which multiplies them (elsewhere at most 49, at n = 2).
+_MAX_OPEN = 1 << 10
 _TIE_RTOL = 1e-12
 _GRID_CHUNK = 1 << 16  # lattice points evaluated at once: 8 MiB per temporary at n = 15
 # Beyond this the lattice index of an observation could overflow int64
@@ -99,43 +101,54 @@ _L3 = 1.5 + math.sqrt(2.0)
 
 @dataclass
 class MleCounters:
-    """Work and outcomes of ``cauchy_mle_batch``, summed over calls."""
+    """Work and outcomes of ``cauchy_level_set_batch``, summed over calls."""
 
-    brackets: int = 0  # score sign changes bisected
+    brackets: int = 0  # score sign changes bisected, to maxima and to minima
     halved: int = 0  # cells split because no test closed them
-    capped: int = 0  # samples with a cell still open after _MAX_HALVINGS rounds
+    capped: int = 0  # samples with a cell open after _MAX_HALVINGS rounds, or too many open
 
 
-def cauchy_mle_batch(x, counters: Optional[MleCounters] = None) -> np.ndarray:
-    """Global Cauchy location MLE of every row of ``x`` (m samples by n).
+def cauchy_level_set_batch(x, drop: float, counters: Optional[MleCounters] = None):
+    """Global MLE and likelihood level set of every row of ``x`` (m by n).
 
-    Guarantee: a finite result is a global maximizer of
+    Returns (theta_hat, target, outer, disconnected): t = l(theta_hat) -
+    drop, the smallest and largest local maxima with l > t (theta_hat if
+    none lies further out), and whether {theta : l > t} is not one interval.
+
+    Guarantee: a finite theta_hat is a global maximizer of
     l(theta) = -sum log(1 + (x_i - theta)^2), up to rounding in l and a
-    tie tolerance of 1e-12 (1 + |l|); among roots that tie, the smallest
-    theta is returned.  A row that cannot be certified comes back NaN,
-    never as an unchecked value.  The argument:
+    tie tolerance of 1e-12 (1 + |l|), ties going to the smallest theta,
+    whatever the drop; every local maximum with l > t is found.  A row
+    that cannot be certified comes back NaN, never unchecked.  The argument:
 
     * Every local maximum lies in the union of the unit windows
       [x_i - 1, x_i + 1], because l'' = sum 2(t_i^2 - 1)/(t_i^2 + 1)^2,
-      t_i = x_i - theta, is negative only if some |t_i| < 1.
+      t_i = x_i - theta, is negative only if some |t_i| < 1; so each gap
+      between windows, where l is convex, holds at most one minimum.
     * The windows are covered by the cells of a lattice of step h = 0.1
-      (21 points per window, shared where windows overlap).  Every cell
-      whose end scores go from + to - is bisected, all cells at once,
-      down to adjacent floats; these roots are the candidates.
-    * Every cell is then closed by one of three tests, which use
-      l'' in [-2n, n/4] and |l'''| <= (3/2 + sqrt 2) n:
+      (21 points per window, shared where windows overlap); a cell that
+      skips lattice points spans a gap.  Every cell whose end scores go
+      from + to - is bisected, all at once, down to adjacent floats, to a
+      maximum; then so is every cell whose end scores go from - to +, to
+      a minimum, unless l at an end is not above the floor defined next.
+    * A gap cell is then closed.  Every other cell is closed by one of
+      three tests, which use l'' in [-2n, n/4] and |l'''| <= (3/2 + sqrt 2) n:
       score slope -- a score below -nh/4 at the left end or above nh/4
-      at the right end keeps the score one sign across the cell, so it
-      holds no maximum;
+      at the right end, or end scores of one sign beyond (3/2 + sqrt 2)
+      n h^2/8, keep the score one sign, so no stationary point;
       upper bound -- l <= l(a) + max(0, s(a) h + n h^2/8) over [a, b]
-      (or the mirror bound from b) lies below the best root;
-      concavity -- the cell lies within |l''(r)| / ((3/2 + sqrt 2) n) of
-      a root r, where l is strictly concave, so r is its only maximum.
-    * A cell no test closes is halved and tested again, and halves whose
-      end scores go from + to - are bisected too, at most 40 times.  A row
-      with a cell still open after that is NaN and is counted in
-      ``counters.capped``.  A row with an observation that is not finite
-      or beyond +-1e15 is NaN as well; a constant row returns its value.
+      (or the mirror bound from b) lies below the floor, the best maximum
+      so far less the drop, and so below t;
+      curvature -- the cell lies within |l''(r)| / ((3/2 + sqrt 2) n) of
+      a bisected root r, so r is its only stationary point.
+    * A cell no test closes is halved, bisected if its ends change sign,
+      and tested again, at most 40 times; a row with a cell still open, or
+      with more than 1024 open at once, is NaN and counted in
+      ``counters.capped``.  A row with an observation not finite or beyond
+      +-1e15 is NaN as well; a constant row returns its value.
+    * So every stationary point with l > t is bisected.  Neighbouring
+      maxima above t are joined by the set iff a minimum between them has
+      l > t, and it is then their only stationary point between.
     """
     x = np.asarray(x, dtype=float)
     B, n = x.shape
@@ -150,55 +163,88 @@ def cauchy_mle_batch(x, counters: Optional[MleCounters] = None) -> np.ndarray:
     j = j[fresh]
     theta = j * _CELL
     l, s = _loglik_score_at(x, row, theta)
-    # a cell joins consecutive lattice points of the same sample
-    k = np.nonzero((row[1:] == row[:-1]) & (j[1:] == j[:-1] + 1))[0]
+    # consecutive lattice points of a sample join in a cell; one that skips
+    # lattice points spans a gap between windows
+    k = np.nonzero(row[1:] == row[:-1])[0]
     cells = {
         "row": row[k], "a": theta[k], "b": theta[k + 1], "la": l[k], "lb": l[k + 1],
-        "sa": s[k], "sb": s[k + 1], "root": np.full(k.size, np.nan), "radius": np.zeros(k.size),
+        "sa": s[k], "sb": s[k + 1], "root": np.full(k.size, np.nan),
     }
     del row, j, theta, l, s, k
-    found = []  # (row, root, l(root)) of every bisection round
-    best = np.full(B, -np.inf)  # largest l over the roots found
-    top = np.full(B, np.nan)  # a root attaining it, and its concave radius
-    top_radius = np.zeros(B)
+    found = []  # (row, root, l(root), sign, radius) of each bisection round
+    best = np.full(B, -np.inf)  # largest l over the maxima found
     capped = np.zeros(B, dtype=bool)
     if counters is None:
         counters = MleCounters()
     for depth in range(_MAX_HALVINGS + 1):
-        new = (cells["sa"] > 0.0) & (cells["sb"] <= 0.0) & np.isnan(cells["root"])
-        if new.any():
+        # maxima first; a minimum matters only if it may lie above the floor
+        for sign in (1.0, -1.0):
+            new = (sign * cells["sa"] > 0.0) & (sign * cells["sb"] <= 0.0) & np.isnan(cells["root"])
+            if sign < 0.0:
+                new &= np.minimum(cells["la"], cells["lb"]) > best[cells["row"]] - drop
             k = np.nonzero(new)[0]
             rows = cells["row"][k]
             xr = x[rows]
-            r = _bisect_score(xr, cells["a"][k], cells["b"][k])
+            r = _bisect_score(xr, cells["a"][k], cells["b"][k], sign)
             t = cauchy_offsets(xr, r)
             lr = cauchy_loglik(t)
-            radius = np.maximum(cauchy_obs_info(t), 0.0) / (_L3 * n)
-            cells["root"][k], cells["radius"][k] = r, radius
-            np.maximum.at(best, rows, lr)
-            lead = lr == best[rows]
-            top[rows[lead]], top_radius[rows[lead]] = r[lead], radius[lead]
-            found.append((rows, r, lr))
-            counters.brackets += k.size
-        still = ~_closed(cells, n, best, top, top_radius)
+            # within this radius of a root l'' keeps its sign
+            radius = np.maximum(sign * cauchy_obs_info(t), 0.0) / (_L3 * n)
+            found.append((rows, r, lr, np.full(k.size, sign), radius))
+            cells["root"][k] = r
+            if sign > 0.0:
+                np.maximum.at(best, rows, lr)
+        still = ~_closed(cells, n, best - drop, found)
+        count = np.bincount(cells["row"][still], minlength=B)
+        capped |= (count > _MAX_OPEN) | ((count > 0) & (depth == _MAX_HALVINGS))
+        still &= ~capped[cells["row"]]
         if not still.any():
-            break
-        if depth == _MAX_HALVINGS:
-            capped[cells["row"][still]] = True
             break
         counters.halved += int(still.sum())
         cells = _halve(x, {key: v[still] for key, v in cells.items()})
     counters.capped += int(capped.sum())
+    rows, r, lr, sign, _ = (np.concatenate(v) for v in zip(*found))
+    counters.brackets += rows.size
+    maxima = sign > 0.0
+    tied = maxima & (lr >= best[rows] - _TIE_RTOL * (1.0 + np.abs(best[rows])))
     theta_hat = np.full(B, np.inf)
-    if found:
-        rows, r, lr = (np.concatenate(v) for v in zip(*found))
-        tied = lr >= best[rows] - _TIE_RTOL * (1.0 + np.abs(best[rows]))
-        np.minimum.at(theta_hat, rows[tied], r[tied])
+    np.minimum.at(theta_hat, rows[tied], r[tied])
     theta_hat[capped | outside | ~np.isfinite(theta_hat)] = np.nan
     # a constant sample's mode is its value; bisection could end an ulp off
     constant = (x == x[:, :1]).all(axis=1) & ~outside
     theta_hat[constant] = x[constant, 0]
-    return theta_hat
+    target = cauchy_loglik(cauchy_offsets(x, theta_hat)) - drop
+    above = lr > target[rows]
+    outer = np.array([theta_hat, theta_hat])
+    np.minimum.at(outer[0], rows[maxima & above], r[maxima & above])
+    np.maximum.at(outer[1], rows[maxima & above], r[maxima & above])
+    bridges = ~maxima & above & (outer[0][rows] < r) & (r < outer[1][rows])
+    disconnected = np.bincount(rows[bridges], minlength=B) < np.bincount(rows[maxima & above], minlength=B) - 1
+    return theta_hat, target, outer, disconnected
+
+
+def cauchy_level_set_ends(x, outer: np.ndarray, target: np.ndarray):
+    """Ends (lo, hi) of the hull of {theta : l(theta) > target} per row:
+    past its outermost maxima ``outer``, l > target on one interval, so
+    a step of 0.5, doubled while inside, brackets each for 55 bisections."""
+    ends = []
+    for sgn, start in zip((-1.0, 1.0), outer):
+        d = np.full(x.shape[0], 0.5)
+        far = start + sgn * d
+        for _ in range(200):
+            inside = cauchy_loglik(cauchy_offsets(x, far)) > target
+            if not inside.any():
+                break
+            d = np.where(inside, d * 2.0, d)
+            far = start + sgn * d
+        lo_b, hi_b = start, far
+        for _ in range(55):
+            mid = 0.5 * (lo_b + hi_b)
+            keep = cauchy_loglik(cauchy_offsets(x, mid)) > target
+            lo_b = np.where(keep, mid, lo_b)
+            hi_b = np.where(keep, hi_b, mid)
+        ends.append(0.5 * (lo_b + hi_b))
+    return ends[0], ends[1]
 
 
 def _loglik_score_at(x: np.ndarray, row: np.ndarray, theta: np.ndarray):
@@ -213,33 +259,46 @@ def _loglik_score_at(x: np.ndarray, row: np.ndarray, theta: np.ndarray):
     return l, s
 
 
-def _bisect_score(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Shrink brackets s(lo) > 0 >= s(hi), one per row of ``x``, to
-    adjacent floats; returns their midpoints."""
+def _bisect_score(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Shrink brackets sign * s(lo) > 0 >= sign * s(hi), one per row of
+    ``x``, to adjacent floats; returns their midpoints."""
     for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if not ((lo < mid) & (mid < hi)).any():
             break
         # at adjacent floats mid is lo or hi, whose score keeps its side
-        pos = cauchy_score(cauchy_offsets(x, mid)) > 0.0
+        pos = sign * cauchy_score(cauchy_offsets(x, mid)) > 0.0
         lo = np.where(pos, mid, lo)
         hi = np.where(pos, hi, mid)
     return 0.5 * (lo + hi)
 
 
-def _closed(c: dict, n: int, best: np.ndarray, top: np.ndarray, top_radius: np.ndarray) -> np.ndarray:
-    """Cells shown to hold no local maximum above the best root."""
+def _closed(c: dict, n: int, floor: np.ndarray, found: list) -> np.ndarray:
+    """Cells shown to hold no point with l above ``floor`` and no
+    stationary point but one already bisected."""
     h = c["b"] - c["a"]
     slope = (c["sa"] < -0.25 * n * h) | (c["sb"] > 0.25 * n * h)
+    # |s''| = |l'''| <= _L3 n keeps s within _L3 n h^2 / 8 of its chord
+    chord = 0.125 * _L3 * n * h * h
+    slope |= (np.minimum(c["sa"], c["sb"]) > chord) | (np.maximum(c["sa"], c["sb"]) < -chord)
     q = 0.125 * n * h * h
     bound = np.minimum(
         c["la"] + np.maximum(0.0, c["sa"] * h + q), c["lb"] + np.maximum(0.0, q - c["sb"] * h)
-    ) < best[c["row"]]
-    t, tr = top[c["row"]], top_radius[c["row"]]
-    concave = ((c["a"] > t - tr) & (c["b"] < t + tr)) | (
-        (c["a"] > c["root"] - c["radius"]) & (c["b"] < c["root"] + c["radius"])
-    )
-    return slope | bound | concave
+    ) < floor[c["row"]]
+    # l is convex in a gap between windows, which holds only a minimum
+    closed = slope | bound | (h > 1.5 * _CELL)
+    # the rest: within the radius of a root of the same sample?
+    k = np.nonzero(~closed)[0]
+    rows, r, _, _, radius = (np.concatenate(v) for v in zip(*found))
+    order = np.argsort(rows, kind="stable")
+    rows, r, radius = rows[order], r[order], radius[order]
+    row, a, b = c["row"][k], c["a"][k], c["b"][k]
+    start = np.searchsorted(rows, row)
+    count = np.searchsorted(rows, row, side="right") - start
+    for i in range(int(count.max(initial=0))):
+        p = np.minimum(start + i, rows.size - 1)
+        closed[k] |= (i < count) & (a > r[p] - radius[p]) & (b < r[p] + radius[p])
+    return closed
 
 
 def _halve(x: np.ndarray, c: dict) -> dict:
@@ -258,28 +317,25 @@ def _halve(x: np.ndarray, c: dict) -> dict:
         "sa": np.concatenate([c["sa"], sm]),
         "sb": np.concatenate([sm, c["sb"]]),
         "root": np.concatenate([np.where(left, c["root"], np.nan), np.where(right, c["root"], np.nan)]),
-        "radius": np.concatenate([np.where(left, c["radius"], 0.0), np.where(right, c["radius"], 0.0)]),
     }
 
 
 def cauchy_mle(y) -> float:
     """Global maximizer of the Cauchy location log-likelihood.
 
-    This is ``cauchy_mle_batch`` on a batch of one, with its guarantee:
-    every local maximum lies in the unit windows [x_i - 1, x_i + 1]; the
-    score's sign changes on a lattice over them are bisected, and every
-    lattice cell is certified to hold no better maximum.  The result is a
-    global maximizer up to rounding and a 1e-12 relative tie tolerance,
-    ties going to the smaller theta.  Raises CertificateError when the
-    certificate cannot close within its halving cap, or an observation
-    lies beyond +-1e15, rather than return an unchecked value.
+    This is ``cauchy_level_set_batch`` on a batch of one, with its
+    guarantee: a global maximizer up to rounding and a
+    1e-12 relative tie tolerance, ties going to the smaller theta.  Raises
+    CertificateError when the certificate cannot close within its halving
+    cap, or an observation lies beyond +-1e15, rather than return an
+    unchecked value.
     """
     x = np.sort(np.asarray(y, dtype=float).ravel())
     if x.size == 0:
         raise DomainError("empty sample")
     if not np.all(np.isfinite(x)):
         raise DomainError("non-finite observation")
-    theta = float(cauchy_mle_batch(x[None, :])[0])
+    theta = float(cauchy_level_set_batch(x[None, :], 0.0)[0][0])
     if math.isnan(theta):
         raise CertificateError("no certified global maximum: halving cap reached or |x_i| > 1e15")
     return theta
@@ -361,17 +417,22 @@ def score_interval(f: Family, y, k: float) -> Interval:
     )
 
 
+def _bisect(keep: Callable, a: float, b: float) -> float:
+    """Midpoint of [a, b] (in either order) shrunk below _THETA_TOL; the
+    midpoint replaces a where ``keep`` holds there and b where it does not."""
+    while abs(b - a) > _THETA_TOL:
+        mid = 0.5 * (a + b)
+        if keep(mid):
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
 def _bisect_decreasing(fn: Callable, grid: np.ndarray, vals: np.ndarray, level: float) -> float:
     idx = int(np.searchsorted(-vals, -level))
     idx = min(max(idx, 1), grid.size - 1)
-    lo, hi = float(grid[idx - 1]), float(grid[idx])
-    while hi - lo > _THETA_TOL:
-        mid = 0.5 * (lo + hi)
-        if fn(mid) > level:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda t: fn(t) > level, float(grid[idx - 1]), float(grid[idx]))
 
 
 # ---------------------------------------------------------------------------
@@ -398,63 +459,13 @@ def lrt_estimate(f: Family, y) -> LrtEstimate:
 
 
 def lrt_interval(L: LrtEstimate, z: float, adjustment: float = 1.0) -> Interval:
-    """Connected hull of {theta : S(theta) > -(adjustment*z)^2}.
-
-    Endpoints are the outermost roots of S = -z^2, located by geometric
-    bracket expansion away from the MLE, an outward scan for the last
-    point still inside the set, and bisection.  ``disconnected`` is set
-    when the scan sees the set re-enter, i.e. the level set is a union
-    of intervals and the hull is reported.
-    """
+    """Connected hull of {theta : S(theta) > -(adjustment*z)^2}: the
+    outermost roots of S = -z^2, from the family's ``lrt_hull``, with
+    ``disconnected`` set when the level set is a union of intervals."""
     z_eff = adjustment * z
     if z_eff <= 0:
         raise DomainError(f"level z must be positive, got {z_eff}")
-    target = -z_eff * z_eff
-    center = L.mle
-    lo_dom, hi_dom = L.family.param_domain()
-    # every stationary point of the implemented log-likelihoods lies
-    # inside the sample range, so pushing the bracket past the extreme
-    # observations guarantees the outermost crossing is enclosed even
-    # when the level set is a union of intervals
-    s_arr = np.asarray(L.sample, dtype=float)
-    data_lo = float(s_arr.min()) if s_arr.ndim == 1 and s_arr.size else None
-    data_hi = float(s_arr.max()) if s_arr.ndim == 1 and s_arr.size else None
-    disconnected = False
-    endpoints = []
-    for sgn in (-1.0, 1.0):
-        dom = lo_dom if sgn < 0 else hi_dom
-        step = 0.5 * (1.0 + abs(center))
-        far = None
-        for i in range(_MAX_DOUBLINGS):
-            cand = center + sgn * step * 2.0**i
-            if math.isfinite(dom):
-                cand = center + (dom - center) * (1.0 - 2.0 ** -(i + 1))
-            elif data_lo is not None:
-                past = data_hi if sgn > 0 else data_lo
-                if sgn * (cand - past) < 0.0:
-                    continue
-            if L(cand) < target:
-                far = cand
-                break
-        if far is None:
-            raise BracketError(
-                f"no point with S < {target:.4g} found after {_MAX_DOUBLINGS} doublings"
-            )
-        # outward scan so bisection lands on the outermost crossing
-        scan = np.linspace(center, far, 513)
-        inside = np.array([L(t) > target for t in scan])
-        last_in = int(np.nonzero(inside)[0][-1])
-        if not inside[: last_in + 1].all():
-            disconnected = True
-        lo_b, hi_b = float(scan[last_in]), float(scan[last_in + 1])
-        while abs(hi_b - lo_b) > _THETA_TOL:
-            mid = 0.5 * (lo_b + hi_b)
-            if L(mid) > target:
-                lo_b = mid
-            else:
-                hi_b = mid
-        endpoints.append(0.5 * (lo_b + hi_b))
-    lo, hi = sorted(endpoints)
+    lo, hi, disconnected = L.family.lrt_hull(L.sample, L.mle, L.sup_loglik, z_eff * z_eff / 2.0)
     return Interval(
         lo=lo,
         hi=hi,
@@ -519,23 +530,9 @@ def exact_bernoulli_interval(n: int, y: int, alpha: float) -> Interval:
     if y == 0:
         lo = 0.0
     else:
-        a, b = 0.0, 1.0
-        while b - a > _THETA_TOL:
-            mid = 0.5 * (a + b)
-            if _binom_sf_at_least(n, y, mid) <= half:
-                a = mid
-            else:
-                b = mid
-        lo = 0.5 * (a + b)
+        lo = _bisect(lambda p: _binom_sf_at_least(n, y, p) <= half, 0.0, 1.0)
     if y == n:
         hi = 1.0
     else:
-        a, b = 0.0, 1.0
-        while b - a > _THETA_TOL:
-            mid = 0.5 * (a + b)
-            if _binom_cdf_at_most(n, y, mid) <= half:
-                b = mid
-            else:
-                a = mid
-        hi = 0.5 * (a + b)
+        hi = _bisect(lambda p: _binom_cdf_at_most(n, y, p) > half, 0.0, 1.0)
     return Interval(lo=lo, hi=hi, method=METHOD_EXACT_BERNOULLI, level_k=alpha)

@@ -3,9 +3,9 @@
 Each replicate draws its own counter-based Philox stream keyed by
 (seed, replicate index), so results are bit-identical regardless of how
 replicates are batched or how many worker threads run them.  Replicates
-are processed in vectorized batches: the Philox draw, the certified
-global MLE (``intervals.cauchy_mle_batch``), the observed information,
-and the LRT root bisections are all done on whole batches at once.  With
+are processed in vectorized batches: the Philox draw, one certified pass
+for the MLE and LRT level set (``cauchy_level_set_batch``), the observed
+information, and the LRT hull's ends are all done on whole batches.  With
 one thread, ``cauchy-sim --raw`` runs about 12,500 replicates/s end to
 end at the benchmark's reference speed (``bench/`` workload
 ``coverage``).  On a 2-core Xeon VM whose speed drifts by up to 2x over
@@ -24,7 +24,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,7 +39,7 @@ from .families import (
     check_seed,
     median_variance,
 )
-from .intervals import MleCounters, cauchy_mle_batch as _mle_batch
+from .intervals import MleCounters, cauchy_level_set_batch, cauchy_level_set_ends
 from .klgeom import cauchy_kl_length_from_width
 
 METHODS = ("wald_expected", "wald_observed", "lrt")
@@ -54,8 +54,8 @@ BATCH = 4096  # replicates per batch; a batch's arrays are (BATCH, n)
 _FAILURE_ABORT_FRACTION = 1e-4
 
 QQ_STATISTICS = ("signed_root_lrt", "standardized_score_at_true", "median_standardized")
-# Stages of a batch, timed in run_coverage: the Philox draw, the global
-# MLE, the observed information, the LRT roots, and the rest (hits,
+# Stages of a batch, timed in run_coverage: the Philox draw, the MLE and
+# level-set pass, the observed information, the LRT hull's ends, and the rest (hits,
 # widths, KL lengths and the at-true statistics behind the Q-Q plots).
 STAGES = ("draw", "mle", "obs_info", "lrt_roots", "widths_kl")
 
@@ -68,7 +68,6 @@ class SimConfig:
     seed: int = 0
     alpha: float = 0.05
     adjustments: Dict[str, float] = field(default_factory=lambda: dict(RAW_ADJUSTMENTS))
-    methods: Tuple[str, ...] = METHODS
 
     def __post_init__(self):
         if self.n < 1:
@@ -78,9 +77,6 @@ class SimConfig:
         check_seed(self.seed)
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha={self.alpha} outside (0, 1)")
-        for m in self.methods:
-            if m not in METHODS:
-                raise DomainError(f"unknown method {m!r}")
 
     @property
     def z(self) -> float:
@@ -98,8 +94,8 @@ class SimSummary:
     n_failures: int = 0
     # seconds per STAGES entry, summed over batches (and so over threads)
     stage_seconds: Dict[str, float] = field(default_factory=dict)
-    # MLE work (brackets bisected, cells halved) and failed replicates
-    # by reason (certificate cap, non-finite theta_hat, i_obs <= 0)
+    # MLE work (brackets bisected, cells halved), disconnected LRT level
+    # sets, failed replicates by reason (certificate cap, non-finite theta_hat, i_obs <= 0)
     counters: Dict[str, int] = field(default_factory=dict)
 
     def csv_bytes(self) -> bytes:
@@ -201,30 +197,6 @@ def _draw_batch(seed: int, start: int, count: int, n: int, theta: float) -> np.n
     return np.sort(theta + np.tan(math.pi * (u - 0.5)), axis=1)
 
 
-def _lrt_roots_batch(x: np.ndarray, theta_hat: np.ndarray, z: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Outermost roots of S(theta) = -z^2 on both sides of the MLE."""
-    lmax = cauchy_loglik(cauchy_offsets(x, theta_hat))
-    target = lmax - z * z / 2.0  # S = -z^2  <=>  l = lmax - z^2/2
-    roots = []
-    for sgn in (-1.0, 1.0):
-        d = np.full(x.shape[0], 0.5)
-        far = theta_hat + sgn * d
-        for _ in range(200):
-            inside = cauchy_loglik(cauchy_offsets(x, far)) > target
-            if not inside.any():
-                break
-            d = np.where(inside, d * 2.0, d)
-            far = theta_hat + sgn * d
-        lo_b, hi_b = theta_hat.copy(), far
-        for _ in range(55):
-            mid = 0.5 * (lo_b + hi_b)
-            keep = cauchy_loglik(cauchy_offsets(x, mid)) > target
-            lo_b = np.where(keep, mid, lo_b)
-            hi_b = np.where(keep, hi_b, mid)
-        roots.append(0.5 * (lo_b + hi_b))
-    return roots[0], roots[1]
-
-
 def _run_batch(cfg: SimConfig, start: int, count: int):
     """One batch of replicates, with its seconds per STAGES entry and its
     MLE and failure counters."""
@@ -234,7 +206,9 @@ def _run_batch(cfg: SimConfig, start: int, count: int):
     out = np.zeros(count, dtype=_REPLICATE_DTYPE)
     out["rep"] = np.arange(start, start + count)
     mle = MleCounters()
-    theta_hat = _mle_batch(x, mle)
+    z = cfg.z
+    z_lrt = cfg.adjustments.get("lrt", 1.0) * z
+    theta_hat, target, outer, disconnected = cauchy_level_set_batch(x, z_lrt * z_lrt / 2.0, mle)
     out["theta_hat"] = theta_hat
     marks.append(time.perf_counter())
     i_obs = cauchy_obs_info(cauchy_offsets(x, theta_hat))
@@ -247,15 +221,14 @@ def _run_batch(cfg: SimConfig, start: int, count: int):
         "failed_cap": mle.capped,
         "failed_nonfinite": int((~finite).sum()) - mle.capped,
         "failed_info": int((finite & (i_obs <= 0.0)).sum()),
+        "lrt_disconnected": int(disconnected.sum()),
     }
     marks.append(time.perf_counter())
-    z = cfg.z
-    if "lrt" in cfg.methods:
-        lrt_bounds = _lrt_roots_batch(x, theta_hat, cfg.adjustments.get("lrt", 1.0) * z)
+    lrt_bounds = cauchy_level_set_ends(x, outer, target)
     marks.append(time.perf_counter())
     info_hat = cfg.n / 2.0
     th0 = cfg.theta_true
-    for method in cfg.methods:
+    for method in METHODS:
         adj = cfg.adjustments.get(method, 1.0)
         sfx = _METHOD_SUFFIX[method]
         if method == "wald_expected":
@@ -327,7 +300,7 @@ def run_coverage(cfg: SimConfig, workers: Optional[int] = None) -> SimSummary:
     ok = ~table["failed"]
     cov_err, cov_se, mean_kl, mean_w = {}, {}, {}, {}
     n_ok = int(ok.sum())
-    for method in cfg.methods:
+    for method in METHODS:
         sfx = _METHOD_SUFFIX[method]
         err = 1.0 - float(table["hit_" + sfx][ok].mean())
         cov_err[method] = err
@@ -371,7 +344,7 @@ def bin_by_obs_info(summary: SimSummary, bins: int) -> ObsInfoBins:
     edges_hi = np.array([table["i_obs"][s[-1]] for s in splits])
     counts = np.array([s.size for s in splits])
     err, se = {}, {}
-    for method in summary.config.methods:
+    for method in METHODS:
         sfx = _METHOD_SUFFIX[method]
         e = np.array([1.0 - table["hit_" + sfx][s].mean() for s in splits])
         err[method] = e
@@ -436,15 +409,7 @@ def mean_kl_lengths(cfg: SimConfig, summary: Optional[SimSummary] = None) -> Dic
     nominal alpha) and leaves the LRT unchanged, so the lengths are
     compared at equal coverage.
     """
-    adjusted = SimConfig(
-        n=cfg.n,
-        reps=cfg.reps,
-        theta_true=cfg.theta_true,
-        seed=cfg.seed,
-        alpha=cfg.alpha,
-        adjustments=dict(PAPER_ADJUSTMENTS),
-        methods=cfg.methods,
-    )
+    adjusted = replace(cfg, adjustments=dict(PAPER_ADJUSTMENTS))
     if summary is None or summary.config != adjusted:
         summary = run_coverage(adjusted)
     return dict(summary.mean_kl_length)

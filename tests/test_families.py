@@ -190,6 +190,16 @@ class TestSampler:
                 f.expect(0.0, lambda y: y[0], mc_draws=10, mc_seed=seed)
         assert f.expect(0.0, lambda y: y[0], mc_draws=10, mc_seed=2**63 - 1)[1] > 0
 
+    def test_cauchy_expect_in_chunks_draws_the_one_shot_stream(self):
+        # a last chunk shorter than the others, and a row that straddles
+        # Philox's 4-word blocks (n = 5)
+        draws = 2 * families._MC_CHUNK + 37
+        u = RNG(3).random((draws, 5))
+        x = np.sort(0.2 + np.tan(math.pi * (u - 0.5)), axis=1)
+        vals = x[:, 2] * x[:, 0]
+        want = (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(draws)))
+        assert sl.CauchyLocation(5).expect(0.2, lambda y: y[2] * y[0], mc_draws=draws, mc_seed=3) == want
+
     def test_empirical_median_matches_location(self):
         rng = RNG(11)
         f = sl.CauchyLocation(1)

@@ -76,7 +76,8 @@ class TestCauchyMle:
         # past +-1e15 the scan lattice cannot cover the windows
         with pytest.raises(sl.CertificateError):
             sl.cauchy_mle([0.0, 0.5, 1e16])
-        theta = sl.mc._mle_batch(np.array([[0.0, 0.5, 1e16], [0.0, 0.5, 1.0]]))
+        x = np.array([[0.0, 0.5, 1e16], [0.0, 0.5, 1.0]])
+        theta = sl.intervals.cauchy_level_set_batch(x, 0.0)[0]
         assert np.isnan(theta[0]) and theta[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_rejects_empty_and_nonfinite(self):

@@ -3,7 +3,6 @@
 import dataclasses
 import io
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -11,9 +10,14 @@ from scipy import stats
 
 import slope_lab as sl
 from slope_lab import intervals
-from slope_lab.mc import _draw_batch, _lrt_roots_batch, _mle_batch, _run_batch
+from slope_lab.intervals import cauchy_level_set_batch, cauchy_level_set_ends
+from slope_lab.mc import _draw_batch, _run_batch
 
 CFG_SMALL = sl.SimConfig(n=15, reps=2000, seed=0)
+
+
+def _mle_batch(x, counters=None):
+    return cauchy_level_set_batch(x, 0.0, counters)[0]
 
 
 def _csv_bytes_by_rows(summary):
@@ -46,8 +50,6 @@ class TestConfig:
             sl.SimConfig(reps=0)
         with pytest.raises(sl.DomainError):
             sl.SimConfig(alpha=1.0)
-        with pytest.raises(sl.DomainError):
-            sl.SimConfig(methods=("wald", "lrt"))
         # Philox key words: numpy casts larger ones through float64, so
         # they would alias other seeds' streams
         for seed in (-1, 2**63, 2**64 - 1, 2**64, 1.5):
@@ -112,12 +114,14 @@ class TestBatchMle:
     def test_capped_rows_fail_instead_of_returning(self, monkeypatch):
         x = _draw_batch(0, 0, 200, 15, 0.0)
         full = _mle_batch(x)
-        needs_halving = np.zeros(200, dtype=bool)
+        drop = sl.SimConfig().z ** 2 / 2.0  # the LRT level set _run_batch certifies too
+        needs_halving, lrt_needs_halving = np.zeros((2, 200), dtype=bool)
         for r in range(200):
-            counters = intervals.MleCounters()
-            _mle_batch(x[r : r + 1], counters)
-            needs_halving[r] = counters.halved > 0
-        assert needs_halving.any() and not needs_halving.all()
+            for flags, d in ((needs_halving, 0.0), (lrt_needs_halving, drop)):
+                counters = intervals.MleCounters()
+                cauchy_level_set_batch(x[r : r + 1], d, counters)
+                flags[r] = counters.halved > 0
+        assert needs_halving.any() and not lrt_needs_halving.all()
         monkeypatch.setattr(intervals, "_MAX_HALVINGS", 0)
         counters = intervals.MleCounters()
         capped = _mle_batch(x, counters)
@@ -127,27 +131,79 @@ class TestBatchMle:
         with pytest.raises(sl.CertificateError):
             sl.cauchy_mle(x[np.argmax(needs_halving)])
         out, _, reasons = _run_batch(sl.SimConfig(reps=200, seed=0), 0, 200)
-        assert reasons["failed_cap"] == out["failed"].sum() == needs_halving.sum()
+        assert reasons["failed_cap"] == out["failed"].sum() == lrt_needs_halving.sum()
+        assert np.isnan(out["theta_hat"][lrt_needs_halving]).all()
+
+
+def _batch_hulls(x, z):
+    """LRT hulls and disconnection flags of the rows of x, from the batch kernel."""
+    theta_hat, target, outer, disconnected = cauchy_level_set_batch(x, z * z / 2.0)
+    lo, hi = cauchy_level_set_ends(x, outer, target)
+    return lo, hi, disconnected
+
+
+def _scalar_hull(x, z):
+    return sl.lrt_interval(sl.lrt_estimate(sl.CauchyLocation(x.size), x), z)
+
+
+def _grid_disconnected(x, theta_hat, z, chunk=512):
+    """Independent oracle: whether {l > l(theta_hat) - z^2/2} leaves and
+    re-enters on a grid of step 0.01 over every unit window and 101 points
+    across every gap between neighbouring observations."""
+    w = np.linspace(-1.0, 1.0, 201)
+    q = np.linspace(0.0, 1.0, 101)
+    lo, hi = x[:, :-1, None] + 1.0, x[:, 1:, None] - 1.0
+    windows = (x[:, :, None] + w).reshape(len(x), -1)
+    gaps = (lo + (hi - lo) * q).reshape(len(x), -1)
+    grid = np.concatenate([windows, gaps], axis=1)
+    grid.sort(axis=1)
+    target = -np.log1p((x - theta_hat[:, None]) ** 2).sum(axis=1) - z * z / 2.0
+    out = np.zeros(len(x), dtype=bool)
+    for c in range(0, len(x), chunk):
+        g, xc = grid[c : c + chunk], x[c : c + chunk]
+        ll = np.zeros_like(g)
+        for i in range(x.shape[1]):
+            ll -= np.log1p((xc[:, i : i + 1] - g) ** 2)
+        above = ll > target[c : c + chunk, None]
+        first = np.argmax(above, axis=1)
+        last = above.shape[1] - 1 - np.argmax(above[:, ::-1], axis=1)
+        out[c : c + chunk] = above.sum(axis=1) < last - first + 1
+    return out
 
 
 class TestLrtRoots:
+    z = sl.SimConfig().z
+
     def test_batch_roots_match_scalar_interval(self):
-        # sampled parity between the batch LRT roots and the scalar
-        # lrt_interval, which also scans for a disconnected level set
         x = _draw_batch(0, 0, 300, 15, 0.0)
-        z = sl.SimConfig().z
-        lo, hi = _lrt_roots_batch(x, _mle_batch(x), z)
-        f = sl.CauchyLocation(15)
-        disconnected, off = [], []
+        lo, hi, disconnected = _batch_hulls(x, self.z)
         for r in range(x.shape[0]):
-            iv = sl.lrt_interval(sl.lrt_estimate(f, x[r]), z)
-            if iv.disconnected:
-                disconnected.append(r)
-            if abs(iv.lo - lo[r]) > 1e-8 or abs(iv.hi - hi[r]) > 1e-8:
-                off.append((r, iv.lo - lo[r], iv.hi - hi[r]))
-        if disconnected:
-            warnings.warn(f"disconnected LRT level sets at replicates {disconnected}")
-        assert not off, f"endpoint mismatches {off}; disconnected sets at {disconnected}"
+            iv = _scalar_hull(x[r], self.z)
+            assert iv.lo == pytest.approx(lo[r], abs=1e-8) and iv.hi == pytest.approx(hi[r], abs=1e-8), r
+            assert iv.disconnected == disconnected[r]
+
+    @pytest.mark.parametrize(
+        "rep,hull", [(13057, (-3.9097, 1.3131)), (13645, (-2.3005, 1.6988))]
+    )
+    def test_disconnected_level_set_gives_its_hull(self, rep, hull):
+        # seed-0 replicates with a second component: both paths report
+        # the outermost roots, not the crossing nearest theta_hat
+        x = _draw_batch(0, rep, 1, 15, 0.0)
+        lo, hi, disconnected = _batch_hulls(x, self.z)
+        iv = _scalar_hull(x[0], self.z)
+        for got in ((lo[0], hi[0]), (iv.lo, iv.hi)):
+            assert got == pytest.approx(hull, abs=1e-4)
+        assert disconnected[0] and iv.disconnected
+
+    def test_disconnection_count_matches_grid_oracle(self):
+        start, count = 12288, 4096
+        x = _draw_batch(0, start, count, 15, 0.0)
+        theta_hat, _, _, disconnected = cauchy_level_set_batch(x, self.z * self.z / 2.0)
+        oracle = _grid_disconnected(x, theta_hat, self.z)
+        got, want = np.nonzero(disconnected)[0] + start, np.nonzero(oracle)[0] + start
+        assert got.tolist() == want.tolist() == [13057, 13645]
+        _, _, counters = _run_batch(sl.SimConfig(seed=0), start, count)
+        assert counters["lrt_disconnected"] == oracle.sum()
 
 
 class TestRunCoverage:
