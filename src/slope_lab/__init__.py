@@ -69,8 +69,8 @@ from .mc import (
     SimConfig,
     SimSummary,
     bin_by_obs_info,
-    coverage_by_obs_info,
     mean_kl_lengths,
     qq_data,
+    readjust,
     run_coverage,
 )

@@ -39,11 +39,11 @@ from .mc import (
     BATCH,
     METHODS,
     PAPER_ADJUSTMENTS,
-    RAW_ADJUSTMENTS,
     SimConfig,
     bin_by_obs_info,
     median_sd,
     qq_data,
+    readjust,
     run_coverage,
     threads_from_env,
 )
@@ -182,10 +182,9 @@ def cmd_curves(args: argparse.Namespace) -> int:
 
 def cmd_cauchy_sim(args: argparse.Namespace) -> int:
     man = _Manifest("cauchy-sim", args)
-    adjustments = dict(PAPER_ADJUSTMENTS if args.adjusted else RAW_ADJUSTMENTS)
     try:
         workers = threads_from_env()
-        cfg = SimConfig(n=args.n, reps=args.reps, seed=args.seed, adjustments=adjustments)
+        cfg = SimConfig(n=args.n, reps=args.reps, seed=args.seed)
         median_sd(args.n)  # the Q-Q file's median column needs it finite
         if not 1 <= args.bins <= args.reps:
             raise DomainError(f"--bins must lie in [1, --reps={args.reps}], got {args.bins}")
@@ -193,6 +192,7 @@ def cmd_cauchy_sim(args: argparse.Namespace) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     summary = run_coverage(cfg, workers=workers)
+    summary = readjust(summary, PAPER_ADJUSTMENTS) if args.adjusted else summary
     man.telemetry = {
         "stage_seconds": {k: round(v, 6) for k, v in summary.stage_seconds.items()},
         "counters": summary.counters,

@@ -169,6 +169,9 @@ class Family:
         target = sup_loglik - drop
         ends = []
         for sgn, dom in zip((-1.0, 1.0), self.param_domain()):
+            if mle == dom and math.isfinite(dom):  # an MLE on an end of the domain is the hull's end
+                ends.append(dom)
+                continue
             for i in range(_MAX_DOUBLINGS):
                 if math.isfinite(dom):
                     far = mle + (dom - mle) * (1.0 - 2.0 ** -(i + 1))

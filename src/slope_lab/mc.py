@@ -14,8 +14,8 @@ minutes, it ran 8,000-16,000 replicates/s, and ``run_coverage`` took
 
 The per-replicate table records everything the downstream projections
 need (coverage flags, KL lengths, observed information, and the raw
-statistics behind the Q-Q diagnostics), so binning and Q-Q extraction
-never re-run the simulation.
+statistics behind the Q-Q diagnostics), so binning, Q-Q extraction and
+the width adjustments (``readjust``) never re-run the simulation.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -43,9 +43,9 @@ from .intervals import MleCounters, cauchy_level_set_batch, cauchy_level_set_end
 from .klgeom import cauchy_kl_length_from_width
 
 METHODS = ("wald_expected", "wald_observed", "lrt")
-# The paper's interval-width multipliers for n = 15.  The two Wald
-# multipliers bring each Wald coverage error to the LRT's raw error
-# (about 5.6%), not to the nominal alpha; the LRT is left as it is.
+# The paper's interval-width multipliers for n = 15, which readjust applies.
+# The two Wald multipliers bring each Wald coverage error to the LRT's raw
+# error (about 5.6%), not to the nominal alpha; the LRT is left as it is.
 # Interval lengths are compared only at this common coverage.
 PAPER_ADJUSTMENTS = {"wald_expected": 1.08555, "wald_observed": 1.05518, "lrt": 1.0}
 RAW_ADJUSTMENTS = {"wald_expected": 1.0, "wald_observed": 1.0, "lrt": 1.0}
@@ -67,7 +67,6 @@ class SimConfig:
     theta_true: float = 0.0
     seed: int = 0
     alpha: float = 0.05
-    adjustments: Dict[str, float] = field(default_factory=lambda: dict(RAW_ADJUSTMENTS))
 
     def __post_init__(self):
         if self.n < 1:
@@ -97,6 +96,8 @@ class SimSummary:
     # MLE work (brackets bisected, cells halved), disconnected LRT level
     # sets, failed replicates by reason (certificate cap, non-finite theta_hat, i_obs <= 0)
     counters: Dict[str, int] = field(default_factory=dict)
+    # the width multipliers the two Wald methods' columns carry (see readjust)
+    adjustments: Dict[str, float] = field(default_factory=lambda: dict(RAW_ADJUSTMENTS))
 
     def csv_bytes(self) -> bytes:
         """Per-replicate table as RFC-4180 CSV."""
@@ -145,6 +146,34 @@ _REPLICATE_DTYPE = np.dtype(
 )
 
 _METHOD_SUFFIX = {"wald_expected": "we", "wald_observed": "wo", "lrt": "lrt"}
+
+
+def _interval_columns(table: np.ndarray, cfg: SimConfig, adjustments: Dict[str, float], lrt=None) -> None:
+    """Write the Wald methods' hit, width and KL-length columns, theta_hat +/-
+    adjustment * z / sqrt(info) with the expected information n/2 or the
+    table's i_obs, and the LRT's if its ends ``lrt`` are given."""
+    theta_hat, i_obs = table["theta_hat"], np.maximum(table["i_obs"], 1e-300)
+    ends = {} if lrt is None else {"lrt": lrt}
+    for method, info in (("wald_expected", cfg.n / 2.0), ("wald_observed", i_obs)):
+        half = adjustments[method] * cfg.z / np.sqrt(info)
+        ends[method] = (theta_hat - half, theta_hat + half)
+    for method, (lo, hi) in ends.items():
+        sfx = _METHOD_SUFFIX[method]
+        table["hit_" + sfx] = (lo < cfg.theta_true) & (cfg.theta_true < hi)
+        table["width_" + sfx] = hi - lo
+        table["kl_" + sfx] = cauchy_kl_length_from_width(hi - lo)
+
+
+def _aggregate(table: np.ndarray) -> Dict[str, Dict[str, float]]:
+    """The four SimSummary dicts over the rows not failed: coverage error,
+    its binomial standard error, mean KL length and mean width."""
+    ok = ~table["failed"]
+    n_ok = int(ok.sum())
+    mean = {c: {m: float(table[c + "_" + sfx][ok].mean()) for m, sfx in _METHOD_SUFFIX.items()}
+            for c in ("hit", "kl", "width")}
+    err = {m: 1.0 - hit for m, hit in mean["hit"].items()}
+    se = {m: math.sqrt(max(e * (1.0 - e), 0.0) / n_ok) for m, e in err.items()}
+    return {"coverage_error": err, "coverage_se": se, "mean_kl_length": mean["kl"], "mean_width": mean["width"]}
 
 
 _LO32 = np.uint64(0xFFFFFFFF)
@@ -206,9 +235,7 @@ def _run_batch(cfg: SimConfig, start: int, count: int):
     out = np.zeros(count, dtype=_REPLICATE_DTYPE)
     out["rep"] = np.arange(start, start + count)
     mle = MleCounters()
-    z = cfg.z
-    z_lrt = cfg.adjustments.get("lrt", 1.0) * z
-    theta_hat, target, outer, disconnected = cauchy_level_set_batch(x, z_lrt * z_lrt / 2.0, mle)
+    theta_hat, target, outer, disconnected = cauchy_level_set_batch(x, cfg.z * cfg.z / 2.0, mle)
     out["theta_hat"] = theta_hat
     marks.append(time.perf_counter())
     i_obs = cauchy_obs_info(cauchy_offsets(x, theta_hat))
@@ -224,25 +251,10 @@ def _run_batch(cfg: SimConfig, start: int, count: int):
         "lrt_disconnected": int(disconnected.sum()),
     }
     marks.append(time.perf_counter())
-    lrt_bounds = cauchy_level_set_ends(x, outer, target)
+    lrt = cauchy_level_set_ends(x, outer, target)
     marks.append(time.perf_counter())
-    info_hat = cfg.n / 2.0
-    th0 = cfg.theta_true
-    for method in METHODS:
-        adj = cfg.adjustments.get(method, 1.0)
-        sfx = _METHOD_SUFFIX[method]
-        if method == "wald_expected":
-            half = adj * z / math.sqrt(info_hat)
-            lo, hi = theta_hat - half, theta_hat + half
-        elif method == "wald_observed":
-            half = adj * z / np.sqrt(np.maximum(i_obs, 1e-300))
-            lo, hi = theta_hat - half, theta_hat + half
-        else:
-            lo, hi = lrt_bounds
-        out["hit_" + sfx] = (lo < th0) & (th0 < hi)
-        out["width_" + sfx] = hi - lo
-        out["kl_" + sfx] = cauchy_kl_length_from_width(hi - lo)
-    at_true = cauchy_offsets(x, np.full(count, th0))
+    _interval_columns(out, cfg, RAW_ADJUSTMENTS, lrt)
+    at_true = cauchy_offsets(x, np.full(count, cfg.theta_true))
     out["lrt_at_true"] = 2.0 * (cauchy_loglik(at_true) - cauchy_loglik(cauchy_offsets(x, theta_hat)))
     out["score_at_true"] = cauchy_score(at_true)
     out["median"] = x[:, cfg.n // 2]
@@ -297,27 +309,27 @@ def run_coverage(cfg: SimConfig, workers: Optional[int] = None) -> SimSummary:
     n_fail = int(table["failed"].sum())
     if n_fail > _FAILURE_ABORT_FRACTION * cfg.reps:
         raise SimulationError(f"{n_fail} replicate failures out of {cfg.reps}")
-    ok = ~table["failed"]
-    cov_err, cov_se, mean_kl, mean_w = {}, {}, {}, {}
-    n_ok = int(ok.sum())
-    for method in METHODS:
-        sfx = _METHOD_SUFFIX[method]
-        err = 1.0 - float(table["hit_" + sfx][ok].mean())
-        cov_err[method] = err
-        cov_se[method] = math.sqrt(max(err * (1.0 - err), 0.0) / n_ok)
-        mean_kl[method] = float(table["kl_" + sfx][ok].mean())
-        mean_w[method] = float(table["width_" + sfx][ok].mean())
-    return SimSummary(
-        config=cfg,
-        coverage_error=cov_err,
-        coverage_se=cov_se,
-        mean_kl_length=mean_kl,
-        mean_width=mean_w,
-        replicates=table,
-        n_failures=n_fail,
-        stage_seconds=stage_seconds,
-        counters=counters,
-    )
+    return SimSummary(cfg, replicates=table, n_failures=n_fail, stage_seconds=stage_seconds,
+                      counters=counters, **_aggregate(table))
+
+
+def readjust(summary: SimSummary, adjustments: Dict[str, float]) -> SimSummary:
+    """A copy of ``summary`` whose Wald intervals carry the width
+    multipliers ``adjustments`` (method -> multiplier, 1 where absent).
+
+    Only the Wald columns, fixed functions of the stored theta_hat and
+    i_obs, and the summary dicts are recomputed; nothing is simulated.
+    The LRT multiplier must be 1: another level would need new roots.
+    """
+    adj = {m: float(adjustments.get(m, 1.0)) for m in METHODS}
+    valid = set(adjustments) <= set(METHODS) and all(0.0 < a < math.inf for a in adj.values())
+    if not valid or adj["lrt"] != 1.0:
+        raise DomainError(f"adjustments {dict(adjustments)}: each of {METHODS} needs a positive, "
+                          "finite multiplier, and the lrt one must be 1")
+    table = summary.replicates.copy()
+    _interval_columns(table, summary.config, adj)
+    return replace(summary, replicates=table, stage_seconds=dict(summary.stage_seconds),
+                   counters=dict(summary.counters), adjustments=adj, **_aggregate(table))
 
 
 @dataclass
@@ -350,15 +362,6 @@ def bin_by_obs_info(summary: SimSummary, bins: int) -> ObsInfoBins:
         err[method] = e
         se[method] = np.sqrt(np.maximum(e * (1.0 - e), 0.0) / counts)
     return ObsInfoBins(edges_lo, edges_hi, counts, err, se)
-
-
-def coverage_by_obs_info(cfg: SimConfig, bins: int, summary: Optional[SimSummary] = None) -> ObsInfoBins:
-    """Coverage error binned by observed information (equal-count bins)."""
-    if bins < 2:
-        raise DomainError(f"bins must be >= 2, got {bins}")
-    if summary is None:
-        summary = run_coverage(cfg)
-    return bin_by_obs_info(summary, bins)
 
 
 def median_sd(n: int) -> float:
@@ -401,15 +404,7 @@ def qq_data(
     return np.column_stack([q, vals])
 
 
-def mean_kl_lengths(cfg: SimConfig, summary: Optional[SimSummary] = None) -> Dict[str, float]:
-    """Mean KL lengths with the paper's width adjustments.
-
-    ``PAPER_ADJUSTMENTS`` widens the Wald intervals until their coverage
-    error equals the LRT's raw error at n = 15 (about 5.6%, not the
-    nominal alpha) and leaves the LRT unchanged, so the lengths are
-    compared at equal coverage.
-    """
-    adjusted = replace(cfg, adjustments=dict(PAPER_ADJUSTMENTS))
-    if summary is None or summary.config != adjusted:
-        summary = run_coverage(adjusted)
-    return dict(summary.mean_kl_length)
+def mean_kl_lengths(summary: SimSummary) -> Dict[str, float]:
+    """Mean KL lengths of ``summary`` readjusted to ``PAPER_ADJUSTMENTS``, at equal
+    coverage (about 5.6% error at n = 15, not the nominal alpha); never simulates."""
+    return dict(readjust(summary, PAPER_ADJUSTMENTS).mean_kl_length)

@@ -50,10 +50,8 @@ def raw_summary():
 
 
 @pytest.fixture(scope="module")
-def adjusted_summary():
-    return sl.run_coverage(
-        sl.SimConfig(n=15, reps=REPS, seed=0, adjustments=dict(sl.PAPER_ADJUSTMENTS))
-    )
+def adjusted_summary(raw_summary):
+    return sl.readjust(raw_summary, sl.PAPER_ADJUSTMENTS)
 
 
 def test_cauchy_median_table():

@@ -195,6 +195,20 @@ class TestLrt:
         # S(theta) = 2 * 10 * log(1 - theta) for y = 0
         assert L(0.1) == pytest.approx(20.0 * math.log(0.9), abs=1e-10)
 
+    @pytest.mark.parametrize("n", [1, 10, 40])
+    def test_bernoulli_boundary_mle_gives_one_sided_hull(self, n):
+        # y = 0: S(p) = 2n log(1 - p) > -z^2 on [0, 1 - exp(-z^2 / (2n)));
+        # y = n is its mirror image
+        edge = 1.0 - math.exp(-1.96**2 / (2.0 * n))
+        lo0 = sl.lrt_interval(sl.lrt_estimate(sl.Bernoulli(n), 0), 1.96)
+        hin = sl.lrt_interval(sl.lrt_estimate(sl.Bernoulli(n), n), 1.96)
+        assert (lo0.lo, hin.hi) == (0.0, 1.0)
+        assert lo0.hi == pytest.approx(edge, abs=1e-9)
+        assert hin.lo == pytest.approx(1.0 - edge, abs=1e-9)
+        assert not (lo0.disconnected or hin.disconnected)
+        if n == 10:
+            assert lo0.hi == pytest.approx(0.174759, abs=1e-6)
+
     def test_normal_equals_score_interval(self):
         # quadratic loglik: LRT set and score inversion coincide
         f = sl.NormalLocation(1.5, 6)

@@ -249,9 +249,7 @@ class TestRunCoverage:
 
     def test_adjustment_reduces_error(self):
         raw = sl.run_coverage(sl.SimConfig(reps=5000, seed=1))
-        adj = sl.run_coverage(
-            sl.SimConfig(reps=5000, seed=1, adjustments=dict(sl.PAPER_ADJUSTMENTS))
-        )
+        adj = sl.readjust(raw, sl.PAPER_ADJUSTMENTS)
         for m in ("wald_expected", "wald_observed"):
             assert adj.coverage_error[m] < raw.coverage_error[m]
         assert adj.coverage_error["lrt"] == raw.coverage_error["lrt"]
@@ -313,8 +311,6 @@ class TestBins:
             sl.bin_by_obs_info(small_summary, 0)
         with pytest.raises(sl.DomainError):
             sl.bin_by_obs_info(small_summary, CFG_SMALL.reps + 1)
-        with pytest.raises(sl.DomainError):
-            sl.coverage_by_obs_info(CFG_SMALL, 1, summary=small_summary)
 
 
 class TestQq:
@@ -343,12 +339,90 @@ class TestQq:
 
 
 class TestMeanKlLengths:
-    def test_uses_paper_adjustments(self):
-        cfg = sl.SimConfig(reps=2000, seed=0)
-        lengths = sl.mean_kl_lengths(cfg)
+    def test_uses_paper_adjustments(self, small_summary):
+        lengths = sl.mean_kl_lengths(small_summary)
         assert set(lengths) == set(sl.mc.METHODS)
-        direct = sl.run_coverage(
-            sl.SimConfig(reps=2000, seed=0, adjustments=dict(sl.PAPER_ADJUSTMENTS))
-        )
+        direct = sl.readjust(small_summary, sl.PAPER_ADJUSTMENTS)
         for m in sl.mc.METHODS:
             assert lengths[m] == pytest.approx(direct.mean_kl_length[m], abs=1e-12)
+
+    def test_never_simulates(self, small_summary, monkeypatch):
+        monkeypatch.setattr(sl.mc, "run_coverage", lambda *a, **k: pytest.fail("simulated"))
+        lengths = sl.mean_kl_lengths(small_summary)
+        assert lengths == sl.readjust(small_summary, sl.PAPER_ADJUSTMENTS).mean_kl_length
+        assert lengths["wald_expected"] > small_summary.mean_kl_length["wald_expected"]
+
+
+class TestReadjust:
+    @staticmethod
+    def _scalar_reference(summary, adjustments, rows):
+        """The Wald columns of the given rows through the scalar wald_interval."""
+        cfg = summary.config
+        t = summary.replicates[rows]
+        ref = {}
+        for method, sfx in (("wald_expected", "we"), ("wald_observed", "wo")):
+            hits, widths, kls = [], [], []
+            for theta_hat, i_obs in zip(t["theta_hat"].tolist(), t["i_obs"].tolist()):
+                info = cfg.n / 2.0 if method == "wald_expected" else max(i_obs, 1e-300)
+                iv = sl.wald_interval(theta_hat, info, cfg.z, adjustments[method], method=method)
+                hits.append(iv.contains(cfg.theta_true))
+                widths.append(iv.hi - iv.lo)
+                kls.append(float(sl.cauchy_kl_length_from_width(iv.hi - iv.lo)))
+            ref["hit_" + sfx] = np.array(hits)
+            ref["width_" + sfx] = np.array(widths)
+            ref["kl_" + sfx] = np.array(kls)
+        return ref
+
+    def test_matches_scalar_wald_intervals(self, small_summary):
+        table = small_summary.replicates.copy()
+        # failed rows: two where the MLE failed (theta_hat NaN), two with i_obs <= 0
+        table["theta_hat"][:2] = np.nan
+        table["i_obs"][2:4] = [-1.0, 0.0]
+        table["failed"][:4] = True
+        summary = dataclasses.replace(small_summary, replicates=table)
+        adj = sl.readjust(summary, sl.PAPER_ADJUSTMENTS)
+        assert adj.adjustments == sl.PAPER_ADJUSTMENTS
+        finite = np.isfinite(table["theta_hat"])
+        for name, col in self._scalar_reference(summary, sl.PAPER_ADJUSTMENTS, finite).items():
+            assert adj.replicates[name][finite].tobytes() == col.tobytes(), name
+        for sfx in ("we", "wo"):
+            # no Wald interval exists about a non-finite theta_hat
+            assert not adj.replicates["hit_" + sfx][:2].any()
+            assert np.isnan(adj.replicates["width_" + sfx][:2]).all()
+        for name in ("rep", "theta_hat", "i_obs", "hit_lrt", "kl_lrt", "width_lrt", "failed"):
+            assert adj.replicates[name].tobytes() == table[name].tobytes(), name
+        ok = ~table["failed"]
+        for m, sfx in sl.mc._METHOD_SUFFIX.items():
+            assert adj.coverage_error[m] == 1.0 - adj.replicates["hit_" + sfx][ok].mean()
+            assert adj.mean_kl_length[m] == adj.replicates["kl_" + sfx][ok].mean()
+
+    def test_raw_readjustment_restores_the_table(self, small_summary):
+        adj = sl.readjust(small_summary, sl.PAPER_ADJUSTMENTS)
+        assert adj.replicates.tobytes() != small_summary.replicates.tobytes()
+        back = sl.readjust(adj, sl.RAW_ADJUSTMENTS)
+        assert back.replicates.tobytes() == small_summary.replicates.tobytes()
+        assert back.coverage_error == small_summary.coverage_error
+        assert back.mean_kl_length == small_summary.mean_kl_length
+        assert back.adjustments == small_summary.adjustments == sl.RAW_ADJUSTMENTS
+
+    def test_leaves_its_input_alone(self, small_summary):
+        before = small_summary.replicates.tobytes()
+        adj = sl.readjust(small_summary, sl.PAPER_ADJUSTMENTS)
+        adj.counters["brackets"] = -1
+        assert small_summary.replicates.tobytes() == before
+        assert small_summary.counters["brackets"] >= 0
+
+    @pytest.mark.parametrize(
+        "adjustments",
+        [
+            {"lrt": 1.1},
+            {"wald_expected": 1.0, "score": 1.0},
+            {"wald_expected": 0.0},
+            {"wald_observed": -1.05},
+            {"wald_expected": math.inf},
+            {"wald_observed": math.nan},
+        ],
+    )
+    def test_rejects_bad_multipliers(self, small_summary, adjustments):
+        with pytest.raises(sl.DomainError):
+            sl.readjust(small_summary, adjustments)
