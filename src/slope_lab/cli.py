@@ -95,16 +95,29 @@ def _manifest_path(out: Path) -> Path:
     return out.with_suffix(out.suffix + ".manifest.json")
 
 
+class _UsageError(DomainError):
+    """A flag value no run can use: exit 3 before anything is written."""
+
+
+def _require_positive(args: argparse.Namespace, *flags: str) -> None:
+    for flag in flags:
+        if getattr(args, flag) < 1:
+            raise _UsageError(f"--{flag} must be positive, got {getattr(args, flag)}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
+    ns = range(1, args.n_max + 1, 2)
+    if not ns or ns[-1] > 31:
+        raise _UsageError(f"--n-max must lie in [1, 31] (the rows are the odd n up to it), got {args.n_max}")
     man = _Manifest("table1", args)
     out = Path(args.out)
     rows = []
-    for n in range(1, args.n_max + 1, 2):
+    for n in ns:
         try:
             r = cauchy_table_row(n)
         except QuadratureError as exc:
@@ -144,6 +157,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_bernoulli_eff(args: argparse.Namespace) -> int:
+    _require_positive(args, "n", "grid")
     man = _Manifest("bernoulli-eff", args)
     out = Path(args.out)
     grid = np.linspace(0.02, 0.98, args.grid)
@@ -162,6 +176,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
     if args.family != "bernoulli":
         print(f"curves requires a finite sample space; family {args.family!r} unsupported", file=sys.stderr)
         return EXIT_USAGE
+    _require_positive(args, "n", "grid")
     man = _Manifest("curves", args)
     out = Path(args.out)
     f = Bernoulli(args.n, chart=args.param_chart)
@@ -260,6 +275,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     else:
         print(f"check battery supports the bernoulli family, got {args.family!r}", file=sys.stderr)
         return EXIT_USAGE
+    _require_positive(args, "grid")
     grid = default_grid(f, args.grid)
     failures = []
     results = []
@@ -392,6 +408,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except QuadratureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -292,6 +292,16 @@ class Bernoulli(Family):
             sup += (self.n - y) * math.log1p(-p_hat)
         return sup
 
+    def lrt_hull(self, y: Sample, mle: float, sup_loglik: float, drop: float) -> tuple:
+        """The base hull, except at a log-odds MLE of -inf (y = 0) or +inf
+        (y = n), where l = -n log(1 + e^theta) or -n log(1 + e^-theta): the
+        level set is then the p chart's one-sided hull mapped through the
+        logit, (-inf, log(e^(drop/n) - 1)) at y = 0 and its mirror at y = n."""
+        if not math.isinf(mle):
+            return super().lrt_hull(y, mle, sup_loglik, drop)
+        edge = math.log(math.expm1((drop - sup_loglik) / self.n))
+        return (-math.inf, edge, False) if mle < 0 else (-edge, math.inf, False)
+
     def kl(self, theta1: float, theta2: float) -> float:
         if self.chart != CHART_P:
             raise DomainError("Bernoulli KL divergence is defined in the p chart")

@@ -16,7 +16,8 @@ Expectations dispatch on the family's sample space: exact sums for the
 finite Bernoulli support, adaptive quadrature for the one-dimensional
 continuous families, and seeded Monte Carlo (with reported standard
 error) for the full Cauchy sample space, which is the only genuinely
-n-dimensional one.
+n-dimensional one.  Every slope quantity at theta is a view of one set
+of moments (V(g), E g', E[g * score]), each taken once, on first use.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BiasError, DivergentIntegralError, OrientationError, ZeroVarianceError
+from .errors import BiasError, DivergentIntegralError, DomainError, OrientationError, ZeroVarianceError
 from .families import DEFAULT_MC_DRAWS, Bernoulli, Family, median_fisher_info, median_variance
 
 KIND_SCORE = "score"
@@ -36,10 +37,6 @@ KIND_LIFTED = "lifted_point"
 KIND_CUSTOM = "custom"
 
 _FD_STEP = 1e-5
-
-
-def _fd_step(theta: float) -> float:
-    return _FD_STEP * (1.0 + abs(theta))
 
 
 def expect(
@@ -86,28 +83,8 @@ class GenEstimator:
     def __call__(self, y, theta: float) -> float:
         return self.evaluate(y, theta)
 
-    def _fd_slope_at(self, theta: float) -> Callable:
-        """y -> central difference of g(y, .) at theta."""
-        h = _fd_step(theta)
-        return lambda y: (self.evaluate(y, theta + h) - self.evaluate(y, theta - h)) / (2.0 * h)
-
-    # -- moments ----------------------------------------------------
-
-    def mean(self, theta: float, **kw) -> float:
-        return expect(self.family, theta, lambda y: self.evaluate(y, theta), **kw)
-
     def var(self, theta: float, **kw) -> float:
         return variance(self.family, theta, lambda y: self.evaluate(y, theta), **kw)
-
-    def mean_slope(self, theta: float, **kw) -> float:
-        """E[dg/dtheta] at theta; analytic derivative when available."""
-        if self.deriv is not None:
-            return expect(self.family, theta, lambda y: self.deriv(y, theta), **kw)
-        return expect(self.family, theta, self._fd_slope_at(theta), **kw)
-
-    def score_cov(self, theta: float, **kw) -> float:
-        fam = self.family
-        return expect(fam, theta, lambda y: self.evaluate(y, theta) * fam.score(theta, y), **kw)
 
 
 def score_estimator(f: Family) -> GenEstimator:
@@ -144,17 +121,11 @@ def lift_point_estimator(
         def dups(th: float) -> float:
             return expect(f, th, lambda y: u(y) * f.score(th, y), **kw)
 
-    est = GenEstimator(
-        family=f,
-        evaluate=lambda y, th: u(y) - ups(th),
-        kind=KIND_LIFTED,
-        deriv=lambda y, th: -dups(th),
-        mean_fn=ups,
-        mean_deriv=dups,
-    )
+    est = GenEstimator(family=f, evaluate=lambda y, th: u(y) - ups(th), kind=KIND_LIFTED,
+                       deriv=lambda y, th: -dups(th), mean_fn=ups, mean_deriv=dups)
     if check_grid is not None:
         for th in check_grid:
-            cov = est.score_cov(th, **kw)
+            cov = _SlopeAt(est, th, kw).cov
             if cov < -1e-8:
                 raise OrientationError(
                     f"E[h * score] = {cov:.3e} < 0 at theta={th}; negate the statistic"
@@ -162,12 +133,63 @@ def lift_point_estimator(
     return est
 
 
+class _SlopeAt:
+    """The moments of g at theta behind every slope quantity, each taken
+    once, on first use, and shared by the quantities that read it."""
+
+    def __init__(self, g: GenEstimator, theta: float, kw: dict):
+        self.g, self.theta, self.kw = g, theta, kw
+        self._expect = functools.partial(expect, g.family, theta, **kw)
+
+    @functools.cached_property
+    def var(self) -> float:
+        v = self.g.var(self.theta, **self.kw)
+        if not v > 0:
+            raise ZeroVarianceError(f"variance {v} is not positive at theta={self.theta}")
+        return v
+
+    @functools.cached_property
+    def fd_slope(self) -> float:
+        g, th, h = self.g, self.theta, _FD_STEP * (1.0 + abs(self.theta))
+        return self._expect(lambda y: (g.evaluate(y, th + h) - g.evaluate(y, th - h)) / (2.0 * h))
+
+    @functools.cached_property
+    def slope(self) -> float:
+        """E[dg/dtheta] at theta; analytic derivative when available."""
+        return self.fd_slope if self.g.deriv is None else self._expect(lambda y: self.g.deriv(y, self.theta))
+
+    @functools.cached_property
+    def cov(self) -> float:
+        return self._expect(lambda y: self.g.evaluate(y, self.theta) * self.g.family.score(self.theta, y))
+
+    @property
+    def lam(self) -> float:
+        if self.g.kind == KIND_SCORE:
+            return self.g.family.fisher_info(self.theta)
+        return self.slope * self.slope / self.var
+
+    @property
+    def rho2(self) -> float:
+        if self.g.kind == KIND_SCORE:
+            return 1.0
+        return self.cov * self.cov / (self.var * self.g.family.fisher_info(self.theta))
+
+    @property
+    def eff(self) -> float:
+        return self.lam / reference_info(self.g.family, self.theta)
+
+    @property
+    def residual(self) -> float:
+        if self.g.kind == KIND_SCORE:
+            lhs = self.g.family.fisher_info(self.theta)
+        else:
+            lhs = -(self.fd_slope if self.g.kind == KIND_LIFTED else self.slope)
+        return abs(lhs - self.cov)
+
+
 def standardize(g: GenEstimator, theta: float, y, **kw) -> float:
     """g(y, theta) / sqrt(V_theta(g))."""
-    v = g.var(theta, **kw)
-    if not v > 0:
-        raise ZeroVarianceError(f"variance {v} is not positive at theta={theta}")
-    return g.evaluate(y, theta) / math.sqrt(v)
+    return g.evaluate(y, theta) / math.sqrt(_SlopeAt(g, theta, kw).var)
 
 
 def squared_slope(g: GenEstimator, theta: float, **kw) -> float:
@@ -176,25 +198,12 @@ def squared_slope(g: GenEstimator, theta: float, **kw) -> float:
     The score attains Lambda = I, which is returned through the closed
     form; lifted estimators with a constant mean function have slope 0.
     """
-    if g.kind == KIND_SCORE:
-        return g.family.fisher_info(theta)
-    num = g.mean_slope(theta, **kw)
-    v = g.var(theta, **kw)
-    if not v > 0:
-        raise ZeroVarianceError(f"variance {v} is not positive at theta={theta}")
-    return num * num / v
+    return _SlopeAt(g, theta, kw).lam
 
 
 def score_correlation2(g: GenEstimator, theta: float, **kw) -> float:
     """rho^2(g, score) = (E[g * score])^2 / (V(g) * I)."""
-    if g.kind == KIND_SCORE:
-        return 1.0
-    v = g.var(theta, **kw)
-    if not v > 0:
-        raise ZeroVarianceError(f"variance {v} is not positive at theta={theta}")
-    cov = g.score_cov(theta, **kw)
-    info = g.family.fisher_info(theta)
-    return cov * cov / (v * info)
+    return _SlopeAt(g, theta, kw).rho2
 
 
 def reference_info(f: Family, theta: float) -> float:
@@ -211,21 +220,21 @@ def lambda_efficiency(g: GenEstimator, theta: float, **kw) -> float:
     reduction it additionally charges the information lost by reducing
     the sample to its median.
     """
-    return squared_slope(g, theta, **kw) / reference_info(g.family, theta)
+    return _SlopeAt(g, theta, kw).eff
 
 
 def v_efficiency(f: Family, u: Callable, theta: float, tol: float = 1e-8, **kw) -> float:
     """Variance efficiency I^{-1} / V(u) of an unbiased statistic u."""
-    bias = expect(f, theta, u, **kw) - theta
-    if abs(bias) > tol:
-        raise BiasError(f"u is biased at theta={theta}: bias={bias:.3e}")
-    v = variance(f, theta, u, **kw)
+    m = expect(f, theta, u, **kw)
+    if abs(m - theta) > tol:
+        raise BiasError(f"u is biased at theta={theta}: bias={m - theta:.3e}")
+    v = expect(f, theta, lambda y: (u(y) - m) ** 2, **kw)  # the variance pass, on the bias pass's mean
     return 1.0 / (f.fisher_info(theta) * v)
 
 
 def effective_n(g: GenEstimator, theta: float, **kw) -> float:
     """The full-sample size at which the optimal estimator matches g's slope."""
-    return lambda_efficiency(g, theta, **kw) * g.family.n
+    return _SlopeAt(g, theta, kw).eff * g.family.n
 
 
 def check_identity(g: GenEstimator, theta: float, **kw) -> float:
@@ -239,14 +248,7 @@ def check_identity(g: GenEstimator, theta: float, **kw) -> float:
     itself derived from a score covariance and would make the check
     circular.
     """
-    if g.kind == KIND_SCORE:
-        lhs = g.family.fisher_info(theta)
-    elif g.deriv is not None and g.kind != KIND_LIFTED:
-        lhs = -expect(g.family, theta, lambda y: g.deriv(y, theta), **kw)
-    else:
-        lhs = -expect(g.family, theta, g._fd_slope_at(theta), **kw)
-    rhs = g.score_cov(theta, **kw)
-    return abs(lhs - rhs)
+    return _SlopeAt(g, theta, kw).residual
 
 
 @dataclass
@@ -262,13 +264,11 @@ class SlopeReport:
 
 
 def slope_report(g: GenEstimator, grid: Sequence[float], **kw) -> SlopeReport:
-    grid = np.asarray(grid, dtype=float)
-    lam = np.array([squared_slope(g, th, **kw) for th in grid])
-    rho2 = np.array([score_correlation2(g, th, **kw) for th in grid])
-    eff = np.array([lambda_efficiency(g, th, **kw) for th in grid])
-    en = np.array([effective_n(g, th, **kw) for th in grid])
-    resid = np.array([check_identity(g, th, **kw) for th in grid])
-    return SlopeReport(grid, lam, rho2, eff, en, resid)
+    """Every slope column of g over ``grid``, each equal to its standalone
+    function.  Each moment behind them is taken once per theta: 5 expectation
+    passes for an estimator with ``deriv``, 1 for the score."""
+    rows = [(s.lam, s.rho2, s.eff, s.eff * g.family.n, s.residual) for s in (_SlopeAt(g, th, kw) for th in grid)]
+    return SlopeReport(np.asarray(grid, dtype=float), *np.array(rows, dtype=float).reshape(-1, 5).T.copy())
 
 
 def default_grid(f: Family, points: int = 41) -> np.ndarray:
@@ -310,7 +310,7 @@ class CauchyTableRow:
 
 def cauchy_table_row(n: int) -> CauchyTableRow:
     if n < 1 or n % 2 == 0 or n > 31:
-        raise ValueError(f"n must be an odd integer in [1, 31], got {n}")
+        raise DomainError(f"n must be an odd integer in [1, 31], got {n}")
     k = (n - 1) // 2
     lam_full = n / 2.0
     lam_med_score = median_fisher_info(k)

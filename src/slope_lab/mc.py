@@ -381,10 +381,13 @@ def qq_data(
 
     Statistics: the signed root of the LRT estimate at the true value,
     the standardized score at the true value, or the standardized
-    sample median.
+    sample median.  A given ``summary`` must have been simulated under
+    ``cfg``, whose ``n`` and ``theta_true`` standardize its columns.
     """
     if statistic not in QQ_STATISTICS:
         raise DomainError(f"unknown statistic {statistic!r}")
+    if summary is not None and summary.config != cfg:
+        raise DomainError(f"summary was simulated under {summary.config}, not {cfg}")
     if statistic == "median_standardized":
         sd = median_sd(cfg.n)
     if summary is None:

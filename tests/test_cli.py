@@ -193,6 +193,25 @@ class TestBadInput:
         assert f"n={n}" in assert_usage_error(code, capsys)
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--n-max", "33"],
+            ["table1", "--n-max", "0"],
+            ["check", "--grid", "0"],
+            ["bernoulli-eff", "--n", "0"],
+            ["bernoulli-eff", "--grid", "0"],
+            ["curves", "--n", "0"],
+            ["curves", "--grid", "0"],
+            ["curves", "--grid", "-1"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_sizes_outside_range_write_nothing(self, argv, tmp_path, capsys):
+        code = run([*argv, "--out", str(tmp_path / "out.csv")])
+        assert argv[-2] in assert_usage_error(code, capsys)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCheck:
     def test_passes_and_prints(self, tmp_path, capsys):

@@ -25,6 +25,15 @@ CAUCHY_TABLE = {
 }
 
 
+class Counted:
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, y):
+        self.calls += 1
+        return self.fn(y)
+
+
 def lift_y():
     return sl.lift_point_estimator(BERN, lambda y: float(y))
 
@@ -164,6 +173,12 @@ class TestSquaredSlopeAndEfficiency:
             effl = sl.lambda_efficiency(sl.lift_point_estimator(BERN, u), p)
             assert effv == pytest.approx(effl, abs=1e-8)
 
+    def test_v_efficiency_takes_the_mean_once(self):
+        # 11 support points: E[u] for the bias check, reused by the variance pass
+        u = Counted(lambda y: y / 10.0)
+        sl.v_efficiency(BERN, u, 0.3)
+        assert u.calls == 2 * 11
+
     def test_v_efficiency_rejects_biased(self):
         with pytest.raises(sl.BiasError):
             sl.v_efficiency(BERN, lambda y: float(y), 0.3)
@@ -195,6 +210,56 @@ class TestIdentity:
         fm = sl.CauchyMedian(2)
         g = sl.lift_point_estimator(fm, lambda z: z)
         assert sl.check_identity(g, 0.0) < 1e-6
+
+
+class TestSlopeReport:
+    @staticmethod
+    def passes_per_theta(g, grid, monkeypatch, **kw):
+        calls = []
+
+        def counted(*a, **k):
+            calls.append(a[1])
+            return expect(*a, **k)
+
+        expect = sl.gcore.expect
+        monkeypatch.setattr(sl.gcore, "expect", counted)
+        sl.slope_report(g, grid, **kw)
+        return [calls.count(th) for th in grid]
+
+    def test_each_moment_taken_once_per_theta(self, monkeypatch):
+        # V(g) (two passes), E g' by deriv, E g' by central differences and
+        # E[g * score]; the score needs only E[score^2] for its identity
+        g = sl.lift_point_estimator(BERN, lambda y: float(y), mean_fn=lambda p: 10 * p, mean_deriv=lambda p: 10.0)
+        assert self.passes_per_theta(g, [0.2, 0.6], monkeypatch) == [5, 5]
+        assert self.passes_per_theta(sl.score_estimator(BERN), [0.2, 0.6], monkeypatch) == [1, 1]
+
+    @pytest.mark.parametrize(
+        "g, grid, kw",
+        [
+            (lift_yy1(), P_GRID, {}),
+            (sl.score_estimator(BERN), P_GRID, {}),
+            (sl.GenEstimator(BERN, lambda y, p: (y - 10 * p) * (1 + p)), P_GRID[::3], {}),
+            (sl.GenEstimator(BERN, lambda y, p: (y - 10 * p) * (1 + p), deriv=lambda y, p: y - 20 * p - 10),
+             P_GRID[::3], {}),
+            (sl.lift_point_estimator(sl.CauchyMedian(3), lambda z: z), [-0.5, 1.0], {}),
+            (sl.lift_point_estimator(sl.CauchyLocation(5), lambda x: float(x[2]), mean_fn=lambda th: th,
+                                     mean_deriv=lambda th: 1.0), [0.3], {"mc_draws": 400, "mc_seed": 2}),
+        ],
+        ids=["lift_yy1", "score", "custom_fd", "custom_deriv", "median_quadrature", "median_mc"],
+    )
+    def test_columns_equal_the_standalone_functions(self, g, grid, kw):
+        # the shared moments give the scalar functions' values bit for bit
+        rep = sl.slope_report(g, grid, **kw)
+        columns = {
+            "lam": sl.squared_slope,
+            "rho2": sl.score_correlation2,
+            "eff_lambda": sl.lambda_efficiency,
+            "eff_n": sl.effective_n,
+            "identity_residual": sl.check_identity,
+        }
+        for name, fn in columns.items():
+            want = np.array([fn(g, th, **kw) for th in grid])
+            assert getattr(rep, name).tobytes() == want.tobytes(), name
 
 
 class TestInvariance:
@@ -306,6 +371,11 @@ class TestCauchyTable:
     def test_rejects_even_n(self):
         with pytest.raises(ValueError):
             sl.cauchy_table_row(6)
+
+    @pytest.mark.parametrize("n", [-1, 0, 33])
+    def test_out_of_range_n_is_a_domain_error(self, n):
+        with pytest.raises(sl.DomainError):
+            sl.cauchy_table_row(n)
 
 
 class TestBernoulliEfficiencyCurves:

@@ -208,6 +208,13 @@ class TestLrt:
         assert not (lo0.disconnected or hin.disconnected)
         if n == 10:
             assert lo0.hi == pytest.approx(0.174759, abs=1e-6)
+        # the log-odds MLE is -inf / +inf: the same hulls mapped through the logit
+        lo0_odds = sl.lrt_interval(sl.lrt_estimate(sl.Bernoulli(n, chart="log_odds"), 0), 1.96)
+        hin_odds = sl.lrt_interval(sl.lrt_estimate(sl.Bernoulli(n, chart="log_odds"), n), 1.96)
+        assert (lo0_odds.lo, hin_odds.hi) == (-math.inf, math.inf)
+        assert lo0_odds.hi == pytest.approx(math.log(edge / (1.0 - edge)), abs=1e-9)
+        assert hin_odds.lo == -lo0_odds.hi
+        assert not (lo0_odds.disconnected or hin_odds.disconnected)
 
     def test_normal_equals_score_interval(self):
         # quadratic loglik: LRT set and score inversion coincide

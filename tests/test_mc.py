@@ -331,6 +331,12 @@ class TestQq:
         with pytest.raises(sl.DomainError, match=f"n={n}"):
             sl.qq_data(sl.SimConfig(n=n, reps=20, seed=0), "median_standardized")
 
+    def test_summary_from_another_config_is_rejected(self, small_summary):
+        # an n = 15 summary must not be standardized with n = 5's median SD
+        with pytest.raises(sl.DomainError, match="simulated under"):
+            sl.qq_data(sl.SimConfig(n=5, reps=CFG_SMALL.reps, theta_true=2.0), "median_standardized",
+                       summary=small_summary)
+
     def test_signed_root_lrt_close_to_normal(self, small_summary):
         pairs = sl.qq_data(CFG_SMALL, "signed_root_lrt", summary=small_summary)
         # interquartile band hugs the diagonal
