@@ -25,6 +25,7 @@ from . import __version__
 from .errors import DomainError, QuadratureError, SlopeLabError
 from .families import Bernoulli, reparam
 from .gcore import (
+    _SlopeAt,
     bernoulli_efficiency_curves,
     cauchy_table_row,
     check_identity,
@@ -33,7 +34,6 @@ from .gcore import (
     lift_point_estimator,
     score_estimator,
     squared_slope,
-    standardize,
 )
 from .mc import (
     BATCH,
@@ -184,7 +184,8 @@ def cmd_curves(args: argparse.Namespace) -> int:
     s = score_estimator(f)
     rows = []
     for th in grid:
-        rows.append([th] + [standardize(s, th, y) for y in range(f.n + 1)])
+        at = _SlopeAt(s, th, {})  # standardize at theta: the variance is taken once for every y
+        rows.append([th] + [at.standardize(y) for y in range(f.n + 1)])
     _write_csv(
         man.add(out),
         "slope_lab.curves.v1",

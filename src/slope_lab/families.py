@@ -27,6 +27,14 @@ integrates it by quadrature) or its own ``expect``; ``mle`` and ``kl``
 serve LRT intervals and KL lengths.  ``observed_info`` (a central
 difference of the score), ``sup_loglik`` (l at the MLE) and
 ``reference_info`` (the Fisher information) have base defaults.
+
+A Monte Carlo ``expect`` (``CauchyLocation``'s) draws its samples in
+chunks.  An integrand may carry a block form, ``phi.block``, which takes
+a chunk (m, n) of sorted samples and returns its m values, equal to
+``phi`` row by row bit for bit; the engine then calls it once per chunk
+instead of ``phi`` once per row.  ``CauchyLocation.score`` takes such a
+block, so the slope quantities built on the score run as one array
+operation per chunk; a user statistic inside them still runs per row.
 """
 
 from __future__ import annotations
@@ -59,6 +67,14 @@ def check_seed(seed, name: str = "seed") -> int:
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**63:
         raise DomainError(f"{name} must be an integer in [0, 2**63), got {seed!r}")
     return int(seed)
+
+
+def _check_mc_draws(mc_draws) -> int:
+    """``mc_draws`` as an int, a DomainError unless an integer >= 2: the
+    standard error needs two draws."""
+    if isinstance(mc_draws, bool) or not isinstance(mc_draws, (int, np.integer)) or mc_draws < 2:
+        raise DomainError(f"mc_draws must be an integer >= 2, got {mc_draws!r}")
+    return int(mc_draws)
 
 
 def reparam(family: "Family", from_chart: str, to_chart: str, value: float) -> float:
@@ -145,7 +161,16 @@ class Family:
         raise NotImplementedError
 
     def expect(self, theta: float, phi, *, mc_draws: int = DEFAULT_MC_DRAWS, mc_seed: int = 0) -> tuple:
-        """(E_theta[phi(Y)], standard error): quadrature of phi * density, SE 0."""
+        """(E_theta[phi(Y)], standard error): quadrature of phi * density, SE 0.
+
+        An override that draws samples in chunks may hand each chunk to
+        ``phi.block`` when ``phi`` has one: the block form returns the
+        chunk's values, equal to ``phi`` row by row bit for bit.  The slope
+        integrands' block forms call this family's ``score`` on the whole
+        chunk, so the ``score`` of such a family takes a block (m, n) of
+        samples too; a user statistic inside them still runs per row.  The
+        exact engines call ``phi`` once per point.
+        """
         return integrate_real_line(lambda y: phi(y) * self.density(theta, y)), 0.0
 
     def mle(self, y: Sample) -> float:
@@ -410,23 +435,44 @@ class CauchyLocation(Family):
             raise DomainError(f"n must be positive, got {self.n}")
 
     def check_sample(self, y: Sample) -> None:
+        self._observations(y, ndims=(1,))
+
+    def _observations(self, y, ndims: tuple = (1, 2)) -> np.ndarray:
+        """``y`` as floats: one sorted sample (n,) or, where ``ndims`` allows,
+        a block (m, n) of sorted rows, checked in one vectorised pass; a
+        DomainError as for one bad sample otherwise."""
         x = np.asarray(y, dtype=float)
-        if x.shape != (self.n,):
+        if x.ndim not in ndims or x.shape[-1] != self.n:
             raise DomainError(f"expected {self.n} observations, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise DomainError("non-finite observation")
-        if np.any(np.diff(x) < 0):
+        if (x[..., 1:] < x[..., :-1]).any():
             raise DomainError("observations must be sorted ascending")
+        return x
 
     def loglik(self, theta: float, y: Sample) -> float:
         self.check_param(theta)
         self.check_sample(y)
         return float(cauchy_loglik(cauchy_offsets(y, theta))) - self.n * math.log(math.pi)
 
-    def score(self, theta: float, y: Sample) -> float:
+    def score(self, theta: float, y: Sample):
+        """l'(theta) of one sorted sample (n,), or the m scores of a block
+        (m, n) of sorted rows.
+
+        Each row adds its terms 2t / (t^2 + 1) along the last axis of a
+        C-ordered array, with the pairwise loop numpy runs on a 1-D sample,
+        so a block's scores equal per-row calls bit for bit.
+        (``cauchy_score`` of ``cauchy_offsets`` puts the observations on
+        axis 0 and adds them in another order.)
+        """
         self.check_param(theta)
-        self.check_sample(y)
-        return float(cauchy_score(cauchy_offsets(y, theta)))
+        t = np.subtract(self._observations(y), theta, order="C")
+        d = t * t
+        d += 1.0
+        t *= 2.0
+        t /= d  # 2t / (t^2 + 1), in place: a chunk takes two temporaries
+        s = t.sum(axis=-1)
+        return float(s) if t.ndim == 1 else s
 
     def fisher_info(self, theta: float) -> float:
         self.check_param(theta)
@@ -439,13 +485,22 @@ class CauchyLocation(Family):
         return np.sort(x)
 
     def expect(self, theta, phi, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> tuple:
-        """Seeded Monte Carlo: ``mc_draws`` samples from Philox key (mc_seed, 0)."""
+        """Seeded Monte Carlo: ``mc_draws`` samples (an integer >= 2, for the
+        standard error) from Philox key (mc_seed, 0).
+
+        The samples come in chunks of up to 2**14 sorted rows (m, n).  An
+        integrand with a block form gets each chunk whole from
+        ``phi.block``, which returns the m values of ``phi`` bit for bit;
+        any other integrand is called once per row.
+        """
         rng = np.random.Generator(np.random.Philox(key=[check_seed(mc_seed, "mc_seed"), 0]))
-        vals = np.empty(mc_draws)
+        vals = np.empty(_check_mc_draws(mc_draws))
+        block = getattr(phi, "block", None) or (lambda xs: [phi(x) for x in xs])
         for c in range(0, mc_draws, _MC_CHUNK):
             # chunks read the stream in order, so they draw what one call would
-            u = rng.random((min(_MC_CHUNK, mc_draws - c), self.n))
-            vals[c : c + len(u)] = [phi(x) for x in np.sort(theta + np.tan(math.pi * (u - 0.5)), axis=1)]
+            x = rng.random((min(_MC_CHUNK, mc_draws - c), self.n))
+            x = np.sort(theta + np.tan(math.pi * (x - 0.5)), axis=1)
+            vals[c : c + len(x)] = block(x)
         return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mc_draws))
 
     def mle(self, y: Sample) -> float:

@@ -18,6 +18,10 @@ continuous families, and seeded Monte Carlo (with reported standard
 error) for the full Cauchy sample space, which is the only genuinely
 n-dimensional one.  Every slope quantity at theta is a view of one set
 of moments (V(g), E g', E[g * score]), each taken once, on first use.
+On the Monte Carlo chunks the score runs as one array operation per
+chunk: the integrands built here around it (the score's variance,
+E[g * score], the lift's E[u * score]) carry block forms, and a user
+statistic inside them still runs once per row.
 """
 
 from __future__ import annotations
@@ -57,9 +61,27 @@ def expect(
     return (value, se) if return_se else value
 
 
+def _with_block(phi: Callable, block: Callable) -> Callable:
+    """``phi``, carrying ``block``: its values on a chunk (m, n) of samples
+    at once (see ``CauchyLocation.expect``)."""
+    phi.block = block
+    return phi
+
+
+def _per_row(fn: Callable) -> Callable:
+    """The block form that calls ``fn`` on each row of the chunk."""
+    return lambda xs: np.array([fn(x) for x in xs], dtype=float)
+
+
 def variance(f: Family, theta: float, phi: Callable, **kw) -> float:
     m = expect(f, theta, phi, **kw)
-    return expect(f, theta, lambda y: (phi(y) - m) ** 2, **kw)
+    dev2 = lambda y: (phi(y) - m) ** 2
+    block = getattr(phi, "block", None)
+    if block is not None:
+        # float_power calls the C library's pow, as Python's float ** does;
+        # numpy's ** 2 squares, which rounds differently about once in 1,200
+        _with_block(dev2, lambda xs: np.float_power(block(xs) - m, 2))
+    return expect(f, theta, dev2, **kw)
 
 
 @dataclass
@@ -84,11 +106,18 @@ class GenEstimator:
         return self.evaluate(y, theta)
 
     def var(self, theta: float, **kw) -> float:
-        return variance(self.family, theta, lambda y: self.evaluate(y, theta), **kw)
+        return variance(self.family, theta, self._at(theta), **kw)
+
+    def _at(self, theta: float) -> Callable:
+        """y -> g(y, theta) as an integrand.  The score's evaluate takes a
+        chunk of samples whole, so it is its own block form."""
+        phi = lambda y: self.evaluate(y, theta)
+        return _with_block(phi, phi) if self.kind == KIND_SCORE else phi
 
 
 def score_estimator(f: Family) -> GenEstimator:
-    """The score as a generalized estimator (the Lambda-optimal one)."""
+    """The score as a generalized estimator (the Lambda-optimal one); its
+    evaluate takes a block of samples wherever ``f.score`` does."""
     return GenEstimator(family=f, evaluate=lambda y, th: f.score(th, y), kind=KIND_SCORE)
 
 
@@ -119,7 +148,8 @@ def lift_point_estimator(
         # engine is exact, unlike a finite difference of the mean
         @once_per_theta
         def dups(th: float) -> float:
-            return expect(f, th, lambda y: u(y) * f.score(th, y), **kw)
+            rows = _per_row(u)
+            return expect(f, th, _with_block(lambda y: u(y) * f.score(th, y), lambda xs: rows(xs) * f.score(th, xs)), **kw)
 
     est = GenEstimator(family=f, evaluate=lambda y, th: u(y) - ups(th), kind=KIND_LIFTED,
                        deriv=lambda y, th: -dups(th), mean_fn=ups, mean_deriv=dups)
@@ -160,7 +190,12 @@ class _SlopeAt:
 
     @functools.cached_property
     def cov(self) -> float:
-        return self._expect(lambda y: self.g.evaluate(y, self.theta) * self.g.family.score(self.theta, y))
+        th, score, phi = self.theta, self.g.family.score, self.g._at(self.theta)
+        rows = getattr(phi, "block", None) or _per_row(phi)
+        return self._expect(_with_block(lambda y: phi(y) * score(th, y), lambda xs: rows(xs) * score(th, xs)))
+
+    def standardize(self, y) -> float:
+        return self.g.evaluate(y, self.theta) / math.sqrt(self.var)
 
     @property
     def lam(self) -> float:
@@ -189,7 +224,7 @@ class _SlopeAt:
 
 def standardize(g: GenEstimator, theta: float, y, **kw) -> float:
     """g(y, theta) / sqrt(V_theta(g))."""
-    return g.evaluate(y, theta) / math.sqrt(_SlopeAt(g, theta, kw).var)
+    return _SlopeAt(g, theta, kw).standardize(y)
 
 
 def squared_slope(g: GenEstimator, theta: float, **kw) -> float:

@@ -95,6 +95,59 @@ class TestScore:
                 assert fo.score(th, y) == pytest.approx(dp_dth * fp.score(p, y), abs=1e-10)
 
 
+class TestCauchyBlockScore:
+    """CauchyLocation.score on a block (m, n) of sorted rows: each row's score
+    bit for bit, and one bad row fails the block as one bad sample fails."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 15, 16, 129])
+    def test_block_equals_rows_bit_for_bit(self, n):
+        f = sl.CauchyLocation(n)
+        rng = RNG(n)
+        for th in (0.0, 0.37, -2.5):
+            x = np.sort(th + np.tan(np.pi * (rng.random((max(64, 20_000 // n), n)) - 0.5)), axis=1)
+            rows = np.array([f.score(th, r) for r in x])
+            assert f.score(th, x).tobytes() == rows.tobytes()
+            assert isinstance(f.score(th, x[0]), float)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda x: x[:, ::-1],  # every row descending
+            lambda x: np.where(np.arange(x.shape[0])[:, None] == 3, x[:, ::-1], x),  # one row unsorted
+            lambda x: np.where((np.arange(x.size) == 17).reshape(x.shape), np.inf, x),
+            lambda x: np.where((np.arange(x.size) == 33).reshape(x.shape), np.nan, x),
+            lambda x: x[:, 1:],  # width n - 1
+            lambda x: x[None],  # three axes
+        ],
+        ids=["unsorted", "one_row_unsorted", "inf", "nan", "width", "ndim"],
+    )
+    def test_bad_block_raises(self, bad):
+        f = sl.CauchyLocation(5)
+        x = np.sort(RNG(3).standard_cauchy((8, 5)), axis=1)
+        f.score(0.0, x)
+        with pytest.raises(sl.DomainError):
+            f.score(0.0, bad(x))
+
+    def test_one_sample_paths_still_take_one_sample(self):
+        f = sl.CauchyLocation(5)
+        x = np.sort(RNG(4).standard_cauchy((3, 5)), axis=1)
+        for call in (f.check_sample, lambda y: f.loglik(0.0, y)):
+            with pytest.raises(sl.DomainError):
+                call(x)
+
+
+class TestMcDraws:
+    @pytest.mark.parametrize("draws", [0, 1, -3, 2.5, True, np.float64(100.0)])
+    def test_rejected(self, draws):
+        with pytest.raises(sl.DomainError, match="mc_draws"):
+            sl.expect(sl.CauchyLocation(5), 0.0, lambda x: float(x[2]), mc_draws=draws, return_se=True)
+
+    @pytest.mark.parametrize("draws", [2, np.int64(3)])
+    def test_two_draws_give_a_standard_error(self, draws):
+        value, se = sl.expect(sl.CauchyLocation(5), 0.0, lambda x: float(x[2]), mc_draws=draws, return_se=True)
+        assert math.isfinite(value) and math.isfinite(se) and se > 0
+
+
 class TestFisherInfo:
     def test_cauchy_full_sample(self):
         assert sl.CauchyLocation(15).fisher_info(0.0) == 7.5

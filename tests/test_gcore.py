@@ -262,6 +262,93 @@ class TestSlopeReport:
             assert getattr(rep, name).tobytes() == want.tobytes(), name
 
 
+class TestMonteCarloBlocks:
+    """The score-bearing integrands take a Monte Carlo chunk whole; the values
+    stay those of the per-row calls, bit for bit."""
+
+    F = sl.CauchyLocation(15)
+    MED = staticmethod(lambda x: float(x[7]))
+
+    @classmethod
+    def estimators(cls, kw):
+        f = cls.F
+        return {
+            "score": sl.score_estimator(f),
+            "median_closed_form": sl.lift_point_estimator(f, cls.MED, mean_fn=lambda th: th,
+                                                          mean_deriv=lambda th: 1.0),
+            "median_engine_dups": sl.lift_point_estimator(f, cls.MED, mean_fn=lambda th: th, **kw),
+            "custom": sl.GenEstimator(f, lambda x, th: float(x[7]) - th),
+        }
+
+    @staticmethod
+    def everything(g, th, kw):
+        rep = sl.slope_report(g, [th], **kw)
+        x = np.sort(th + np.random.default_rng(1).standard_cauchy(15))
+        values = [getattr(rep, c)[0] for c in ("lam", "rho2", "eff_lambda", "eff_n", "identity_residual")]
+        values += [sl.check_identity(g, th, **kw), sl.standardize(g, th, x, **kw), g.var(th, **kw),
+                   sl.lambda_efficiency(g, th, **kw)]
+        if g.mean_deriv is not None:
+            values.append(g.mean_deriv(th))
+        return [float(v).hex() for v in values]
+
+    @pytest.mark.parametrize("draws", [5000, 16384 + 7])
+    def test_block_forms_equal_their_rows(self, draws, monkeypatch):
+        kw = dict(mc_draws=draws, mc_seed=5)
+        seen = []
+
+        def spy(f, theta, phi, **k):
+            seen.append((theta, phi))
+            return expect(f, theta, phi, **k)
+
+        expect = sl.gcore.expect
+        monkeypatch.setattr(sl.gcore, "expect", spy)
+        for g in self.estimators(kw).values():
+            sl.slope_report(g, [0.4], **kw)
+            g.var(0.4, **kw)
+        blocked = [(th, phi) for th, phi in seen if hasattr(phi, "block")]
+        # V(score) twice, E[score^2] and E[g * score] of each other estimator, E[u * score]
+        assert len(blocked) == 2 + 4 + 1
+        u = np.random.default_rng(draws).random((16384, 15))
+        for th, phi in blocked:
+            stripped = lambda x: phi(x)
+            a = self.F.expect(th, phi, **kw)
+            b = self.F.expect(th, stripped, **kw)
+            assert [v.hex() for v in a] == [v.hex() for v in b]
+            # value by value too: a sum can round a one-ulp difference away
+            x = np.sort(th + np.tan(np.pi * (u - 0.5)), axis=1)
+            assert phi.block(x).tobytes() == np.array([phi(r) for r in x]).tobytes()
+
+    @pytest.mark.parametrize("draws, th, seed", [(5000, 0.4, 5), (16384 + 7, -1.3, 8), (3000, 2.2, 0)])
+    def test_slope_quantities_equal_the_per_row_engine(self, draws, th, seed, monkeypatch):
+        kw = dict(mc_draws=draws, mc_seed=seed)
+        blocked = {k: self.everything(g, th, kw) for k, g in self.estimators(kw).items()}
+        monkeypatch.setattr(sl.gcore, "_with_block", lambda phi, block: phi)
+        per_row = {k: self.everything(g, th, kw) for k, g in self.estimators(kw).items()}
+        assert blocked == per_row
+
+    def test_score_runs_once_per_chunk(self, monkeypatch):
+        calls = []
+        score = sl.CauchyLocation.score
+
+        def counted(self, theta, y):
+            calls.append(np.ndim(y))
+            return score(self, theta, y)
+
+        monkeypatch.setattr(sl.CauchyLocation, "score", counted)
+        med = Counted(self.MED)
+        kw = dict(mc_draws=16384 + 7, mc_seed=1)
+        g = sl.lift_point_estimator(self.F, med, mean_fn=lambda th: th, **kw)
+        sl.slope_report(g, [0.1], **kw)
+        # E[u * score] and E[g * score], two chunks each.  The median runs per
+        # row: twice for V(g), twice for E g' by central differences, once each
+        # for E[g * score] and E[u * score]
+        assert calls == [2] * 4
+        assert med.calls == 6 * (16384 + 7)
+        calls.clear()
+        sl.check_identity(sl.score_estimator(self.F), 0.1, mc_draws=5000)
+        assert calls == [2] * 2
+
+
 class TestInvariance:
     def test_chart_invariance_of_efficiency(self):
         fo = sl.Bernoulli(10, chart="log_odds")
