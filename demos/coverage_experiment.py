@@ -45,7 +45,7 @@ def main() -> None:
     print()
     z995 = float(stats.norm.ppf(0.995))
     for stat in ("signed_root_lrt", "median_standardized"):
-        pairs = sl.qq_data(cfg, stat, summary=summary)
+        pairs = sl.qq_data(summary, stat)
         central = np.abs(pairs[:, 0]) <= z995
         gap = float(np.max(np.abs(pairs[central, 1] - pairs[central, 0])))
         print(f"max central-99% Q-Q gap to the normal, {stat}: {gap:.4f}")

@@ -4,10 +4,17 @@ Emits plot-ready CSVs: the Cauchy median comparison table, the
 Bernoulli efficiency curves, the standardized-score curve families,
 the coverage simulation outputs, and a consistency-check battery.
 
-Exit codes: 0 ok, 1 property failure, 2 numerical failure, 3 usage.
-Every command writes a JSON run manifest (written last) listing its
-outputs, so a rerun with identical flags and seed can be verified
-byte-for-byte.
+Every command runs one pipeline in ``main``: parse the flags (merged
+with a ``--config`` file), create the outputs' parent directory, run
+the command, which formats each table with ``mc.csv_table`` and writes
+it at once, and write the JSON run manifest last.  The manifest lists
+the outputs in the order written, so a rerun with identical flags and
+seed can be verified byte-for-byte.
+
+Exit codes: 0 ok, 1 property failure, 2 numerical failure, 3 usage: a
+flag argparse rejects, reported by argparse, or, each on one ``usage
+error:`` line, a flag value no run can use, a config file that cannot be
+read, or an output path that cannot be created or written.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +47,10 @@ from .mc import (
     BATCH,
     METHODS,
     PAPER_ADJUSTMENTS,
+    QQ_STATISTICS,
     SimConfig,
     bin_by_obs_info,
+    csv_table,
     median_sd,
     qq_data,
     readjust,
@@ -54,33 +64,48 @@ EXIT_NUMERICAL = 2
 EXIT_USAGE = 3
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
+class _UsageError(DomainError):
+    """A flag value no run can use: exit 3 before anything is written."""
 
 
-def _write_csv(path: Path, schema: str, header: list, rows) -> None:
-    lines = [f"#schema={schema}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (int, float, np.floating)) else str(v) for v in row))
-    path.write_text("\r\n".join(lines) + "\r\n")
+class _Run:
+    """One command's outputs, written in order, and its run manifest.
 
+    ``--out`` names a command's one file and ``--out-prefix`` P names
+    P_<part>.csv; the manifest goes beside them, at ``--out`` +
+    ``.manifest.json`` or at P_manifest.json.  Without either (``check``
+    without ``--out``) nothing is written.
+    """
 
-class _Manifest:
-    def __init__(self, command: str, args: argparse.Namespace):
-        self.command = command
-        self.flags = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
+    def __init__(self, args: argparse.Namespace):
+        self.flags = {k: (str(v) if isinstance(v, Path) else v) for k, v in vars(args).items() if k != "func"}
         self.outputs: list = []
         self.telemetry: dict = {}
+        sim = args.command == "cauchy-sim"
+        self.base = Path(args.out_prefix) if sim else args.out
+        self.manifest = None
+        if self.base is not None:
+            if not self.base.name:
+                raise _UsageError(f"output path {str(self.base)!r} names no file")
+            self.manifest = self._beside("_manifest.json" if sim else ".manifest.json")
+            self.base.parent.mkdir(parents=True, exist_ok=True)
         self.t0 = time.time()
 
-    def add(self, path: Path) -> Path:
-        self.outputs.append(str(path))
-        return path
+    def _beside(self, tail: str) -> Path:
+        return self.base.with_name(self.base.name + tail)
 
-    def write(self, path: Path) -> None:
+    def write(self, data: bytes, part: str | None = None) -> None:
+        """Write one output: at ``--out``, or at the prefix's _<part>.csv."""
+        path = self.base if part is None else self._beside(f"_{part}.csv")
+        path.write_bytes(data)
+        self.outputs.append(str(path))
+
+    def finish(self) -> None:
+        if self.manifest is None:
+            return
         doc = {
-            "command": self.command,
-            "flags": {k: (str(v) if isinstance(v, Path) else v) for k, v in self.flags.items()},
+            "command": self.flags["command"],
+            "flags": self.flags,
             "seed": self.flags.get("seed"),
             "version": __version__,
             "outputs": self.outputs,
@@ -88,15 +113,7 @@ class _Manifest:
         }
         if self.telemetry:
             doc["telemetry"] = self.telemetry
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _manifest_path(out: Path) -> Path:
-    return out.with_suffix(out.suffix + ".manifest.json")
-
-
-class _UsageError(DomainError):
-    """A flag value no run can use: exit 3 before anything is written."""
+        self.manifest.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _require_positive(args: argparse.Namespace, *flags: str) -> None:
@@ -110,106 +127,60 @@ def _require_positive(args: argparse.Namespace, *flags: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_table1(args: argparse.Namespace) -> int:
+def cmd_table1(args: argparse.Namespace, run: _Run) -> int:
     ns = range(1, args.n_max + 1, 2)
     if not ns or ns[-1] > 31:
         raise _UsageError(f"--n-max must lie in [1, 31] (the rows are the odd n up to it), got {args.n_max}")
-    man = _Manifest("table1", args)
-    out = Path(args.out)
-    rows = []
-    for n in ns:
-        try:
-            r = cauchy_table_row(n)
-        except QuadratureError as exc:
-            print(f"quadrature failure at row n={n}: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        rows.append(
-            (
-                r.n,
-                r.lam_median,
-                r.lam_median_score,
-                r.lam_full_score,
-                r.eff_median,
-                r.eff_median_score,
-                r.n_median,
-                r.n_median_score,
-                int(r.variance_diverges),
-            )
-        )
-    _write_csv(
-        man.add(out),
-        "slope_lab.table1.v1",
-        [
-            "n",
-            "lambda_median",
-            "lambda_median_score",
-            "lambda_full_score",
-            "eff_median_pct",
-            "eff_median_score_pct",
-            "n_eff_median",
-            "n_eff_median_score",
-            "variance_diverges",
-        ],
-        rows,
-    )
-    man.write(_manifest_path(out))
+    rows = [astuple(cauchy_table_row(n)) for n in ns]
+    header = [
+        "n",
+        "lambda_median",
+        "lambda_median_score",
+        "lambda_full_score",
+        "eff_median_pct",
+        "eff_median_score_pct",
+        "n_eff_median",
+        "n_eff_median_score",
+        "variance_diverges",
+    ]
+    run.write(csv_table("slope_lab.table1.v1", header, zip(*rows)))
     return EXIT_OK
 
 
-def cmd_bernoulli_eff(args: argparse.Namespace) -> int:
+def cmd_bernoulli_eff(args: argparse.Namespace, run: _Run) -> int:
     _require_positive(args, "n", "grid")
-    man = _Manifest("bernoulli-eff", args)
-    out = Path(args.out)
     grid = np.linspace(0.02, 0.98, args.grid)
-    p, e1, e2, e3 = bernoulli_efficiency_curves(args.n, grid)
-    _write_csv(
-        man.add(out),
-        "slope_lab.bernoulli_eff.v1",
-        ["p", "eff_y", "eff_y_times_ym1", "eff_y_squared"],
-        zip(p, e1, e2, e3),
-    )
-    man.write(_manifest_path(out))
+    columns = bernoulli_efficiency_curves(args.n, grid)
+    run.write(csv_table("slope_lab.bernoulli_eff.v1", ["p", "eff_y", "eff_y_times_ym1", "eff_y_squared"], columns))
     return EXIT_OK
 
 
-def cmd_curves(args: argparse.Namespace) -> int:
-    if args.family != "bernoulli":
-        print(f"curves requires a finite sample space; family {args.family!r} unsupported", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_curves(args: argparse.Namespace, run: _Run) -> int:
     _require_positive(args, "n", "grid")
-    man = _Manifest("curves", args)
-    out = Path(args.out)
     f = Bernoulli(args.n, chart=args.param_chart)
     grid = default_grid(f, args.grid)
     s = score_estimator(f)
     rows = []
     for th in grid:
         at = _SlopeAt(s, th, {})  # standardize at theta: the variance is taken once for every y
-        rows.append([th] + [at.standardize(y) for y in range(f.n + 1)])
-    _write_csv(
-        man.add(out),
-        "slope_lab.curves.v1",
-        [args.param_chart] + [f"shat_y{y}" for y in range(f.n + 1)],
-        rows,
-    )
-    man.write(_manifest_path(out))
+        rows.append([at.standardize(y) for y in range(f.n + 1)])
+    header = [args.param_chart] + [f"shat_y{y}" for y in range(f.n + 1)]
+    run.write(csv_table("slope_lab.curves.v1", header, [grid, *zip(*rows)]))
     return EXIT_OK
 
 
-def cmd_cauchy_sim(args: argparse.Namespace) -> int:
-    man = _Manifest("cauchy-sim", args)
+def cmd_cauchy_sim(args: argparse.Namespace, run: _Run) -> int:
     try:
         workers = threads_from_env()
         cfg = SimConfig(n=args.n, reps=args.reps, seed=args.seed)
         median_sd(args.n)  # the Q-Q file's median column needs it finite
-        if not 1 <= args.bins <= args.reps:
-            raise DomainError(f"--bins must lie in [1, --reps={args.reps}], got {args.bins}")
     except DomainError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(str(exc)) from None
+    if not 1 <= args.bins <= args.reps:
+        raise _UsageError(f"--bins must lie in [1, --reps={args.reps}], got {args.bins}")
     summary = run_coverage(cfg, workers=workers)
     summary = readjust(summary, PAPER_ADJUSTMENTS) if args.adjusted else summary
-    man.telemetry = {
+    run.telemetry = {
         "stage_seconds": {k: round(v, 6) for k, v in summary.stage_seconds.items()},
         "counters": summary.counters,
         "failed_replicates": summary.n_failures,
@@ -218,65 +189,31 @@ def cmd_cauchy_sim(args: argparse.Namespace) -> int:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
     }
-    prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
 
-    summary_rows = [
-        (m, summary.coverage_error[m], summary.coverage_se[m], summary.mean_kl_length[m], summary.mean_width[m])
-        for m in METHODS
-    ]
-    _write_csv(
-        man.add(prefix.with_name(prefix.name + "_summary.csv")),
-        "slope_lab.sim_summary.v1",
-        ["method", "coverage_error", "coverage_se", "mean_kl_length", "mean_width"],
-        summary_rows,
-    )
+    columns = [METHODS] + [[getattr(summary, d)[m] for m in METHODS]
+                           for d in ("coverage_error", "coverage_se", "mean_kl_length", "mean_width")]
+    header = ["method", "coverage_error", "coverage_se", "mean_kl_length", "mean_width"]
+    run.write(csv_table("slope_lab.sim_summary.v1", header, columns), "summary")
 
     binned = bin_by_obs_info(summary, args.bins)
-    bin_rows = []
-    for b in range(args.bins):
-        row = [b, binned.edges_lo[b], binned.edges_hi[b], binned.counts[b]]
-        for m in METHODS:
-            row += [binned.coverage_error[m][b], binned.coverage_se[m][b]]
-        bin_rows.append(row)
-    _write_csv(
-        man.add(prefix.with_name(prefix.name + "_bins.csv")),
-        "slope_lab.sim_bins.v1",
-        ["bin", "i_obs_lo", "i_obs_hi", "count"]
-        + [x for m in METHODS for x in (f"err_{m}", f"se_{m}")],
-        bin_rows,
-    )
+    columns = [range(args.bins), binned.edges_lo, binned.edges_hi, binned.counts]
+    header = ["bin", "i_obs_lo", "i_obs_hi", "count"]
+    for m in METHODS:
+        columns += [binned.coverage_error[m], binned.coverage_se[m]]
+        header += [f"err_{m}", f"se_{m}"]
+    run.write(csv_table("slope_lab.sim_bins.v1", header, columns), "bins")
 
-    qq_cols, qq_header = [], []
-    for stat in ("signed_root_lrt", "standardized_score_at_true", "median_standardized"):
-        pairs = qq_data(cfg, stat, summary=summary)
-        if not qq_cols:
-            qq_cols.append(pairs[:, 0])
-            qq_header.append("normal_quantile")
-        qq_cols.append(pairs[:, 1])
-        qq_header.append(stat)
-    _write_csv(
-        man.add(prefix.with_name(prefix.name + "_qq.csv")),
-        "slope_lab.sim_qq.v1",
-        qq_header,
-        zip(*qq_cols),
-    )
+    pairs = [qq_data(summary, stat) for stat in QQ_STATISTICS]
+    columns = [pairs[0][:, 0]] + [p[:, 1] for p in pairs]
+    run.write(csv_table("slope_lab.sim_qq.v1", ["normal_quantile", *QQ_STATISTICS], columns), "qq")
 
-    rep_path = man.add(prefix.with_name(prefix.name + "_replicates.csv"))
-    rep_path.write_bytes(summary.csv_bytes())
-
-    man.write(prefix.with_name(prefix.name + "_manifest.json"))
+    run.write(summary.csv_bytes(), "replicates")
     return EXIT_OK
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    man = _Manifest("check", args)
-    if args.family == "bernoulli":
-        f = Bernoulli(10)
-    else:
-        print(f"check battery supports the bernoulli family, got {args.family!r}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_check(args: argparse.Namespace, run: _Run) -> int:
     _require_positive(args, "grid")
+    f = Bernoulli(10)
     grid = default_grid(f, args.grid)
     failures = []
     results = []
@@ -316,9 +253,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         1e-8,
     )
     if args.out:
-        out = Path(args.out)
-        _write_csv(man.add(out), "slope_lab.check.v1", ["property", "worst", "tol", "ok"], results)
-        man.write(_manifest_path(out))
+        run.write(csv_table("slope_lab.check.v1", ["property", "worst", "tol", "ok"], zip(*results)))
     return EXIT_OK if not failures else EXIT_PROPERTY
 
 
@@ -333,11 +268,15 @@ def _apply_config_file(argv: list) -> list:
         return argv
     i = argv.index("--config")
     if i + 1 == len(argv):
-        raise ValueError("--config needs a file path")
+        raise _UsageError("--config needs a file path")
     path = Path(argv[i + 1])
     rest = argv[:i] + argv[i + 2 :]
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"config file {path} is not UTF-8 text: {exc}") from None
     extra = []
-    for line in path.read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -365,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bernoulli_eff)
 
     p = sub.add_parser("curves", help="standardized score curves over a grid")
-    p.add_argument("--family", default="bernoulli")
+    p.add_argument("--family", default="bernoulli", choices=["bernoulli"])
     p.add_argument("--param-chart", default="p", choices=["p", "log_odds"])
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--grid", type=int, default=97)
@@ -384,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cauchy_sim)
 
     p = sub.add_parser("check", help="identity / bound / invariance battery")
-    p.add_argument("--family", default="bernoulli")
+    p.add_argument("--family", default="bernoulli", choices=["bernoulli"])
     p.add_argument("--grid", type=int, default=41)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=cmd_check)
@@ -395,21 +334,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config_file(argv)
-    except OSError as exc:
-        print(f"cannot read config file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(_apply_config_file(argv))
+        run = _Run(args)
+        code = args.func(args, run)
+        run.finish()
+        return code
+    except SystemExit as exc:  # argparse: --help, --version or a flag it rejects
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except QuadratureError as exc:

@@ -397,7 +397,8 @@ def cauchy_offsets(x, theta) -> np.ndarray:
     samples in the rows of an (m, n) array, with ``theta`` of shape (m,)
     (one point per row) or (m, k) (k points per row).  The result is
     C-ordered, so the sums below add the observations in sample order at
-    every point, however many points there are.
+    every point when there are two or more points; numpy sums a single
+    point's (n, 1) column pairwise, as it sums a single sample.
     """
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)

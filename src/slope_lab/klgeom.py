@@ -24,10 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .families import Family
-from .intervals import Interval
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_CENTER_TOL = 1e-10
+from .intervals import Interval, _bisect
 
 
 def kl_divergence(f: Family, theta1: float, theta2: float) -> float:
@@ -81,32 +78,17 @@ def _bounds(iv) -> tuple:
 
 
 def _smallest_ball(f: Family, iv) -> tuple:
-    """(center, radius) of the smallest KL ball covering the interval:
-    golden-section minimization, one evaluation per step, of max(D(lo||c),
-    D(hi||c)) over c in [lo, hi]; the max over the whole interval reduces
-    to the endpoints by monotonicity of D in the parameter gap."""
+    """(center, radius) of the smallest KL ball covering the interval.
+
+    By monotonicity of D in the parameter gap the worst model in [lo, hi]
+    is an endpoint, and for c in [lo, hi] D(lo||c) rises while D(hi||c)
+    falls; the least of their max is at the unique crossing, which
+    bisection finds to 1e-10."""
     lo, hi = _bounds(iv)
     if lo == hi:
         return lo, 0.0
-
-    def worst(c: float) -> float:
-        return max(kl_divergence(f, lo, c), kl_divergence(f, hi, c))
-
-    a, b = lo, hi
-    c1 = b - _GOLDEN * (b - a)
-    c2 = a + _GOLDEN * (b - a)
-    f1, f2 = worst(c1), worst(c2)
-    while b - a > _CENTER_TOL:
-        if f1 <= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - _GOLDEN * (b - a)
-            f1 = worst(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + _GOLDEN * (b - a)
-            f2 = worst(c2)
-    center = 0.5 * (a + b)
-    return center, worst(center)
+    center = _bisect(lambda c: kl_divergence(f, lo, c) < kl_divergence(f, hi, c), lo, hi)
+    return center, max(kl_divergence(f, lo, center), kl_divergence(f, hi, center))
 
 
 def kl_length(f: Family, iv) -> float:

@@ -1,9 +1,15 @@
 """Seeded Monte Carlo engine for the Cauchy coverage experiment.
 
 Each replicate draws its own counter-based Philox stream keyed by
-(seed, replicate index), so results are bit-identical regardless of how
-replicates are batched or how many worker threads run them.  Replicates
-are processed in vectorized batches: the Philox draw, one certified pass
+(seed, replicate index), and batches are fixed-size, so a given (seed,
+reps) gives the same bytes at any worker count.  A replicate's last bits
+can depend on the replicates that share its arrays.  The likelihood
+kernels hold the n observations on axis 0, and numpy sums an (n, 1)
+array pairwise, as it sums a single sample, but an (n, m >= 2) array in
+sample order.  So a replicate alone in a run's last batch, or the scalar
+``cauchy_mle`` (a batch of one), can differ in the last place from the
+same sample inside a larger batch.  Replicates are processed in
+vectorized batches: the Philox draw, one certified pass
 for the MLE and LRT level set (``cauchy_level_set_batch``), the observed
 information, and the LRT hull's ends are all done on whole batches.  With
 one thread, ``cauchy-sim --raw`` runs about 12,500 replicates/s end to
@@ -101,27 +107,26 @@ class SimSummary:
 
     def csv_bytes(self) -> bytes:
         """Per-replicate table as RFC-4180 CSV."""
-        t = self.replicates
+        names = ("rep", "theta_hat", "i_obs", "hit_we", "hit_wo", "hit_lrt", "kl_we", "kl_wo", "kl_lrt")
+        return csv_table("slope_lab.replicates.v1", names, [self.replicates[c] for c in names])
 
-        def floats(name):
-            return [format(v, ".17g") for v in t[name].tolist()]
 
-        def flags(name):
-            return ["1" if v else "0" for v in t[name].tolist()]
-
-        columns = [
-            [str(v) for v in t["rep"].tolist()],
-            floats("theta_hat"), floats("i_obs"),
-            flags("hit_we"), flags("hit_wo"), flags("hit_lrt"),
-            floats("kl_we"), floats("kl_wo"), floats("kl_lrt"),
-        ]
-        lines = [
-            "#schema=slope_lab.replicates.v1",
-            "rep,theta_hat,i_obs,hit_we,hit_wo,hit_lrt,kl_we,kl_wo,kl_lrt",
-            *map(",".join, zip(*columns)),
-            "",
-        ]
-        return "\r\n".join(lines).encode()
+def csv_table(schema: str, header, columns) -> bytes:
+    """A ``#schema=`` line, the header and the rows of ``columns`` as
+    RFC-4180 CSV with CRLF line ends, formatted column by column: floats
+    to 17 significant digits, bools as 1 and 0, anything else by str."""
+    cells = []
+    for column in columns:
+        column = np.asarray(column)
+        values = column.tolist()
+        if column.dtype.kind == "f":
+            cells.append([format(v, ".17g") for v in values])
+        elif column.dtype.kind == "b":
+            cells.append(["1" if v else "0" for v in values])
+        else:
+            cells.append([str(v) for v in values])
+    lines = [f"#schema={schema}", ",".join(header), *map(",".join, zip(*cells)), ""]
+    return "\r\n".join(lines).encode()
 
 
 _REPLICATE_DTYPE = np.dtype(
@@ -372,26 +377,18 @@ def median_sd(n: int) -> float:
         raise DomainError(f"the median of n={n} Cauchy draws has no variance; n >= 5 is needed") from exc
 
 
-def qq_data(
-    cfg: SimConfig,
-    statistic: str,
-    summary: Optional[SimSummary] = None,
-) -> np.ndarray:
-    """Sorted (normal quantile, empirical quantile) pairs for a statistic.
+def qq_data(summary: SimSummary, statistic: str) -> np.ndarray:
+    """Sorted (normal quantile, empirical quantile) pairs for a statistic
+    of the replicates not failed in ``summary``.
 
     Statistics: the signed root of the LRT estimate at the true value,
     the standardized score at the true value, or the standardized
-    sample median.  A given ``summary`` must have been simulated under
-    ``cfg``, whose ``n`` and ``theta_true`` standardize its columns.
+    sample median.  ``summary.config``'s ``n`` and ``theta_true``
+    standardize the columns; nothing is simulated.
     """
     if statistic not in QQ_STATISTICS:
         raise DomainError(f"unknown statistic {statistic!r}")
-    if summary is not None and summary.config != cfg:
-        raise DomainError(f"summary was simulated under {summary.config}, not {cfg}")
-    if statistic == "median_standardized":
-        sd = median_sd(cfg.n)
-    if summary is None:
-        summary = run_coverage(cfg)
+    cfg = summary.config
     table = summary.replicates[~summary.replicates["failed"]]
     if statistic == "signed_root_lrt":
         vals = np.sign(table["theta_hat"] - cfg.theta_true) * np.sqrt(
@@ -400,7 +397,7 @@ def qq_data(
     elif statistic == "standardized_score_at_true":
         vals = table["score_at_true"] / math.sqrt(cfg.n / 2.0)
     else:
-        vals = (table["median"] - cfg.theta_true) / sd
+        vals = (table["median"] - cfg.theta_true) / median_sd(cfg.n)
     vals = np.sort(vals)
     m = vals.size
     q = ndtri((np.arange(1, m + 1) - 0.5) / m)

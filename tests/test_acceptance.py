@@ -221,10 +221,9 @@ def test_cauchy_mle_oracle():
 
 
 def test_qq_ordering(raw_summary):
-    cfg = raw_summary.config
     gaps = {}
     for stat in ("signed_root_lrt", "median_standardized"):
-        pairs = sl.qq_data(cfg, stat, summary=raw_summary)
+        pairs = sl.qq_data(raw_summary, stat)
         central = np.abs(pairs[:, 0]) <= float(stats.norm.ppf(0.995))
         gaps[stat] = float(np.max(np.abs(pairs[central, 1] - pairs[central, 0])))
     assert gaps["signed_root_lrt"] < gaps["median_standardized"]

@@ -226,6 +226,114 @@ class TestBadInput:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestOutputPaths:
+    @pytest.mark.parametrize(
+        "argv, computation",
+        [
+            (["table1", "--out", "F/t.csv"], "cauchy_table_row"),
+            (["bernoulli-eff", "--out", "F/e.csv"], "bernoulli_efficiency_curves"),
+            (["curves", "--out", "F/sub/c.csv"], "score_estimator"),
+            (["check", "--out", "F/k.csv"], "score_estimator"),
+            (["cauchy-sim", "--reps", "50", "--bins", "2", "--out-prefix", "F/x"], "run_coverage"),
+            (["cauchy-sim", "--reps", "50", "--bins", "2", "--out-prefix", ""], "run_coverage"),
+        ],
+        ids=["table1", "bernoulli-eff", "curves", "check", "cauchy-sim", "cauchy-sim-no-name"],
+    )
+    def test_unusable_output_is_a_usage_error_before_computing(
+        self, argv, computation, tmp_path, monkeypatch, capsys
+    ):
+        # an output under a regular file, or a prefix that names no file
+        blocker = tmp_path / "F"
+        blocker.write_text("a regular file\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, computation, lambda *a, **k: pytest.fail(f"{computation} ran"))
+        assert "usage error:" in assert_usage_error(run(argv), capsys)
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == "a regular file\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["table1", "--n-max", "3"], ["bernoulli-eff", "--grid", "3"], ["curves", "--grid", "3"],
+         ["check", "--grid", "3"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_creates_the_output_directory(self, argv, tmp_path):
+        out = tmp_path / "a" / "b" / "out.csv"
+        assert run([*argv, "--out", str(out)]) == cli.EXIT_OK
+        man = json.loads(out.with_name("out.csv.manifest.json").read_text())
+        assert man["outputs"] == [str(out)]
+
+
+def _csv_by_rows(schema, header, rows):
+    """The row loop that formatted the command line's CSVs before
+    mc.csv_table, kept as the reference its bytes must equal."""
+    lines = [f"#schema={schema}", ",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{float(v):.17g}" if isinstance(v, (int, float, np.floating)) else str(v) for v in row))
+    return ("\r\n".join(lines) + "\r\n").encode()
+
+
+_SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -1e-300, 5e-324, 1.7976931348623157e308, 0.1, 1.0 / 3.0]
+
+
+def _column(kind, m, rng):
+    """One column of m values of a kind the commands write; float columns
+    start with the special values."""
+    x = np.concatenate([_SPECIAL, rng.normal(size=m - len(_SPECIAL)) * 10.0 ** rng.integers(-30, 30, m - len(_SPECIAL))])
+    return {
+        "float_array": x,
+        "float_list": x.tolist(),
+        "np_float_list": list(x),
+        "int_range": range(m),
+        "int_list": [int(v) for v in rng.integers(-1000, 1000, m)],
+        "int64_array": rng.integers(0, 10**6, m),
+        "bool_list": [bool(v) for v in rng.integers(0, 2, m)],
+        "np_bool_list": list(rng.integers(0, 2, m) == 1),
+        "bool_array": rng.integers(0, 2, m) == 1,
+        "str": [f"name_{i}" for i in range(m)],
+    }[kind]
+
+
+# each table's column kinds, as the commands pass them to csv_table
+_TABLES = {
+    "table1": ["int_list"] + ["float_list"] * 7 + ["bool_list"],
+    "bernoulli_eff": ["float_array"] * 4,
+    "curves": ["float_array"] + ["float_list"] * 6,
+    "sim_summary": ["str"] + ["float_list"] * 4,
+    "sim_bins": ["int_range", "float_array", "float_array", "int64_array"] + ["float_array"] * 6,
+    "sim_qq": ["float_array"] * 4,
+    "replicates": ["int64_array", "float_array", "float_array"] + ["bool_array"] * 3 + ["float_array"] * 3,
+    "check": ["str", "np_float_list", "float_list", "np_bool_list"],
+    "all_kinds": ["float_array", "float_list", "np_float_list", "int_range", "int_list", "int64_array",
+                  "bool_list", "np_bool_list", "bool_array", "str"],
+}
+
+
+@pytest.mark.parametrize("table", sorted(_TABLES))
+def test_csv_table_matches_row_loop(table):
+    rng = np.random.default_rng(len(table))
+    m = 40
+    columns = [_column(kind, m, rng) for kind in _TABLES[table]]
+    header = [f"c{j}" for j in range(len(columns))]
+    # the row loop was given ints where a table holds flags (int(ok)),
+    # since it wrote a numpy bool as True or False
+    rows = [[int(v) if isinstance(v, (bool, np.bool_)) else v for v in row] for row in zip(*columns)]
+    got = slope_lab.mc.csv_table(f"slope_lab.{table}.v1", header, columns)
+    assert got == _csv_by_rows(f"slope_lab.{table}.v1", header, rows)
+
+
+def test_csv_table_special_values():
+    data = slope_lab.mc.csv_table(
+        "s", ["f", "i", "i64", "b", "nb", "s"],
+        [[np.nan, np.inf, -np.inf, -0.0, 1e-300], [1, 2, 3, 4, 5], np.arange(5, dtype=np.int64),
+         [True, False, True, False, True], np.array([0, 1, 0, 1, 0]) == 1, list("abcde")],
+    ).decode()
+    assert data.split("\r\n")[2:-1] == [
+        "nan,1,0,1,0,a", "inf,2,1,0,1,b", "-inf,3,2,1,0,c", "-0,4,3,0,1,d", "1e-300,5,4,1,0,e",
+    ]
+    assert data.endswith("\r\n")
+
+
 class TestCheck:
     def test_passes_and_prints(self, tmp_path, capsys):
         out = tmp_path / "check.csv"
@@ -261,6 +369,13 @@ class TestConfigAndUsage:
 
     def test_missing_config(self):
         assert run(["table1", "--config", "/nonexistent.cfg", "--out", "x.csv"]) == cli.EXIT_USAGE
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_bytes(b"\xff\xfe n_max=3\n")
+        code = run(["table1", "--config", str(cfgfile), "--out", str(tmp_path / "t.csv")])
+        assert "UTF-8" in assert_usage_error(code, capsys)
+        assert list(tmp_path.iterdir()) == [cfgfile]
 
     def test_unknown_command(self):
         assert run(["frobnicate"]) == cli.EXIT_USAGE

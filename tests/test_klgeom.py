@@ -155,3 +155,11 @@ class TestKlLength:
         ps = np.linspace(0.3, 0.95, 30)
         d = [sl.kl_divergence(f, p, 0.3) for p in ps[1:]]
         assert all(a < b for a, b in zip(d, d[1:]))
+        # the smallest ball's center is the crossing of D(lo||c) and
+        # D(hi||c): D(p1||c) must grow as c moves away from p1 either way
+        above = np.linspace(0.3, 0.95, 30)[1:]
+        d = [sl.kl_divergence(f, 0.3, c) for c in above]
+        assert all(a < b for a, b in zip(d, d[1:]))
+        below = np.linspace(0.3, 0.02, 30)[1:]
+        d = [sl.kl_divergence(f, 0.3, c) for c in below]
+        assert all(a < b for a, b in zip(d, d[1:]))

@@ -316,29 +316,23 @@ class TestBins:
 class TestQq:
     def test_shapes_and_sorting(self, small_summary):
         for stat in sl.mc.QQ_STATISTICS:
-            pairs = sl.qq_data(CFG_SMALL, stat, summary=small_summary)
+            pairs = sl.qq_data(small_summary, stat)
             assert pairs.shape == (CFG_SMALL.reps, 2)
             assert np.all(np.diff(pairs[:, 0]) > 0)
             assert np.all(np.diff(pairs[:, 1]) >= 0)
 
     def test_unknown_statistic(self, small_summary):
         with pytest.raises(sl.DomainError):
-            sl.qq_data(CFG_SMALL, "nope", summary=small_summary)
+            sl.qq_data(small_summary, "nope")
 
     @pytest.mark.parametrize("n", [1, 3, 4])
-    def test_median_needs_n_at_least_5_before_simulating(self, n, monkeypatch):
-        monkeypatch.setattr(sl.mc, "run_coverage", lambda *a, **k: pytest.fail("simulated"))
+    def test_median_needs_n_at_least_5_before_simulating(self, n, small_summary):
+        summary = dataclasses.replace(small_summary, config=dataclasses.replace(CFG_SMALL, n=n))
         with pytest.raises(sl.DomainError, match=f"n={n}"):
-            sl.qq_data(sl.SimConfig(n=n, reps=20, seed=0), "median_standardized")
-
-    def test_summary_from_another_config_is_rejected(self, small_summary):
-        # an n = 15 summary must not be standardized with n = 5's median SD
-        with pytest.raises(sl.DomainError, match="simulated under"):
-            sl.qq_data(sl.SimConfig(n=5, reps=CFG_SMALL.reps, theta_true=2.0), "median_standardized",
-                       summary=small_summary)
+            sl.qq_data(summary, "median_standardized")
 
     def test_signed_root_lrt_close_to_normal(self, small_summary):
-        pairs = sl.qq_data(CFG_SMALL, "signed_root_lrt", summary=small_summary)
+        pairs = sl.qq_data(small_summary, "signed_root_lrt")
         # interquartile band hugs the diagonal
         mask = np.abs(pairs[:, 0]) < 1.0
         assert np.max(np.abs(pairs[mask, 0] - pairs[mask, 1])) < 0.15
