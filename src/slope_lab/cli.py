@@ -5,7 +5,8 @@ Bernoulli efficiency curves, the standardized-score curve families,
 the coverage simulation outputs, and a consistency-check battery.
 
 Every command runs one pipeline in ``main``: parse the flags (merged
-with a ``--config`` file), create the outputs' parent directory, run
+with a ``--config`` file), refuse an output path that is an existing
+directory, create the outputs' parent directory, run
 the command, which formats each table with ``mc.csv_table`` and writes
 it at once, and write the JSON run manifest last.  The manifest lists
 the outputs in the order written, so a rerun with identical flags and
@@ -68,13 +69,19 @@ class _UsageError(DomainError):
     """A flag value no run can use: exit 3 before anything is written."""
 
 
+# The cauchy-sim outputs, P_<part>.csv for --out-prefix P.
+SIM_PARTS = ("summary", "bins", "qq", "replicates")
+
+
 class _Run:
     """One command's outputs, written in order, and its run manifest.
 
     ``--out`` names a command's one file and ``--out-prefix`` P names
-    P_<part>.csv; the manifest goes beside them, at ``--out`` +
-    ``.manifest.json`` or at P_manifest.json.  Without either (``check``
-    without ``--out``) nothing is written.
+    P_<part>.csv for each of SIM_PARTS; the manifest goes beside them, at
+    ``--out`` + ``.manifest.json`` or at P_manifest.json.  Without either
+    (``check`` without ``--out``) nothing is written.  Every path is
+    known, and refused if it is an existing directory, before the
+    command runs.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -83,11 +90,16 @@ class _Run:
         self.telemetry: dict = {}
         sim = args.command == "cauchy-sim"
         self.base = Path(args.out_prefix) if sim else args.out
+        self.paths: dict = {}
         self.manifest = None
         if self.base is not None:
             if not self.base.name:
                 raise _UsageError(f"output path {str(self.base)!r} names no file")
+            self.paths = {part: self._beside(f"_{part}.csv") for part in SIM_PARTS} if sim else {None: self.base}
             self.manifest = self._beside("_manifest.json" if sim else ".manifest.json")
+            for path in [*self.paths.values(), self.manifest]:
+                if path.is_dir():
+                    raise _UsageError(f"output path {str(path)!r} is a directory")
             self.base.parent.mkdir(parents=True, exist_ok=True)
         self.t0 = time.time()
 
@@ -96,7 +108,7 @@ class _Run:
 
     def write(self, data: bytes, part: str | None = None) -> None:
         """Write one output: at ``--out``, or at the prefix's _<part>.csv."""
-        path = self.base if part is None else self._beside(f"_{part}.csv")
+        path = self.paths[part]  # a part outside SIM_PARTS is a KeyError
         path.write_bytes(data)
         self.outputs.append(str(path))
 

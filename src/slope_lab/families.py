@@ -39,6 +39,7 @@ operation per chunk; a user statistic inside them still runs per row.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -47,7 +48,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import BracketError, CertificateError, DivergentIntegralError, DomainError
-from .quadrature import integrate_real_line, integrate_real_line_or_divergent
+from .quadrature import integrate_real_line
 
 Sample = Union[int, float, np.ndarray, tuple]
 DEFAULT_MC_DRAWS = 10**6
@@ -637,37 +638,38 @@ class BivariateNormalSlice(Family):
         return total / (2.0 * math.pi), 0.0
 
 
-# Module-level cache: the median information and variance are pure
-# functions of k and each costs an adaptive quadrature.
-_MEDIAN_INFO_CACHE: dict = {}
-_MEDIAN_VAR_CACHE: dict = {}
+# The median information and variance are pure functions of k and each
+# costs an adaptive quadrature, so each k is integrated once per process.
 
 
+@functools.cache
 def median_fisher_info(k: int) -> float:
     """Fisher information of the median law, by quadrature."""
-    if k not in _MEDIAN_INFO_CACHE:
-        def integrand(t: float) -> float:
-            return _median_dlog_dtheta(k, np.asarray(t)) ** 2 * median_density(k, t, 0.0)
 
-        _MEDIAN_INFO_CACHE[k] = integrate_real_line(integrand)
-    return _MEDIAN_INFO_CACHE[k]
+    def integrand(t: float) -> float:
+        return _median_dlog_dtheta(k, np.asarray(t)) ** 2 * median_density(k, t, 0.0)
+
+    return integrate_real_line(integrand)
 
 
+@functools.cache
 def median_variance(k: int) -> float:
-    """Variance of the median law; raises DivergentIntegralError for k < 2.
+    """Variance of the median law, by quadrature; finite iff k >= 2.
 
-    The divergence is cached like a value, so a repeated call for k < 2
-    raises again without rerunning the truncation ladder.
+    The median of 2k+1 standard Cauchy draws has density proportional to
+    F^k (1 - F)^k f, with F and f the Cauchy cdf and density.  As
+    1 - F ~ 1/(pi z) and f ~ 1/(pi z^2), its tails fall as |z|^-(k+2), so
+    z^2 times it is integrable iff k >= 2, a sample of at least 5 (Rider
+    1960).  For k = 0 and 1 this raises DivergentIntegralError by that
+    rule, without integrating.  For k >= 2, z^2 f_med(z) (1 + z^2) is
+    bounded, so the integrand after the tangent substitution is too.
     """
-    if k not in _MEDIAN_VAR_CACHE:
-        def integrand(t: float) -> float:
-            return t * t * median_density(k, t, 0.0)
+    if k in (0, 1):
+        raise DivergentIntegralError(
+            f"the median of {2 * k + 1} Cauchy draws has no variance: its tails fall as |z|^-{k + 2}"
+        )
 
-        try:
-            _MEDIAN_VAR_CACHE[k] = integrate_real_line_or_divergent(integrand)
-        except DivergentIntegralError as exc:
-            _MEDIAN_VAR_CACHE[k] = exc
-    value = _MEDIAN_VAR_CACHE[k]
-    if isinstance(value, DivergentIntegralError):
-        raise DivergentIntegralError(*value.args)
-    return value
+    def integrand(t: float) -> float:
+        return t * t * median_density(k, t, 0.0)
+
+    return integrate_real_line(integrand)

@@ -252,6 +252,33 @@ class TestOutputPaths:
         assert blocker.read_text() == "a regular file\n"
 
     @pytest.mark.parametrize(
+        "argv, computation, directory",
+        [
+            pytest.param(["table1", "--out", "t.csv"], "cauchy_table_row", d, id=f"table1-{d}")
+            for d in ["t.csv", "t.csv.manifest.json"]
+        ]
+        + [
+            pytest.param(["bernoulli-eff", "--out", "e.csv"], "bernoulli_efficiency_curves", "e.csv", id="bernoulli-eff"),
+            pytest.param(["curves", "--out", "c.csv"], "score_estimator", "c.csv", id="curves"),
+            pytest.param(["check", "--out", "k.csv"], "score_estimator", "k.csv", id="check"),
+        ]
+        + [
+            pytest.param(["cauchy-sim", "--reps", "50", "--bins", "2", "--out-prefix", "x"], "run_coverage", d,
+                         id=f"cauchy-sim-{d}")
+            for d in ["x_summary.csv", "x_bins.csv", "x_qq.csv", "x_replicates.csv", "x_manifest.json"]
+        ],
+    )
+    def test_output_that_is_a_directory_is_refused_before_computing(
+        self, argv, computation, directory, tmp_path, monkeypatch, capsys
+    ):
+        (tmp_path / directory).mkdir()
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, computation, lambda *a, **k: pytest.fail(f"{computation} ran"))
+        assert "is a directory" in assert_usage_error(run(argv), capsys)
+        assert list(tmp_path.iterdir()) == [tmp_path / directory]
+        assert list((tmp_path / directory).iterdir()) == []
+
+    @pytest.mark.parametrize(
         "argv",
         [["table1", "--n-max", "3"], ["bernoulli-eff", "--grid", "3"], ["curves", "--grid", "3"],
          ["check", "--grid", "3"]],
@@ -386,10 +413,13 @@ class TestConfigAndUsage:
 
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes about a third of the package's import time, which
-    # every command pays
+    # every command pays; the exact Bernoulli interval needs none of it either
     src = str(Path(slope_lab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, slope_lab; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, slope_lab; slope_lab.exact_bernoulli_interval(10, 3, 0.05); "
+        "print('scipy.stats' in sys.modules)"
+    )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"

@@ -277,14 +277,23 @@ class TestWald:
 
 
 class TestExactBernoulli:
-    @pytest.mark.parametrize("y", range(11))
-    def test_clopper_pearson_beta_oracle(self, y):
-        n, alpha = 10, 0.05
+    @pytest.mark.parametrize(
+        "n, y",
+        [pytest.param(n, y, id=str(y) if n == 10 else f"n{n}-{y}") for n in (1, 5, 10, 40) for y in range(n + 1)],
+    )
+    def test_clopper_pearson_beta_oracle(self, n, y):
+        alpha = 0.05
         iv = sl.exact_bernoulli_interval(n, y, alpha)
         lo = 0.0 if y == 0 else stats.beta.ppf(alpha / 2, y, n - y + 1)
         hi = 1.0 if y == n else stats.beta.ppf(1 - alpha / 2, y + 1, n - y)
         assert iv.lo == pytest.approx(lo, abs=1e-8)
         assert iv.hi == pytest.approx(hi, abs=1e-8)
+        # beta.ppf shares its inverse with the code; the binomial tails are
+        # a forward evaluation that checks each end independently
+        if y > 0:
+            assert stats.binom.sf(y - 1, n, iv.lo) == pytest.approx(alpha / 2, rel=1e-9)
+        if y < n:
+            assert stats.binom.cdf(y, n, iv.hi) == pytest.approx(alpha / 2, rel=1e-9)
 
     def test_symmetry(self):
         a = sl.exact_bernoulli_interval(10, 3, 0.05)
