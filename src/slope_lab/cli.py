@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import astuple
@@ -85,16 +86,18 @@ class _Run:
     """
 
     def __init__(self, args: argparse.Namespace):
-        self.flags = {k: (str(v) if isinstance(v, Path) else v) for k, v in vars(args).items() if k != "func"}
+        self.flags = {k: v for k, v in vars(args).items() if k != "func"}
         self.outputs: list = []
         self.telemetry: dict = {}
         sim = args.command == "cauchy-sim"
-        self.base = Path(args.out_prefix) if sim else args.out
+        out = args.out_prefix if sim else args.out
+        self.base = None if out is None else Path(out)
         self.paths: dict = {}
         self.manifest = None
         if self.base is not None:
-            if not self.base.name:
-                raise _UsageError(f"output path {str(self.base)!r} names no file")
+            # Path("sub/") is Path("sub"): the slash would be lost, not obeyed
+            if not self.base.name or out.endswith(("/", os.sep)):
+                raise _UsageError(f"output path {out!r} names no file")
             self.paths = {part: self._beside(f"_{part}.csv") for part in SIM_PARTS} if sim else {None: self.base}
             self.manifest = self._beside("_manifest.json" if sim else ".manifest.json")
             for path in [*self.paths.values(), self.manifest]:
@@ -306,13 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="Cauchy median comparison table")
     p.add_argument("--n-max", type=int, default=31)
-    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--out", type=str, required=True)
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("bernoulli-eff", help="Bernoulli efficiency curves")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--grid", type=int, default=97)
-    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--out", type=str, required=True)
     p.set_defaults(func=cmd_bernoulli_eff)
 
     p = sub.add_parser("curves", help="standardized score curves over a grid")
@@ -320,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param-chart", default="p", choices=["p", "log_odds"])
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--grid", type=int, default=97)
-    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--out", type=str, required=True)
     p.set_defaults(func=cmd_curves)
 
     p = sub.add_parser("cauchy-sim", help="seeded Cauchy coverage simulation")
@@ -337,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="identity / bound / invariance battery")
     p.add_argument("--family", default="bernoulli", choices=["bernoulli"])
     p.add_argument("--grid", type=int, default=41)
-    p.add_argument("--out", type=Path, default=None)
+    p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_check)
 
     return parser

@@ -191,6 +191,13 @@ class _SlopeAt:
     @functools.cached_property
     def cov(self) -> float:
         th, score, phi = self.theta, self.g.family.score, self.g._at(self.theta)
+        if self.g.kind == KIND_SCORE:
+            # g is the score: one score per chunk, squared
+            def square(y):
+                s = score(th, y)
+                return s * s
+
+            return self._expect(_with_block(square, square))
         rows = getattr(phi, "block", None) or _per_row(phi)
         return self._expect(_with_block(lambda y: phi(y) * score(th, y), lambda xs: rows(xs) * score(th, xs)))
 

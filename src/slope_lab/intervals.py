@@ -15,7 +15,7 @@ Four constructions:
 The Cauchy likelihood can be multimodal.  Its local maxima all lie in
 the unit windows [x_i - 1, x_i + 1] around the observations, because
 l'' < 0 needs some |x_i - theta| < 1.  ``cauchy_level_set_batch`` scans
-those windows on a 0.1 lattice, bisects the sign changes of the score,
+those windows on a 0.2 lattice, bisects the sign changes of the score,
 and certifies cell by cell, from l'' in [-2n, n/4] and
 |l'''| <= (3/2 + sqrt 2) n, that no cell holds a better maximum, or a
 stationary point above the LRT level not bisected: a finite MLE is the
@@ -79,11 +79,15 @@ class Interval:
 # ---------------------------------------------------------------------------
 
 
-# Lattice step of the scan: 21 lattice points per unit window.
-_CELL = 0.1
-# Lattice points laid per window, from below x_i - 1 - _CELL to past
-# x_i + 1 + _CELL, so rounding in floor() cannot leave a window edge bare.
-_WINDOW_POINTS = 24
+# Lattice step of the scan: 11 lattice points per unit window.  Any step
+# is certified, since a cell no test closes is halved.  Of 0.1, 0.2, 0.25
+# and 0.5, 0.2 is the coarsest that still certifies the flat maximum of
+# x = (-1, 1); coarser steps save lattice points but hit the halving caps.
+_CELL = 0.2
+# Lattice points laid per window, 2 / _CELL + 4, from below x_i - 1 - _CELL
+# to past x_i + 1 + _CELL, so rounding in floor() cannot leave a window
+# edge bare.
+_WINDOW_POINTS = 14
 _BISECTIONS = 64
 _MAX_HALVINGS = 40
 # Open cells a sample may have at once: rounding hides the score's sign on
@@ -125,8 +129,8 @@ def cauchy_level_set_batch(x, drop: float, counters: Optional[MleCounters] = Non
       [x_i - 1, x_i + 1], because l'' = sum 2(t_i^2 - 1)/(t_i^2 + 1)^2,
       t_i = x_i - theta, is negative only if some |t_i| < 1; so each gap
       between windows, where l is convex, holds at most one minimum.
-    * The windows are covered by the cells of a lattice of step h = 0.1
-      (21 points per window, shared where windows overlap); a cell that
+    * The windows are covered by the cells of a lattice of step h = 0.2
+      (11 points per window, shared where windows overlap); a cell that
       skips lattice points spans a gap.  Every cell whose end scores go
       from + to - is bisected, all at once, down to adjacent floats, to a
       maximum; then so is every cell whose end scores go from - to +, to
@@ -226,25 +230,31 @@ def cauchy_level_set_batch(x, drop: float, counters: Optional[MleCounters] = Non
 def cauchy_level_set_ends(x, outer: np.ndarray, target: np.ndarray):
     """Ends (lo, hi) of the hull of {theta : l(theta) > target} per row:
     past its outermost maxima ``outer``, l > target on one interval, so
-    a step of 0.5, doubled while inside, brackets each for 55 bisections."""
-    ends = []
-    for sgn, start in zip((-1.0, 1.0), outer):
-        d = np.full(x.shape[0], 0.5)
+    a step of 0.5, doubled while inside, brackets each for 55 bisections.
+    Both ends go through one loop, on ``x`` stacked twice: lo from
+    outer[0] downward in the first half, hi from outer[1] upward in the
+    second.  Each row's steps are those of its own end alone."""
+    m = x.shape[0]
+    x = np.concatenate([x, x])
+    start = np.concatenate(outer)
+    target = np.concatenate([target, target])
+    sgn = np.repeat([-1.0, 1.0], m)
+    d = np.full(2 * m, 0.5)
+    far = start + sgn * d
+    for _ in range(200):
+        inside = cauchy_loglik(cauchy_offsets(x, far)) > target
+        if not inside.any():
+            break
+        d = np.where(inside, d * 2.0, d)
         far = start + sgn * d
-        for _ in range(200):
-            inside = cauchy_loglik(cauchy_offsets(x, far)) > target
-            if not inside.any():
-                break
-            d = np.where(inside, d * 2.0, d)
-            far = start + sgn * d
-        lo_b, hi_b = start, far
-        for _ in range(55):
-            mid = 0.5 * (lo_b + hi_b)
-            keep = cauchy_loglik(cauchy_offsets(x, mid)) > target
-            lo_b = np.where(keep, mid, lo_b)
-            hi_b = np.where(keep, hi_b, mid)
-        ends.append(0.5 * (lo_b + hi_b))
-    return ends[0], ends[1]
+    lo_b, hi_b = start, far
+    for _ in range(55):
+        mid = 0.5 * (lo_b + hi_b)
+        keep = cauchy_loglik(cauchy_offsets(x, mid)) > target
+        lo_b = np.where(keep, mid, lo_b)
+        hi_b = np.where(keep, hi_b, mid)
+    ends = 0.5 * (lo_b + hi_b)
+    return ends[:m], ends[m:]
 
 
 def _loglik_score_at(x: np.ndarray, row: np.ndarray, theta: np.ndarray):

@@ -12,11 +12,10 @@ same sample inside a larger batch.  Replicates are processed in
 vectorized batches: the Philox draw, one certified pass
 for the MLE and LRT level set (``cauchy_level_set_batch``), the observed
 information, and the LRT hull's ends are all done on whole batches.  With
-one thread, ``cauchy-sim --raw`` runs about 12,500 replicates/s end to
+one thread, ``cauchy-sim --raw`` runs about 17,000 replicates/s end to
 end at the benchmark's reference speed (``bench/`` workload
-``coverage``).  On a 2-core Xeon VM whose speed drifts by up to 2x over
-minutes, it ran 8,000-16,000 replicates/s, and ``run_coverage`` took
-5.5-10 s for 100,000 replicates, about 85% of it in the MLE.
+``coverage``).  Of a one-thread ``run_coverage`` on 100,000 replicates,
+about 75% goes to the MLE pass and about 22% to the LRT hull's ends.
 
 The per-replicate table records everything the downstream projections
 need (coverage flags, KL lengths, observed information, and the raw

@@ -236,13 +236,17 @@ class TestOutputPaths:
             (["check", "--out", "F/k.csv"], "score_estimator"),
             (["cauchy-sim", "--reps", "50", "--bins", "2", "--out-prefix", "F/x"], "run_coverage"),
             (["cauchy-sim", "--reps", "50", "--bins", "2", "--out-prefix", ""], "run_coverage"),
+            # a trailing separator names a directory: Path would drop it
+            (["cauchy-sim", "--reps", "50", "--bins", "2", "--out-prefix", "sub/"], "run_coverage"),
+            (["table1", "--out", "t/"], "cauchy_table_row"),
         ],
-        ids=["table1", "bernoulli-eff", "curves", "check", "cauchy-sim", "cauchy-sim-no-name"],
+        ids=["table1", "bernoulli-eff", "curves", "check", "cauchy-sim", "cauchy-sim-no-name",
+             "cauchy-sim-trailing-slash", "table1-trailing-slash"],
     )
     def test_unusable_output_is_a_usage_error_before_computing(
         self, argv, computation, tmp_path, monkeypatch, capsys
     ):
-        # an output under a regular file, or a prefix that names no file
+        # an output under a regular file, or a path that names no file
         blocker = tmp_path / "F"
         blocker.write_text("a regular file\n")
         monkeypatch.chdir(tmp_path)

@@ -87,6 +87,18 @@ class TestCauchyMle:
             sl.cauchy_mle([0.0, np.inf])
 
 
+def test_flat_stationary_point_sample_certifies():
+    # l = -2 log 2 - log(1 + theta^4 / 4) for x = (-1, 1): l'' = 0 at the
+    # maximum theta = 0, where rounding hides the score's sign over a
+    # stretch of about 1e-5; the certificate must still close it
+    x = np.array([-1.0, 1.0])
+    th = sl.cauchy_mle(x)
+    assert math.isfinite(th) and abs(th) <= 1e-4
+    grid = (x[:, None] + np.linspace(-1.0, 1.0, 20_001)[None, :]).ravel()
+    ll = -np.log1p((x[0] - grid) ** 2) - np.log1p((x[1] - grid) ** 2)
+    assert -np.sum(np.log1p((x - th) ** 2)) >= ll.max() - 1e-12
+
+
 class TestFamilyMle:
     def test_bernoulli_p(self):
         assert sl.family_mle(sl.Bernoulli(10), 3) == pytest.approx(0.3)
