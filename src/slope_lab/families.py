@@ -9,6 +9,7 @@ Four concrete families are provided:
   reduced to the sufficient mean ``xbar``.
 * ``CauchyLocation(n)`` -- standard Cauchy shifted by theta; no
   sufficient reduction exists, the sample is the full sorted vector.
+  Its formulas, draws, MLE and LRT level set are those of ``cauchy``.
 * ``CauchyMedian(k)`` -- the sampling law of the median of 2k+1
   standard Cauchy observations.
 
@@ -26,7 +27,8 @@ A new family is one new class here, with ``check_sample``, ``loglik``,
 integrates it by quadrature) or its own ``expect``; ``mle`` and ``kl``
 serve LRT intervals and KL lengths.  ``observed_info`` (a central
 difference of the score), ``sup_loglik`` (l at the MLE) and
-``reference_info`` (the Fisher information) have base defaults.
+``reference_info`` (the Fisher information) have base defaults, and so
+has ``lrt_hull``, by ``_bisect``, which ``intervals`` and ``klgeom`` share.
 
 A Monte Carlo ``expect`` (``CauchyLocation``'s) draws its samples in
 chunks.  An integrand may carry a block form, ``phi.block``, which takes
@@ -42,17 +44,21 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import BracketError, CertificateError, DivergentIntegralError, DomainError
+from .cauchy import (cauchy_level_set_ends, cauchy_loglik, cauchy_mle, cauchy_obs_info, cauchy_offsets,
+                     cauchy_score, cauchy_sorted_draws, certified_level_set)
+from .errors import BracketError, DivergentIntegralError, DomainError
 from .quadrature import integrate_real_line
 
 Sample = Union[int, float, np.ndarray, tuple]
 DEFAULT_MC_DRAWS = 10**6
 _MC_CHUNK = 1 << 14  # Monte Carlo samples drawn and held at once
+_THETA_TOL = 1e-10
+_MAX_DOUBLINGS = 60
 
 CHART_P = "p"
 CHART_LOG_ODDS = "log_odds"
@@ -76,6 +82,18 @@ def _check_mc_draws(mc_draws) -> int:
     if isinstance(mc_draws, bool) or not isinstance(mc_draws, (int, np.integer)) or mc_draws < 2:
         raise DomainError(f"mc_draws must be an integer >= 2, got {mc_draws!r}")
     return int(mc_draws)
+
+
+def _bisect(keep: Callable, a: float, b: float) -> float:
+    """Midpoint of [a, b] (in either order) shrunk below _THETA_TOL; the
+    midpoint replaces a where ``keep`` holds there and b where it does not."""
+    while abs(b - a) > _THETA_TOL:
+        mid = 0.5 * (a + b)
+        if keep(mid):
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
 
 
 def reparam(family: "Family", from_chart: str, to_chart: str, value: float) -> float:
@@ -190,8 +208,6 @@ class Family:
         steps from the MLE that double (or halve the way to a finite end of
         the domain) until l falls below the level, then bisection.  Exact
         for a unimodal likelihood, whose level set is one interval."""
-        from .intervals import _MAX_DOUBLINGS, _bisect  # intervals imports this module
-
         target = sup_loglik - drop
         ends = []
         for sgn, dom in zip((-1.0, 1.0), self.param_domain()):
@@ -386,46 +402,6 @@ class NormalLocation(Family):
         return self.n * d * d / (2.0 * self.sigma**2)
 
 
-# The Cauchy location log-likelihood and its derivatives, for one sample
-# or many at once.  Each takes the offsets t = x_i - theta from
-# cauchy_offsets, so one offset array serves several of them.
-
-
-def cauchy_offsets(x, theta) -> np.ndarray:
-    """x_i - theta, with the observations along axis 0.
-
-    ``x`` is one sample of shape (n,), with ``theta`` of any shape, or
-    samples in the rows of an (m, n) array, with ``theta`` of shape (m,)
-    (one point per row) or (m, k) (k points per row).  The result is
-    C-ordered, so the sums below add the observations in sample order at
-    every point when there are two or more points; numpy sums a single
-    point's (n, 1) column pairwise, as it sums a single sample.
-    """
-    x = np.asarray(x, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    xt = x.T[(Ellipsis,) + (None,) * (theta.ndim - x.ndim + 1)]
-    return np.subtract(xt, theta, order="C")
-
-
-def cauchy_loglik(t: np.ndarray) -> np.ndarray:
-    """Log-likelihood -sum log(1 + t^2), without the constant -n log(pi)."""
-    return -np.log1p(t * t).sum(axis=0)
-
-
-def cauchy_score(t: np.ndarray) -> np.ndarray:
-    """Score l'(theta) = sum 2 t / (1 + t^2)."""
-    return (2.0 * t / (t * t + 1.0)).sum(axis=0)
-
-
-def cauchy_obs_info(t: np.ndarray) -> np.ndarray:
-    """Observed information -l''(theta) = sum 2 (1 - t^2) / (1 + t^2)^2.
-
-    Each term lies in [-1/4, 2], so -l'' lies in [-n/4, 2n].
-    """
-    u = t * t
-    return (2.0 * (1.0 - u) / (u + 1.0) ** 2).sum(axis=0)
-
-
 @dataclass(frozen=True)
 class CauchyLocation(Family):
     """Standard Cauchy shifted by theta; the sample is the full vector."""
@@ -459,22 +435,12 @@ class CauchyLocation(Family):
 
     def score(self, theta: float, y: Sample):
         """l'(theta) of one sorted sample (n,), or the m scores of a block
-        (m, n) of sorted rows.
-
-        Each row adds its terms 2t / (t^2 + 1) along the last axis of a
-        C-ordered array, with the pairwise loop numpy runs on a 1-D sample,
-        so a block's scores equal per-row calls bit for bit.
-        (``cauchy_score`` of ``cauchy_offsets`` puts the observations on
-        axis 0 and adds them in another order.)
-        """
+        (m, n) of sorted rows, each equal to a per-row call bit for bit:
+        the block's transpose keeps each row contiguous (see ``cauchy``)."""
         self.check_param(theta)
-        t = np.subtract(self._observations(y), theta, order="C")
-        d = t * t
-        d += 1.0
-        t *= 2.0
-        t /= d  # 2t / (t^2 + 1), in place: a chunk takes two temporaries
-        s = t.sum(axis=-1)
-        return float(s) if t.ndim == 1 else s
+        x = self._observations(y)
+        s = cauchy_score(np.subtract(x, theta, order="C").T)
+        return float(s) if x.ndim == 1 else s
 
     def fisher_info(self, theta: float) -> float:
         self.check_param(theta)
@@ -482,9 +448,7 @@ class CauchyLocation(Family):
 
     def sample(self, theta: float, rng: np.random.Generator) -> np.ndarray:
         self.check_param(theta)
-        u = rng.random(self.n)
-        x = theta + np.tan(math.pi * (u - 0.5))
-        return np.sort(x)
+        return cauchy_sorted_draws(rng.random(self.n), theta)
 
     def expect(self, theta, phi, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> tuple:
         """Seeded Monte Carlo: ``mc_draws`` samples (an integer >= 2, for the
@@ -500,25 +464,18 @@ class CauchyLocation(Family):
         block = getattr(phi, "block", None) or (lambda xs: [phi(x) for x in xs])
         for c in range(0, mc_draws, _MC_CHUNK):
             # chunks read the stream in order, so they draw what one call would
-            x = rng.random((min(_MC_CHUNK, mc_draws - c), self.n))
-            x = np.sort(theta + np.tan(math.pi * (x - 0.5)), axis=1)
+            x = cauchy_sorted_draws(rng.random((min(_MC_CHUNK, mc_draws - c), self.n)), theta)
             vals[c : c + len(x)] = block(x)
         return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mc_draws))
 
     def mle(self, y: Sample) -> float:
-        from .intervals import cauchy_mle  # intervals imports this module
-
         return cauchy_mle(y)
 
     def lrt_hull(self, y: Sample, mle: float, sup_loglik: float, drop: float) -> tuple:
-        """The certified level-set kernel of ``intervals`` on a batch of
-        one: exact when the set is a union of intervals, and flagged."""
-        from .intervals import cauchy_level_set_batch, cauchy_level_set_ends
-
+        """The certified level-set kernel of ``cauchy`` on a batch of one:
+        exact when the set is a union of intervals, and flagged."""
         x = np.asarray(y, dtype=float)[None, :]
-        theta_hat, target, outer, disconnected = cauchy_level_set_batch(x, drop)
-        if np.isnan(theta_hat[0]):
-            raise CertificateError("no certified level set: halving or open-cell cap reached, or |x_i| > 1e15")
+        _, target, outer, disconnected = certified_level_set(x, drop)
         lo, hi = cauchy_level_set_ends(x, outer, target)
         return float(lo[0]), float(hi[0]), bool(disconnected[0])
 
@@ -569,8 +526,7 @@ class CauchyMedian(Family):
 
     def sample(self, theta: float, rng: np.random.Generator) -> float:
         self.check_param(theta)
-        u = rng.random(self.n)
-        return float(np.median(theta + np.tan(math.pi * (u - 0.5))))
+        return float(cauchy_sorted_draws(rng.random(self.n), theta)[self.k])
 
     def mle(self, y: Sample) -> float:
         return float(y)

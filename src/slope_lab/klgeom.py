@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .families import Family
-from .intervals import Interval, _bisect
+from .families import Family, _bisect
+from .intervals import Interval
 
 
 def kl_divergence(f: Family, theta1: float, theta2: float) -> float:

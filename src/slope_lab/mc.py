@@ -2,19 +2,14 @@
 
 Each replicate draws its own counter-based Philox stream keyed by
 (seed, replicate index), and batches are fixed-size, so a given (seed,
-reps) gives the same bytes at any worker count.  A replicate's last bits
-can depend on the replicates that share its arrays.  The likelihood
-kernels hold the n observations on axis 0, and numpy sums an (n, 1)
-array pairwise, as it sums a single sample, but an (n, m >= 2) array in
-sample order.  So a replicate alone in a run's last batch, or the scalar
-``cauchy_mle`` (a batch of one), can differ in the last place from the
-same sample inside a larger batch.  Replicates are processed in
-vectorized batches: the Philox draw, one certified pass
-for the MLE and LRT level set (``cauchy_level_set_batch``), the observed
-information, and the LRT hull's ends are all done on whole batches.  With
-one thread, ``cauchy-sim --raw`` runs about 17,000 replicates/s end to
-end at the benchmark's reference speed (``bench/`` workload
-``coverage``).  Of a one-thread ``run_coverage`` on 100,000 replicates,
+reps) gives the same bytes at any worker count; a replicate's last bits
+can still depend on the replicates that share its batch (the layout
+paragraph of ``cauchy``).  Replicates are processed in vectorized
+batches: the Philox draw, one certified pass of ``cauchy`` for the MLE
+and LRT level set, the observed information, and the LRT hull's ends are
+all done on whole batches.  With one thread, ``cauchy-sim --raw`` runs
+about 17,000 replicates/s end to end at the benchmark's reference speed
+(``bench/`` workload ``coverage``).  Of a one-thread ``run_coverage`` on 100,000 replicates,
 about 75% goes to the MLE pass and about 22% to the LRT hull's ends.
 
 The per-replicate table records everything the downstream projections
@@ -35,16 +30,18 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DivergentIntegralError, DomainError, SimulationError
-from .families import (
+from .cauchy import (
+    MleCounters,
+    cauchy_level_set_batch,
+    cauchy_level_set_ends,
     cauchy_loglik,
     cauchy_obs_info,
     cauchy_offsets,
     cauchy_score,
-    check_seed,
-    median_variance,
+    cauchy_sorted_draws,
 )
-from .intervals import MleCounters, cauchy_level_set_batch, cauchy_level_set_ends
+from .errors import DivergentIntegralError, DomainError, SimulationError
+from .families import check_seed, median_variance
 from .klgeom import cauchy_kl_length_from_width
 
 METHODS = ("wald_expected", "wald_observed", "lrt")
@@ -227,7 +224,7 @@ def _draw_batch(seed: int, start: int, count: int, n: int, theta: float) -> np.n
     reps = np.arange(start, start + count, dtype=np.uint64)[:, None]
     words = np.stack(_philox4x64(ctr, int(seed), reps), axis=-1)  # (count, blocks, 4)
     u = (words.reshape(count, 4 * blocks)[:, :n] >> np.uint64(11)) * (1.0 / 2**53)
-    return np.sort(theta + np.tan(math.pi * (u - 0.5)), axis=1)
+    return cauchy_sorted_draws(u, theta)
 
 
 def _run_batch(cfg: SimConfig, start: int, count: int):
@@ -242,7 +239,8 @@ def _run_batch(cfg: SimConfig, start: int, count: int):
     theta_hat, target, outer, disconnected = cauchy_level_set_batch(x, cfg.z * cfg.z / 2.0, mle)
     out["theta_hat"] = theta_hat
     marks.append(time.perf_counter())
-    i_obs = cauchy_obs_info(cauchy_offsets(x, theta_hat))
+    t_hat = cauchy_offsets(x, theta_hat)
+    i_obs = cauchy_obs_info(t_hat)
     out["i_obs"] = i_obs
     finite = np.isfinite(theta_hat)
     out["failed"] = ~finite | (i_obs <= 0.0)
@@ -259,7 +257,7 @@ def _run_batch(cfg: SimConfig, start: int, count: int):
     marks.append(time.perf_counter())
     _interval_columns(out, cfg, RAW_ADJUSTMENTS, lrt)
     at_true = cauchy_offsets(x, np.full(count, cfg.theta_true))
-    out["lrt_at_true"] = 2.0 * (cauchy_loglik(at_true) - cauchy_loglik(cauchy_offsets(x, theta_hat)))
+    out["lrt_at_true"] = 2.0 * (cauchy_loglik(at_true) - cauchy_loglik(t_hat))
     out["score_at_true"] = cauchy_score(at_true)
     out["median"] = x[:, cfg.n // 2]
     marks.append(time.perf_counter())

@@ -77,7 +77,7 @@ class TestCauchyMle:
         with pytest.raises(sl.CertificateError):
             sl.cauchy_mle([0.0, 0.5, 1e16])
         x = np.array([[0.0, 0.5, 1e16], [0.0, 0.5, 1.0]])
-        theta = sl.intervals.cauchy_level_set_batch(x, 0.0)[0]
+        theta = sl.cauchy.cauchy_level_set_batch(x, 0.0)[0]
         assert np.isnan(theta[0]) and theta[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_rejects_empty_and_nonfinite(self):
@@ -97,6 +97,24 @@ def test_flat_stationary_point_sample_certifies():
     grid = (x[:, None] + np.linspace(-1.0, 1.0, 20_001)[None, :]).ravel()
     ll = -np.log1p((x[0] - grid) ** 2) - np.log1p((x[1] - grid) ** 2)
     assert -np.sum(np.log1p((x - th) ** 2)) >= ll.max() - 1e-12
+
+
+def test_scalar_cauchy_path_is_the_kernel_on_a_batch_of_one():
+    # 50 seeded n = 15 samples and the tied x = (-3, 3), whose level set
+    # is disconnected at z = 1 and one interval at z = 1.96
+    samples = [np.sort(RNG(seed).standard_cauchy(15)) for seed in range(50)] + [np.array([-3.0, 3.0])]
+    disconnected = 0
+    for x in samples:
+        f = sl.CauchyLocation(x.size)
+        theta_hat = sl.cauchy.cauchy_level_set_batch(x[None], 0.0)[0]
+        assert sl.cauchy_mle(x) == theta_hat[0]
+        for z in (1.0, Z95):
+            iv = sl.lrt_interval(sl.lrt_estimate(f, x), z)
+            _, target, outer, flag = sl.cauchy.cauchy_level_set_batch(x[None], z * z / 2.0)
+            lo, hi = sl.cauchy.cauchy_level_set_ends(x[None], outer, target)
+            assert (iv.lo, iv.hi, iv.disconnected) == (lo[0], hi[0], flag[0])
+            disconnected += iv.disconnected
+    assert disconnected >= 1
 
 
 class TestFamilyMle:

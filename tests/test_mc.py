@@ -9,8 +9,8 @@ import pytest
 from scipy import stats
 
 import slope_lab as sl
-from slope_lab import intervals
-from slope_lab.intervals import cauchy_level_set_batch, cauchy_level_set_ends
+from slope_lab import cauchy
+from slope_lab.cauchy import cauchy_level_set_batch, cauchy_level_set_ends
 from slope_lab.mc import _draw_batch, _run_batch
 
 CFG_SMALL = sl.SimConfig(n=15, reps=2000, seed=0)
@@ -118,12 +118,12 @@ class TestBatchMle:
         needs_halving, lrt_needs_halving = np.zeros((2, 200), dtype=bool)
         for r in range(200):
             for flags, d in ((needs_halving, 0.0), (lrt_needs_halving, drop)):
-                counters = intervals.MleCounters()
+                counters = cauchy.MleCounters()
                 cauchy_level_set_batch(x[r : r + 1], d, counters)
                 flags[r] = counters.halved > 0
         assert needs_halving.any() and not lrt_needs_halving.all()
-        monkeypatch.setattr(intervals, "_MAX_HALVINGS", 0)
-        counters = intervals.MleCounters()
+        monkeypatch.setattr(cauchy, "_MAX_HALVINGS", 0)
+        counters = cauchy.MleCounters()
         capped = _mle_batch(x, counters)
         assert np.array_equal(np.isnan(capped), needs_halving)
         assert np.array_equal(capped[~needs_halving], full[~needs_halving])
