@@ -56,8 +56,11 @@ def cauchy_loglik(t: np.ndarray) -> np.ndarray:
 
 
 def cauchy_score(t: np.ndarray) -> np.ndarray:
-    """Score l'(theta) = sum 2 t / (1 + t^2)."""
-    return (2.0 * t / (t * t + 1.0)).sum(axis=0)
+    """Score l'(theta) = sum 2 t / (1 + t^2), in one temporary beside ``t``;
+    the exact factor 2 taken last, a term is 0, not NaN, for |t| > 2^1023."""
+    u = t * t
+    u += 1.0
+    return 2.0 * np.divide(t, u, out=u).sum(axis=0)
 
 
 def cauchy_obs_info(t: np.ndarray) -> np.ndarray:
@@ -67,6 +70,16 @@ def cauchy_obs_info(t: np.ndarray) -> np.ndarray:
     """
     u = t * t
     return (2.0 * (1.0 - u) / (u + 1.0) ** 2).sum(axis=0)
+
+
+def cauchy_kl_length(width) -> np.ndarray:
+    """KL length of a Cauchy interval as a function of its width.
+
+    The divergence depends only on the parameter gap, so the optimal
+    center is the midpoint and the radius is D at half the width.
+    """
+    half = np.asarray(width, dtype=float) / 2.0
+    return np.log(half * half + 4.0) - math.log(4.0)
 
 
 def cauchy_sorted_draws(u: np.ndarray, theta: float) -> np.ndarray:

@@ -319,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bernoulli_eff)
 
     p = sub.add_parser("curves", help="standardized score curves over a grid")
-    p.add_argument("--family", default="bernoulli", choices=["bernoulli"])
     p.add_argument("--param-chart", default="p", choices=["p", "log_odds"])
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--grid", type=int, default=97)
@@ -338,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cauchy_sim)
 
     p = sub.add_parser("check", help="identity / bound / invariance battery")
-    p.add_argument("--family", default="bernoulli", choices=["bernoulli"])
     p.add_argument("--grid", type=int, default=41)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_check)

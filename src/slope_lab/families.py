@@ -28,7 +28,8 @@ integrates it by quadrature) or its own ``expect``; ``mle`` and ``kl``
 serve LRT intervals and KL lengths.  ``observed_info`` (a central
 difference of the score), ``sup_loglik`` (l at the MLE) and
 ``reference_info`` (the Fisher information) have base defaults, and so
-has ``lrt_hull``, by ``_bisect``, which ``intervals`` and ``klgeom`` share.
+have ``lrt_hull(y, drop)`` and ``kl_ball(lo, hi)``, by ``_bisect``
+(``CauchyLocation``'s from ``cauchy``); an override keeps its base signature.
 
 A Monte Carlo ``expect`` (``CauchyLocation``'s) draws its samples in
 chunks.  An integrand may carry a block form, ``phi.block``, which takes
@@ -49,8 +50,8 @@ from typing import Callable, Union
 import numpy as np
 from scipy.special import gammaln
 
-from .cauchy import (cauchy_level_set_ends, cauchy_loglik, cauchy_mle, cauchy_obs_info, cauchy_offsets,
-                     cauchy_score, cauchy_sorted_draws, certified_level_set)
+from .cauchy import (cauchy_kl_length, cauchy_level_set_ends, cauchy_loglik, cauchy_mle, cauchy_obs_info,
+                     cauchy_offsets, cauchy_score, cauchy_sorted_draws, certified_level_set)
 from .errors import BracketError, DivergentIntegralError, DomainError
 from .quadrature import integrate_real_line
 
@@ -203,12 +204,13 @@ class Family:
     def sup_loglik(self, y: Sample, mle: float) -> float:
         return self.loglik(mle, y)
 
-    def lrt_hull(self, y: Sample, mle: float, sup_loglik: float, drop: float) -> tuple:
-        """(lo, hi, disconnected) of {theta : l(theta) > sup_loglik - drop}:
+    def lrt_hull(self, y: Sample, drop: float) -> tuple:
+        """(lo, hi, disconnected) of {theta : l(theta) > sup l - drop}:
         steps from the MLE that double (or halve the way to a finite end of
         the domain) until l falls below the level, then bisection.  Exact
         for a unimodal likelihood, whose level set is one interval."""
-        target = sup_loglik - drop
+        mle = self.mle(y)
+        target = self.sup_loglik(y, mle) - drop
         ends = []
         for sgn, dom in zip((-1.0, 1.0), self.param_domain()):
             if mle == dom and math.isfinite(dom):  # an MLE on an end of the domain is the hull's end
@@ -228,6 +230,13 @@ class Family:
 
     def kl(self, theta1: float, theta2: float) -> float:
         raise NotImplementedError
+
+    def kl_ball(self, lo: float, hi: float) -> tuple:
+        """(center, radius) of the smallest KL ball covering [lo, hi], lo < hi:
+        for D increasing in the parameter gap, the crossing of D(lo||c), rising
+        in c, and D(hi||c), falling, bisected to 1e-10."""
+        center = _bisect(lambda c: self.kl(lo, c) < self.kl(hi, c), lo, hi)
+        return center, max(self.kl(lo, center), self.kl(hi, center))
 
     def reference_info(self, theta: float) -> float:
         """Full-sample information, the benchmark for efficiencies."""
@@ -334,14 +343,15 @@ class Bernoulli(Family):
             sup += (self.n - y) * math.log1p(-p_hat)
         return sup
 
-    def lrt_hull(self, y: Sample, mle: float, sup_loglik: float, drop: float) -> tuple:
+    def lrt_hull(self, y: Sample, drop: float) -> tuple:
         """The base hull, except at a log-odds MLE of -inf (y = 0) or +inf
         (y = n), where l = -n log(1 + e^theta) or -n log(1 + e^-theta): the
         level set is then the p chart's one-sided hull mapped through the
         logit, (-inf, log(e^(drop/n) - 1)) at y = 0 and its mirror at y = n."""
+        mle = self.mle(y)
         if not math.isinf(mle):
-            return super().lrt_hull(y, mle, sup_loglik, drop)
-        edge = math.log(math.expm1((drop - sup_loglik) / self.n))
+            return super().lrt_hull(y, drop)
+        edge = math.log(math.expm1((drop - self.sup_loglik(y, mle)) / self.n))
         return (-math.inf, edge, False) if mle < 0 else (-edge, math.inf, False)
 
     def kl(self, theta1: float, theta2: float) -> float:
@@ -386,9 +396,9 @@ class NormalLocation(Family):
         self.check_param(theta)
         return float(rng.normal(theta, self.sigma / math.sqrt(self.n)))
 
-    def density(self, theta: float, xbar) -> np.ndarray:
+    def density(self, theta: float, y) -> np.ndarray:
         sd = self.sigma / math.sqrt(self.n)
-        z = (np.asarray(xbar, dtype=float) - theta) / sd
+        z = (np.asarray(y, dtype=float) - theta) / sd
         return np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
 
     def mle(self, y: Sample) -> float:
@@ -413,9 +423,9 @@ class CauchyLocation(Family):
             raise DomainError(f"n must be positive, got {self.n}")
 
     def check_sample(self, y: Sample) -> None:
-        self._observations(y, ndims=(1,))
+        self._observations(y)
 
-    def _observations(self, y, ndims: tuple = (1, 2)) -> np.ndarray:
+    def _observations(self, y, ndims: tuple = (1,)) -> np.ndarray:
         """``y`` as floats: one sorted sample (n,) or, where ``ndims`` allows,
         a block (m, n) of sorted rows, checked in one vectorised pass; a
         DomainError as for one bad sample otherwise."""
@@ -438,7 +448,7 @@ class CauchyLocation(Family):
         (m, n) of sorted rows, each equal to a per-row call bit for bit:
         the block's transpose keeps each row contiguous (see ``cauchy``)."""
         self.check_param(theta)
-        x = self._observations(y)
+        x = self._observations(y, ndims=(1, 2))
         s = cauchy_score(np.subtract(x, theta, order="C").T)
         return float(s) if x.ndim == 1 else s
 
@@ -469,23 +479,26 @@ class CauchyLocation(Family):
         return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mc_draws))
 
     def mle(self, y: Sample) -> float:
-        return cauchy_mle(y)
+        return cauchy_mle(self._observations(y))
 
-    def lrt_hull(self, y: Sample, mle: float, sup_loglik: float, drop: float) -> tuple:
-        """The certified level-set kernel of ``cauchy`` on a batch of one:
-        exact when the set is a union of intervals, and flagged."""
-        x = np.asarray(y, dtype=float)[None, :]
+    def lrt_hull(self, y: Sample, drop: float) -> tuple:
+        """The certified kernel of ``cauchy`` on a batch of one, one pass for
+        the MLE and the set: exact when it is a union of intervals, and flagged."""
+        x = self._observations(y)[None, :]
         _, target, outer, disconnected = certified_level_set(x, drop)
         lo, hi = cauchy_level_set_ends(x, outer, target)
         return float(lo[0]), float(hi[0]), bool(disconnected[0])
 
     def observed_info(self, theta_hat: float, y: Sample) -> float:
-        return float(cauchy_obs_info(cauchy_offsets(y, theta_hat)))
+        return float(cauchy_obs_info(cauchy_offsets(self._observations(y), theta_hat)))
 
     def kl(self, theta1: float, theta2: float) -> float:
         """Single-observation divergence log(d^2 + 4) - log 4, d the gap."""
         d = theta1 - theta2
         return math.log(d * d + 4.0) - math.log(4.0)
+
+    def kl_ball(self, lo: float, hi: float) -> tuple:
+        return 0.5 * (lo + hi), float(cauchy_kl_length(hi - lo))
 
 
 @dataclass(frozen=True)
@@ -507,8 +520,8 @@ class CauchyMedian(Family):
         if not np.isfinite(y):
             raise DomainError(f"z={y} is not finite")
 
-    def density(self, theta: float, z) -> np.ndarray:
-        return median_density(self.k, z, theta)
+    def density(self, theta: float, y) -> np.ndarray:
+        return median_density(self.k, y, theta)
 
     def loglik(self, theta: float, y: Sample) -> float:
         self.check_param(theta)

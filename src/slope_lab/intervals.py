@@ -7,7 +7,7 @@ Four constructions:
   standardized value tends to 0 in both tails);
 * likelihood-ratio inversion: the level set {theta : S(theta) > -z^2}
   of S(theta) = 2(l(theta) - l(theta_hat)), from the family's
-  ``lrt_hull`` (for the Cauchy location, the certified kernel of ``cauchy``);
+  ``lrt_hull(y, drop)`` (for the Cauchy location, one certified pass);
 * Wald linearizations theta_hat +/- z / sqrt(info) with either the
   expected or the observed information as the slope;
 * the exact Bernoulli (Clopper-Pearson) interval, which inverts the
@@ -16,6 +16,7 @@ Four constructions:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -64,7 +65,7 @@ def family_mle(f: Family, y) -> float:
 def observed_info(f: Family, theta_hat: float, y) -> float:
     """Observed information -l''(theta_hat; y)."""
     val = f.observed_info(theta_hat, y)
-    if val <= 0.0:
+    if not val > 0.0:
         raise CurvatureError(f"observed information {val} is not positive")
     return val
 
@@ -144,20 +145,26 @@ def _bisect_decreasing(fn: Callable, grid: np.ndarray, vals: np.ndarray, level: 
 
 @dataclass
 class LrtEstimate:
-    """S(theta) = 2(l(theta) - sup l): nonpositive, zero at the MLE."""
+    """S(theta) = 2(l(theta) - sup l), zero at the MLE; both computed when first read."""
 
     family: Family
     sample: object
-    mle: float
-    sup_loglik: float
+
+    @functools.cached_property
+    def mle(self) -> float:
+        return self.family.mle(self.sample)
+
+    @functools.cached_property
+    def sup_loglik(self) -> float:
+        return self.family.sup_loglik(self.sample, self.mle)
 
     def __call__(self, theta: float) -> float:
         return 2.0 * (self.family.loglik(theta, self.sample) - self.sup_loglik)
 
 
 def lrt_estimate(f: Family, y) -> LrtEstimate:
-    mle = f.mle(y)
-    return LrtEstimate(family=f, sample=y, mle=mle, sup_loglik=f.sup_loglik(y, mle))
+    f.check_sample(y)
+    return LrtEstimate(family=f, sample=y)
 
 
 def lrt_interval(L: LrtEstimate, z: float, adjustment: float = 1.0) -> Interval:
@@ -167,7 +174,7 @@ def lrt_interval(L: LrtEstimate, z: float, adjustment: float = 1.0) -> Interval:
     z_eff = adjustment * z
     if z_eff <= 0:
         raise DomainError(f"level z must be positive, got {z_eff}")
-    lo, hi, disconnected = L.family.lrt_hull(L.sample, L.mle, L.sup_loglik, z_eff * z_eff / 2.0)
+    lo, hi, disconnected = L.family.lrt_hull(L.sample, z_eff * z_eff / 2.0)
     return Interval(
         lo=lo,
         hi=hi,

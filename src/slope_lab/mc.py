@@ -32,6 +32,7 @@ from scipy.special import ndtri
 
 from .cauchy import (
     MleCounters,
+    cauchy_kl_length,
     cauchy_level_set_batch,
     cauchy_level_set_ends,
     cauchy_loglik,
@@ -42,7 +43,6 @@ from .cauchy import (
 )
 from .errors import DivergentIntegralError, DomainError, SimulationError
 from .families import check_seed, median_variance
-from .klgeom import cauchy_kl_length_from_width
 
 METHODS = ("wald_expected", "wald_observed", "lrt")
 # The paper's interval-width multipliers for n = 15, which readjust applies.
@@ -162,7 +162,7 @@ def _interval_columns(table: np.ndarray, cfg: SimConfig, adjustments: Dict[str, 
         sfx = _METHOD_SUFFIX[method]
         table["hit_" + sfx] = (lo < cfg.theta_true) & (cfg.theta_true < hi)
         table["width_" + sfx] = hi - lo
-        table["kl_" + sfx] = cauchy_kl_length_from_width(hi - lo)
+        table["kl_" + sfx] = cauchy_kl_length(hi - lo)
 
 
 def _aggregate(table: np.ndarray) -> Dict[str, Dict[str, float]]:

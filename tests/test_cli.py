@@ -108,6 +108,13 @@ class TestCurves:
         code = run(["curves", "--family", "cauchy", "--out", str(tmp_path / "x.csv")])
         assert code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["curves", "check"])
+    def test_no_family_flag(self, tmp_path, command):
+        out = tmp_path / "x.csv"
+        assert run([command, "--family", "bernoulli", "--out", str(out)]) == cli.EXIT_USAGE
+        assert run([command, "--grid", "5", "--out", str(out)]) == cli.EXIT_OK
+        assert "family" not in json.loads(out.with_name("x.csv.manifest.json").read_text())["flags"]
+
 
 class TestCauchySim:
     def test_outputs_and_manifest(self, tmp_path):

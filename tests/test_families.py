@@ -369,7 +369,9 @@ class TestFamilyContract:
     @pytest.mark.parametrize("f,th,y,want", CONTRACT, ids=CONTRACT_IDS)
     def test_mle_and_sup_loglik(self, f, th, y, want):
         if want["mle"] is None:
-            for call in (lambda: f.mle(y), lambda: sl.family_mle(f, y), lambda: sl.lrt_estimate(f, y)):
+            for call in (
+                lambda: f.mle(y), lambda: sl.family_mle(f, y), lambda: sl.lrt_interval(sl.lrt_estimate(f, y), 1.96)
+            ):
                 with pytest.raises(NotImplementedError):
                     call()
             return
@@ -434,6 +436,6 @@ class TestNewFamily:
     def test_likelihood_ratio_and_kl_need_their_methods(self):
         f = Logistic()
         with pytest.raises(NotImplementedError):
-            sl.lrt_estimate(f, 0.0)
+            sl.lrt_interval(sl.lrt_estimate(f, 0.0), 1.96)
         with pytest.raises(NotImplementedError):
             sl.kl_divergence(f, 0.0, 1.0)

@@ -113,8 +113,78 @@ def test_scalar_cauchy_path_is_the_kernel_on_a_batch_of_one():
             _, target, outer, flag = sl.cauchy.cauchy_level_set_batch(x[None], z * z / 2.0)
             lo, hi = sl.cauchy.cauchy_level_set_ends(x[None], outer, target)
             assert (iv.lo, iv.hi, iv.disconnected) == (lo[0], hi[0], flag[0])
+            assert sl.kl_length(f, iv) == sl.cauchy_kl_length_from_width(np.array([iv.hi - iv.lo]))[0]
             disconnected += iv.disconnected
     assert disconnected >= 1
+
+
+def test_flat_stationary_point_level_set_is_not_certified():
+    # the same x = (-1, 1) at the LRT drop: the flat stretch multiplies the
+    # open cells past their cap, so the interval is refused, not guessed
+    L = sl.lrt_estimate(sl.CauchyLocation(2), np.array([-1.0, 1.0]))
+    with pytest.raises(sl.CertificateError):
+        sl.lrt_interval(L, Z95)
+
+
+def test_cauchy_estimate_and_interval_take_one_certified_pass(monkeypatch):
+    calls = []
+    kernel = sl.cauchy.cauchy_level_set_batch
+    monkeypatch.setattr(sl.cauchy, "cauchy_level_set_batch", lambda *a, **k: calls.append(1) or kernel(*a, **k))
+    f = sl.CauchyLocation(15)
+    x = np.sort(RNG(3).standard_cauchy(15))
+    L = sl.lrt_estimate(f, x)
+    assert len(calls) == 0
+    iv = sl.lrt_interval(L, Z95)
+    assert len(calls) == 1
+    # the MLE, read afterwards, is a pass of its own, taken once
+    assert L.mle == L.mle and iv.contains(L.mle)
+    assert len(calls) == 2
+
+
+class TestCauchySampleChecks:
+    """Every CauchyLocation method that takes a sample checks it as loglik does."""
+
+    @pytest.mark.parametrize(
+        "y", [[0.1, 0.2, 0.5], [0.1], [1.0, np.nan], [0.5, 0.1]], ids=["three", "one", "nan", "unsorted"]
+    )
+    def test_bad_samples_are_rejected(self, y):
+        f = sl.CauchyLocation(2)
+        for call in (
+            lambda: f.mle(y),
+            lambda: f.observed_info(0.5, y),
+            lambda: f.lrt_hull(y, 1.0),
+            lambda: sl.lrt_estimate(f, y),
+            lambda: f.loglik(0.5, y),
+        ):
+            with pytest.raises(sl.DomainError):
+                call()
+
+    def test_module_cauchy_mle_still_sorts(self):
+        x = np.array([2.0, -1.3, 0.4, 0.1, -0.2])
+        assert sl.cauchy_mle(x) == sl.cauchy_mle(np.sort(x)) == sl.CauchyLocation(5).mle(np.sort(x))
+
+    def test_nan_observed_information_is_a_curvature_error(self):
+        class NanInfo(sl.NormalLocation):
+            def observed_info(self, theta_hat, y):
+                return math.nan
+
+        with pytest.raises(sl.CurvatureError):
+            sl.observed_info(NanInfo(1.0, 2), 0.0, 0.0)
+
+
+def test_cauchy_score_keeps_its_argument_and_bits():
+    # blocks (15, m) as the kernel and a transposed block as the score sum
+    # them, and one row whose sum over axis 0 returns each term
+    tiny_huge = [0.0, -0.0, 5e-324, -1e-300, 1e150, -1e200, 1e300]
+    blocks = (RNG(1).standard_cauchy((15, 999)), RNG(2).standard_cauchy((999, 15)).T)
+    for t in blocks + (np.concatenate([RNG(0).standard_cauchy(4096), tiny_huge])[None],):
+        before = t.copy()
+        with np.errstate(over="ignore"):
+            assert sl.cauchy.cauchy_score(t).tobytes() == (2.0 * t / (t * t + 1.0)).sum(axis=0).tobytes()
+        assert t.tobytes() == before.tobytes()
+    with np.errstate(over="ignore"):
+        # past 2^1023 the unscaled form overflows 2t, giving inf / inf = NaN
+        assert sl.cauchy.cauchy_score(np.array([1.7e308, -1.7e308])) == 0.0
 
 
 class TestFamilyMle:

@@ -1,10 +1,13 @@
 """The package's import graph: imports only at module level, and the
-Cauchy module standing on numpy and ``errors`` alone."""
+Cauchy module standing on numpy and ``errors`` alone; and the family
+contract: an override keeps its base method's signature."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import slope_lab
+from slope_lab import families
 
 SRC = Path(slope_lab.__file__).parent
 
@@ -36,3 +39,22 @@ def test_cauchy_imports_no_package_module_but_errors():
         elif isinstance(node, ast.Import):
             modules |= {a.name for a in node.names if a.name.startswith("slope_lab")}
     assert modules == {"errors"}
+
+
+def _shape(fn):
+    return [(p.name, p.kind) for p in inspect.signature(fn).parameters.values()]
+
+
+def test_family_overrides_keep_the_base_signature():
+    base = {name: fn for name, fn in vars(families.Family).items() if inspect.isfunction(fn)}
+    subclasses = [c for c in vars(families).values()
+                  if inspect.isclass(c) and issubclass(c, families.Family) and c is not families.Family]
+    assert len(subclasses) == 5
+    checked = 0
+    for cls in subclasses:
+        for name, fn in vars(cls).items():
+            if name in base:
+                assert _shape(fn) == _shape(base[name]), f"{cls.__name__}.{name}"
+                checked += 1
+    assert checked > 20
+    assert list(inspect.signature(families.Family.lrt_hull).parameters) == ["self", "y", "drop"]

@@ -367,7 +367,7 @@ class TestReadjust:
                 iv = sl.wald_interval(theta_hat, info, cfg.z, adjustments[method], method=method)
                 hits.append(iv.contains(cfg.theta_true))
                 widths.append(iv.hi - iv.lo)
-                kls.append(float(sl.cauchy_kl_length_from_width(iv.hi - iv.lo)))
+                kls.append(sl.kl_length(sl.CauchyLocation(cfg.n), iv))
             ref["hit_" + sfx] = np.array(hits)
             ref["width_" + sfx] = np.array(widths)
             ref["kl_" + sfx] = np.array(kls)
