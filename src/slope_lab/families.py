@@ -31,13 +31,15 @@ difference of the score), ``sup_loglik`` (l at the MLE) and
 have ``lrt_hull(y, drop)`` and ``kl_ball(lo, hi)``, by ``_bisect``
 (``CauchyLocation``'s from ``cauchy``); an override keeps its base signature.
 
-A Monte Carlo ``expect`` (``CauchyLocation``'s) draws its samples in
-chunks.  An integrand may carry a block form, ``phi.block``, which takes
-a chunk (m, n) of sorted samples and returns its m values, equal to
-``phi`` row by row bit for bit; the engine then calls it once per chunk
-instead of ``phi`` once per row.  ``CauchyLocation.score`` takes such a
-block, so the slope quantities built on the score run as one array
-operation per chunk; a user statistic inside them still runs per row.
+A Monte Carlo family (``CauchyLocation``) hands back the per-draw values
+of an integrand through ``values``, and its ``expect`` is their mean and
+standard error.  It draws its samples in chunks.  An integrand may carry
+a block form, ``phi.block``, which takes a chunk (m, n) of sorted samples
+and returns its m values, equal to ``phi`` row by row bit for bit, or
+several such columns; the engine then calls it once per chunk instead of
+``phi`` once per row.  ``CauchyLocation.score`` takes such a block, so
+the slope engine's one pass per theta calls the score once per chunk and
+a user statistic once per draw.
 """
 
 from __future__ import annotations
@@ -90,6 +92,8 @@ def _bisect(keep: Callable, a: float, b: float) -> float:
     midpoint replaces a where ``keep`` holds there and b where it does not."""
     while abs(b - a) > _THETA_TOL:
         mid = 0.5 * (a + b)
+        if mid == a or mid == b:  # adjacent floats: beyond about 1e6 their spacing exceeds the tolerance
+            break
         if keep(mid):
             a = mid
         else:
@@ -183,15 +187,26 @@ class Family:
     def expect(self, theta: float, phi, *, mc_draws: int = DEFAULT_MC_DRAWS, mc_seed: int = 0) -> tuple:
         """(E_theta[phi(Y)], standard error): quadrature of phi * density, SE 0.
 
-        An override that draws samples in chunks may hand each chunk to
-        ``phi.block`` when ``phi`` has one: the block form returns the
-        chunk's values, equal to ``phi`` row by row bit for bit.  The slope
-        integrands' block forms call this family's ``score`` on the whole
-        chunk, so the ``score`` of such a family takes a block (m, n) of
-        samples too; a user statistic inside them still runs per row.  The
-        exact engines call ``phi`` once per point.
+        The exact engines (this quadrature, a sum, a fixed rule) call ``phi``
+        once per point.  A sampling family overrides ``values`` as well, and
+        its ``expect`` is the mean of those values with their standard error.
         """
         return integrate_real_line(lambda y: phi(y) * self.density(theta, y)), 0.0
+
+    def values(self, theta: float, phi, *, mc_draws: int = DEFAULT_MC_DRAWS, mc_seed: int = 0):
+        """The per-draw values of ``phi`` behind a sampling ``expect``, or None:
+        an exact engine hands back none.
+
+        A sampling family draws its samples in chunks and may hand each chunk
+        to ``phi.block`` when ``phi`` has one: the block form returns the
+        chunk's values, equal to ``phi`` row by row bit for bit, or several
+        such columns (k, m), which come back as (k, mc_draws).  The slope
+        engine keeps these columns, one pass per theta, and takes every
+        moment from them; its block forms call this family's ``score`` on
+        the whole chunk, so the ``score`` of such a family takes a block
+        (m, n) of samples too.
+        """
+        return None
 
     def mle(self, y: Sample) -> float:
         raise NotImplementedError
@@ -461,22 +476,33 @@ class CauchyLocation(Family):
         return cauchy_sorted_draws(rng.random(self.n), theta)
 
     def expect(self, theta, phi, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> tuple:
-        """Seeded Monte Carlo: ``mc_draws`` samples (an integer >= 2, for the
-        standard error) from Philox key (mc_seed, 0).
+        """Seeded Monte Carlo: the mean of ``values`` and its standard error."""
+        vals = self.values(theta, phi, mc_draws=mc_draws, mc_seed=mc_seed)
+        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mc_draws))
+
+    def values(self, theta, phi, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> np.ndarray:
+        """phi at ``mc_draws`` samples (an integer >= 2, for the standard
+        error) from Philox key (mc_seed, 0), in the order drawn.
 
         The samples come in chunks of up to 2**14 sorted rows (m, n).  An
         integrand with a block form gets each chunk whole from
-        ``phi.block``, which returns the m values of ``phi`` bit for bit;
-        any other integrand is called once per row.
+        ``phi.block``, which returns the m values of ``phi`` bit for bit, or
+        several such columns (k, m): the values are then (k, mc_draws).  Any
+        other integrand is called once per row.
         """
+        self.check_param(theta)
         rng = np.random.Generator(np.random.Philox(key=[check_seed(mc_seed, "mc_seed"), 0]))
-        vals = np.empty(_check_mc_draws(mc_draws))
+        mc_draws = _check_mc_draws(mc_draws)
         block = getattr(phi, "block", None) or (lambda xs: [phi(x) for x in xs])
+        vals = None
         for c in range(0, mc_draws, _MC_CHUNK):
             # chunks read the stream in order, so they draw what one call would
             x = cauchy_sorted_draws(rng.random((min(_MC_CHUNK, mc_draws - c), self.n)), theta)
-            vals[c : c + len(x)] = block(x)
-        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mc_draws))
+            chunk = np.asarray(block(x), dtype=float)
+            if vals is None:
+                vals = np.empty(chunk.shape[:-1] + (mc_draws,))
+            vals[..., c : c + len(x)] = chunk
+        return vals
 
     def mle(self, y: Sample) -> float:
         return cauchy_mle(self._observations(y))

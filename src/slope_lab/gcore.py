@@ -17,11 +17,13 @@ finite Bernoulli support, adaptive quadrature for the one-dimensional
 continuous families, and seeded Monte Carlo (with reported standard
 error) for the full Cauchy sample space, which is the only genuinely
 n-dimensional one.  Every slope quantity at theta is a view of one set
-of moments (V(g), E g', E[g * score]), each taken once, on first use.
-On the Monte Carlo chunks the score runs as one array operation per
-chunk: the integrands built here around it (the score's variance,
-E[g * score], the lift's E[u * score]) carry block forms, and a user
-statistic inside them still runs once per row.
+of moments (V(g), E g', E[g * score]), each taken once, on first use,
+and each the mean of an elementwise formula in per-sample quantities:
+g (u for a lift), g' or g at theta +- h, and the score.  On the Monte
+Carlo family one pass over the draws at theta keeps them all as
+columns: a user statistic runs once per draw per theta, the score once
+per chunk, and every moment is a reduction of the kept columns.  On an
+exact engine each moment is its own expectation pass.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def expect(
 
 def _with_block(phi: Callable, block: Callable) -> Callable:
     """``phi``, carrying ``block``: its values on a chunk (m, n) of samples
-    at once (see ``CauchyLocation.expect``)."""
+    at once (see ``Family.values``)."""
     phi.block = block
     return phi
 
@@ -73,15 +75,65 @@ def _per_row(fn: Callable) -> Callable:
     return lambda xs: np.array([fn(x) for x in xs], dtype=float)
 
 
+def _square(v):
+    """v ** 2 as Python's float ** takes it, by the C library's pow: on a
+    column by float_power, since numpy's ** 2 squares, which rounds
+    differently about once in 1,200."""
+    return np.float_power(v, 2) if isinstance(v, np.ndarray) else v**2
+
+
+class _Pass:
+    """Means of elementwise formulas in named per-sample quantities under
+    ``f`` at theta.
+
+    On a sampling family one pass over the draws computes each quantity
+    once per draw (a block form once per chunk) and keeps it as a column;
+    every mean is then a reduction of the kept columns, in the order a pass
+    per mean would take.  An exact engine hands back no values, so there each
+    mean is its own expectation pass, which computes at each point only the
+    quantities its formula reads.
+    """
+
+    def __init__(self, f: Family, theta: float, quantities: dict, kw: dict):
+        self.f, self.theta, self.quantities, self.kw = f, theta, quantities, kw
+        fns = list(quantities.values())
+        every = _with_block(lambda y: [fn(y) for fn in fns],
+                            lambda xs: [(getattr(fn, "block", None) or _per_row(fn))(xs) for fn in fns])
+        vals = f.values(theta, every, **kw)
+        self.columns = None if vals is None else dict(zip(quantities, vals))
+
+    def mean(self, formula: Optional[Callable], *names: str) -> float:
+        """E[formula(*the quantities named)], a formula of at most two; with
+        no formula, E[the one quantity named]."""
+        cols, q = self.columns, self.quantities
+        if cols is not None:
+            vals = cols[names[0]] if formula is None else formula(*[cols[k] for k in names])
+            if not names:  # a constant, averaged over the draws as a pass over them would
+                vals = np.full(len(next(iter(cols.values()))), vals)
+            return float(vals.mean())
+        if formula is None:
+            at = q[names[0]]
+        elif not names:
+            at = lambda y: formula()
+        elif len(names) == 1:
+            a = q[names[0]]
+            at = lambda y: formula(a(y))
+        else:
+            a, b = (q[k] for k in names)
+            at = lambda y: formula(a(y), b(y))
+        return expect(self.f, self.theta, at, **self.kw)
+
+    def moments(self, name: str, g: Optional[Callable] = None) -> tuple:
+        """(E g, V g) of the formula g of one quantity (the quantity itself
+        when None): the mean, then the mean squared deviation from it.  The
+        one variance routine."""
+        m = self.mean(g, name)
+        return m, self.mean((lambda v: _square(v - m)) if g is None else (lambda v: _square(g(v) - m)), name)
+
+
 def variance(f: Family, theta: float, phi: Callable, **kw) -> float:
-    m = expect(f, theta, phi, **kw)
-    dev2 = lambda y: (phi(y) - m) ** 2
-    block = getattr(phi, "block", None)
-    if block is not None:
-        # float_power calls the C library's pow, as Python's float ** does;
-        # numpy's ** 2 squares, which rounds differently about once in 1,200
-        _with_block(dev2, lambda xs: np.float_power(block(xs) - m, 2))
-    return expect(f, theta, dev2, **kw)
+    """V_theta(phi(Y)); on a sampling family from one pass over the draws."""
+    return _Pass(f, theta, {"phi": phi}, kw).moments("phi")[1]
 
 
 @dataclass
@@ -101,24 +153,49 @@ class GenEstimator:
     deriv: Optional[Callable] = None
     mean_fn: Optional[Callable] = None
     mean_deriv: Optional[Callable] = None
+    _lift: Optional["_Lift"] = field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, y, theta: float) -> float:
         return self.evaluate(y, theta)
 
     def var(self, theta: float, **kw) -> float:
-        return variance(self.family, theta, self._at(theta), **kw)
-
-    def _at(self, theta: float) -> Callable:
-        """y -> g(y, theta) as an integrand.  The score's evaluate takes a
-        chunk of samples whole, so it is its own block form."""
-        phi = lambda y: self.evaluate(y, theta)
-        return _with_block(phi, phi) if self.kind == KIND_SCORE else phi
+        return _SlopeAt(self, theta, kw).variance
 
 
 def score_estimator(f: Family) -> GenEstimator:
     """The score as a generalized estimator (the Lambda-optimal one); its
     evaluate takes a block of samples wherever ``f.score`` does."""
     return GenEstimator(family=f, evaluate=lambda y, th: f.score(th, y), kind=KIND_SCORE)
+
+
+class _Lift:
+    """A point statistic u lifted to h(y, theta) = u(y) - ups(theta).
+
+    ups = E[u] and its derivative dups = E[u * score] are the closed forms
+    when given.  Otherwise each is an expectation under the caller's Monte
+    Carlo keywords, with the lift's own as defaults: exact whenever the
+    engine is exact, unlike a finite difference of the mean.  An expectation
+    of h or h' at theta (or at theta +- h) reads ups or dups at every sample
+    point, so each is cached for three theta and its expectation runs once.
+    """
+
+    def __init__(self, f: Family, u: Callable, mean_fn, mean_deriv, kw: dict):
+        self.u, self.mean_fn, self.mean_deriv, self.kw = u, mean_fn, mean_deriv, kw
+        self._defaults = tuple(sorted(kw.items()))
+        once_per_theta = functools.lru_cache(maxsize=3)
+        self._ups = once_per_theta(lambda th, k: expect(f, th, u, **dict(k)))
+        rows = _per_row(u)
+        self._dups = once_per_theta(lambda th, k: expect(
+            f, th, _with_block(lambda y: u(y) * f.score(th, y), lambda xs: rows(xs) * f.score(th, xs)), **dict(k)))
+
+    def _keywords(self, kw: dict) -> tuple:
+        return tuple(sorted({**self.kw, **kw}.items())) if kw else self._defaults
+
+    def ups(self, theta: float, **kw) -> float:
+        return self.mean_fn(theta) if self.mean_fn is not None else self._ups(theta, self._keywords(kw))
+
+    def dups(self, theta: float, **kw) -> float:
+        return self.mean_deriv(theta) if self.mean_deriv is not None else self._dups(theta, self._keywords(kw))
 
 
 def lift_point_estimator(
@@ -133,26 +210,16 @@ def lift_point_estimator(
 
     Returns h(y, theta) = u(y) - ups(theta) with ups(theta) = E_theta[u],
     computed through the expectation engine unless a closed form is
-    supplied.  The orientation restriction E[h * score] >= 0 is checked
-    on ``check_grid`` when given; a violation raises rather than
-    silently negating the statistic.
+    supplied.  The slope functions take ups and its derivative under their
+    own Monte Carlo keywords; ``**kw`` are the defaults, for ``evaluate``,
+    ``deriv``, ``mean_fn`` and ``mean_deriv`` called alone.  The orientation
+    restriction E[h * score] >= 0 is checked on ``check_grid`` when given;
+    a violation raises rather than silently negating the statistic.
     """
-    # an expectation of h or h' at theta (or at theta +- h) evaluates ups or
-    # dups at every sample point: cached, the expectation behind each runs once
-    once_per_theta = functools.lru_cache(maxsize=3)
-    ups = mean_fn if mean_fn is not None else once_per_theta(lambda th: expect(f, th, u, **kw))
-    if mean_deriv is not None:
-        dups = mean_deriv
-    else:
-        # d/dtheta E[u] = E[u * score]: exact whenever the expectation
-        # engine is exact, unlike a finite difference of the mean
-        @once_per_theta
-        def dups(th: float) -> float:
-            rows = _per_row(u)
-            return expect(f, th, _with_block(lambda y: u(y) * f.score(th, y), lambda xs: rows(xs) * f.score(th, xs)), **kw)
-
-    est = GenEstimator(family=f, evaluate=lambda y, th: u(y) - ups(th), kind=KIND_LIFTED,
-                       deriv=lambda y, th: -dups(th), mean_fn=ups, mean_deriv=dups)
+    lift = _Lift(f, u, mean_fn, mean_deriv, kw)
+    est = GenEstimator(family=f, evaluate=lambda y, th: u(y) - lift.ups(th), kind=KIND_LIFTED,
+                       deriv=lambda y, th: -lift.dups(th), mean_fn=lift.ups, mean_deriv=lift.dups)
+    est._lift = lift
     if check_grid is not None:
         for th in check_grid:
             cov = _SlopeAt(est, th, kw).cov
@@ -165,44 +232,90 @@ def lift_point_estimator(
 
 class _SlopeAt:
     """The moments of g at theta behind every slope quantity, each taken
-    once, on first use, and shared by the quantities that read it."""
+    once, on first use, and shared by the quantities that read it.
+
+    Each moment is the mean of an elementwise formula in g's per-sample
+    quantities (a ``_Pass``): g itself (u for a lift, whose g is u - ups),
+    g' or g at theta +- h, and the score.  On a sampling family one pass
+    over the draws keeps them all.
+    """
 
     def __init__(self, g: GenEstimator, theta: float, kw: dict):
         self.g, self.theta, self.kw = g, theta, kw
-        self._expect = functools.partial(expect, g.family, theta, **kw)
+        self.h = h = _FD_STEP * (1.0 + abs(theta))
+        quantities = {}
+        if g._lift is not None:
+            quantities["u"] = g._lift.u
+        elif g.kind != KIND_SCORE:
+            quantities["g"] = lambda y: g.evaluate(y, theta)
+            if g.deriv is not None:
+                quantities["dg"] = lambda y: g.deriv(y, theta)
+            if g.deriv is None or g.kind == KIND_LIFTED:
+                quantities["gp"] = lambda y: g.evaluate(y, theta + h)
+                quantities["gm"] = lambda y: g.evaluate(y, theta - h)
+        f = g.family
+        quantities["s"] = _with_block(lambda y: f.score(theta, y), lambda xs: f.score(theta, xs))
+        self._pass = _Pass(f, theta, quantities, kw)
+
+    def _g(self) -> tuple:
+        """(name, formula) of g's values: the quantity itself (formula None),
+        or u - ups for a lift."""
+        if self.g._lift is not None:
+            return "u", lambda u: u - self.ups
+        return ("s" if self.g.kind == KIND_SCORE else "g"), None
 
     @functools.cached_property
+    def ups(self) -> float:
+        """A lift's mean at theta: without a closed form, the mean of the kept u column."""
+        lift = self.g._lift
+        if lift.mean_fn is None and self._pass.columns is not None:
+            return self._pass.mean(None, "u")
+        return lift.ups(self.theta, **self.kw)
+
+    @functools.cached_property
+    def dups(self) -> float:
+        """d ups / d theta: without a closed form, E[u * score] of the kept columns."""
+        lift = self.g._lift
+        if lift.mean_deriv is None and self._pass.columns is not None:
+            return self._pass.mean(lambda u, s: u * s, "u", "s")
+        return lift.dups(self.theta, **self.kw)
+
+    @functools.cached_property
+    def variance(self) -> float:
+        return self._pass.moments(*self._g())[1]
+
+    @property
     def var(self) -> float:
-        v = self.g.var(self.theta, **self.kw)
-        if not v > 0:
-            raise ZeroVarianceError(f"variance {v} is not positive at theta={self.theta}")
-        return v
+        if not self.variance > 0:
+            raise ZeroVarianceError(f"variance {self.variance} is not positive at theta={self.theta}")
+        return self.variance
 
     @functools.cached_property
     def fd_slope(self) -> float:
-        g, th, h = self.g, self.theta, _FD_STEP * (1.0 + abs(self.theta))
-        return self._expect(lambda y: (g.evaluate(y, th + h) - g.evaluate(y, th - h)) / (2.0 * h))
+        th, h, lift = self.theta, self.h, self.g._lift
+        if lift is None:
+            return self._pass.mean(lambda gp, gm: (gp - gm) / (2.0 * h), "gp", "gm")
+        up, um = lift.ups(th + h, **self.kw), lift.ups(th - h, **self.kw)
+        return self._pass.mean(lambda u: ((u - up) - (u - um)) / (2.0 * h), "u")
 
     @functools.cached_property
     def slope(self) -> float:
         """E[dg/dtheta] at theta; analytic derivative when available."""
-        return self.fd_slope if self.g.deriv is None else self._expect(lambda y: self.g.deriv(y, self.theta))
+        if self.g._lift is not None:
+            return self._pass.mean(lambda: -self.dups)
+        return self.fd_slope if self.g.deriv is None else self._pass.mean(None, "dg")
 
     @functools.cached_property
     def cov(self) -> float:
-        th, score, phi = self.theta, self.g.family.score, self.g._at(self.theta)
         if self.g.kind == KIND_SCORE:
-            # g is the score: one score per chunk, squared
-            def square(y):
-                s = score(th, y)
-                return s * s
-
-            return self._expect(_with_block(square, square))
-        rows = getattr(phi, "block", None) or _per_row(phi)
-        return self._expect(_with_block(lambda y: phi(y) * score(th, y), lambda xs: rows(xs) * score(th, xs)))
+            return self._pass.mean(lambda s: s * s, "s")  # g is the score: one score per point, squared
+        name, g = self._g()
+        return self._pass.mean((lambda v, s: v * s) if g is None else (lambda v, s: g(v) * s), name, "s")
 
     def standardize(self, y) -> float:
-        return self.g.evaluate(y, self.theta) / math.sqrt(self.var)
+        name, g = self._g()
+        v = self._pass.quantities[name](y)
+        return (v if g is None else g(v)) / math.sqrt(self.var)
 
     @property
     def lam(self) -> float:
@@ -267,10 +380,9 @@ def lambda_efficiency(g: GenEstimator, theta: float, **kw) -> float:
 
 def v_efficiency(f: Family, u: Callable, theta: float, tol: float = 1e-8, **kw) -> float:
     """Variance efficiency I^{-1} / V(u) of an unbiased statistic u."""
-    m = expect(f, theta, u, **kw)
+    m, v = _Pass(f, theta, {"u": u}, kw).moments("u")
     if abs(m - theta) > tol:
         raise BiasError(f"u is biased at theta={theta}: bias={m - theta:.3e}")
-    v = expect(f, theta, lambda y: (u(y) - m) ** 2, **kw)  # the variance pass, on the bias pass's mean
     return 1.0 / (f.fisher_info(theta) * v)
 
 
@@ -307,8 +419,10 @@ class SlopeReport:
 
 def slope_report(g: GenEstimator, grid: Sequence[float], **kw) -> SlopeReport:
     """Every slope column of g over ``grid``, each equal to its standalone
-    function.  Each moment behind them is taken once per theta: 5 expectation
-    passes for an estimator with ``deriv``, 1 for the score."""
+    function.  Each moment behind them is taken once per theta: on an exact
+    engine 5 expectation passes for an estimator with ``deriv``, 1 for the
+    score; on a sampling family one pass over the draws, and a lift without
+    a closed-form mean adds one pass each at theta +- h."""
     rows = [(s.lam, s.rho2, s.eff, s.eff * g.family.n, s.residual) for s in (_SlopeAt(g, th, kw) for th in grid)]
     return SlopeReport(np.asarray(grid, dtype=float), *np.array(rows, dtype=float).reshape(-1, 5).T.copy())
 

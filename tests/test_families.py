@@ -1,6 +1,8 @@
 """Family-level contracts: densities, scores, information, samplers."""
 
+import contextlib
 import math
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,6 +148,37 @@ class TestMcDraws:
     def test_two_draws_give_a_standard_error(self, draws):
         value, se = sl.expect(sl.CauchyLocation(5), 0.0, lambda x: float(x[2]), mc_draws=draws, return_se=True)
         assert math.isfinite(value) and math.isfinite(se) and se > 0
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail the block with TimeoutError if it runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestBisectFarOut:
+    """Beyond about 1e6 the float spacing exceeds the 1e-10 tolerance, so the
+    bisection stops when no float is left between its ends."""
+
+    def test_kl_length_far_out_ends(self):
+        with deadline(6):
+            length = sl.kl_length(sl.NormalLocation(1.0, 1), (1e7, 1e7 + 1))
+        assert length == pytest.approx(0.125, rel=1e-6)
+
+    def test_lrt_interval_far_out_ends(self):
+        with deadline(6):
+            iv = sl.lrt_interval(sl.lrt_estimate(sl.NormalLocation(1.0, 4), 1e7), 1.96)
+        assert (iv.lo, iv.hi) == pytest.approx((1e7 - 0.98, 1e7 + 0.98), abs=1e-8)
 
 
 class TestFisherInfo:

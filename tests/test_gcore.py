@@ -118,11 +118,27 @@ class TestLift:
         u = Counted(lambda y: float(y * (y - 1)))
         sl.lambda_efficiency(sl.lift_point_estimator(BERN, u), 0.3)
         assert u.calls == 4 * 11
-        # 1000 draws each for E[median] and the two passes of the variance
+        # one pass of 1000 draws keeps the median column: E[median] is its
+        # mean, and both moments of the variance are reductions of it
         med = Counted(lambda x: float(x[7]))
         g = sl.lift_point_estimator(sl.CauchyLocation(15), med, mc_draws=1000)
         g.var(0.2, mc_draws=1000)
-        assert med.calls == 3 * 1000
+        assert med.calls == 1000
+
+    def test_lift_mean_takes_the_callers_keywords(self):
+        # the lift's own keywords are only defaults: built without mc_draws,
+        # its mean does not run the default 10**6 draws
+        f = sl.CauchyLocation(5)
+        med = Counted(lambda x: float(x[2]))
+        sl.lift_point_estimator(f, med).var(0.2, mc_draws=1000)
+        assert med.calls == 1000
+        kw = dict(mc_draws=600, mc_seed=3)
+        for ups, dups in [(None, None), (lambda th: th, None)]:
+            bare = sl.lift_point_estimator(f, lambda x: float(x[2]), mean_fn=ups, mean_deriv=dups)
+            built = sl.lift_point_estimator(f, lambda x: float(x[2]), mean_fn=ups, mean_deriv=dups, **kw)
+            a, b = sl.slope_report(bare, [-0.4, 0.9], **kw), sl.slope_report(built, [-0.4, 0.9], **kw)
+            for c in ("lam", "rho2", "eff_lambda", "eff_n", "identity_residual"):
+                assert getattr(a, c).tobytes() == getattr(b, c).tobytes(), c
 
 
 class TestStandardize:
@@ -298,33 +314,58 @@ class TestMonteCarloBlocks:
 
         def spy(f, theta, phi, **k):
             seen.append((theta, phi))
-            return expect(f, theta, phi, **k)
+            return values(f, theta, phi, **k)
 
-        expect = sl.gcore.expect
-        monkeypatch.setattr(sl.gcore, "expect", spy)
+        values = sl.CauchyLocation.values
+        monkeypatch.setattr(sl.CauchyLocation, "values", spy)
         for g in self.estimators(kw).values():
             sl.slope_report(g, [0.4], **kw)
             g.var(0.4, **kw)
-        blocked = [(th, phi) for th, phi in seen if hasattr(phi, "block")]
-        # V(score) twice, E[score^2] and E[g * score] of each other estimator, E[u * score]
-        assert len(blocked) == 2 + 4 + 1
+        # one pass over the draws per estimator and call, each with a block
+        # form that keeps every per-draw quantity of that estimator
+        assert len(seen) == 4 * 2 and all(hasattr(phi, "block") for _, phi in seen)
         u = np.random.default_rng(draws).random((16384, 15))
-        for th, phi in blocked:
-            stripped = lambda x: phi(x)
-            a = self.F.expect(th, phi, **kw)
-            b = self.F.expect(th, stripped, **kw)
-            assert [v.hex() for v in a] == [v.hex() for v in b]
-            # value by value too: a sum can round a one-ulp difference away
+        for th, phi in seen:
+            # value by value: a sum can round a one-ulp difference away
             x = np.sort(th + np.tan(np.pi * (u - 0.5)), axis=1)
-            assert phi.block(x).tobytes() == np.array([phi(r) for r in x]).tobytes()
+            block = np.asarray(phi.block(x), dtype=float)
+            assert block.tobytes() == np.array([phi(r) for r in x], dtype=float).T.tobytes()
+
+    def definitions(self, name, th, kw):
+        """``everything`` from explicit per-moment expectations with per-row
+        integrands: the definitions, none of them the slope engine's."""
+        f, med, x = self.F, self.MED, np.sort(th + np.random.default_rng(1).standard_cauchy(15))
+        E = lambda phi: sl.expect(f, th, phi, **kw)
+        score = lambda y, t=th: f.score(t, y)
+        info, h = f.fisher_info(th), 1e-5 * (1.0 + abs(th))
+        if name == "score":
+            m = E(score)
+            var = E(lambda y: (score(y) - m) ** 2)
+            cov = E(lambda y: score(y) * score(y))
+            lam, rho2, residual, g = info, 1.0, abs(info - cov), score
+        else:
+            g = lambda y, t=th: med(y) - t
+            m = E(g)
+            var = E(lambda y: (g(y) - m) ** 2)
+            cov = E(lambda y: g(y) * score(y))
+            fd = E(lambda y: (g(y, th + h) - g(y, th - h)) / (2.0 * h))
+            if name == "custom":
+                slope = fd
+            else:
+                dups = 1.0 if name == "median_closed_form" else E(lambda y: med(y) * score(y))
+                slope = E(lambda y: -dups)
+            lam, rho2, residual = slope * slope / var, cov * cov / (var * info), abs(-fd - cov)
+        eff = lam / info
+        values = [lam, rho2, eff, eff * f.n, residual, residual, g(x) / math.sqrt(var), var, eff]
+        if name.startswith("median"):
+            values.append(dups)
+        return [float(v).hex() for v in values]
 
     @pytest.mark.parametrize("draws, th, seed", [(5000, 0.4, 5), (16384 + 7, -1.3, 8), (3000, 2.2, 0)])
-    def test_slope_quantities_equal_the_per_row_engine(self, draws, th, seed, monkeypatch):
+    def test_slope_quantities_equal_the_per_row_engine(self, draws, th, seed):
         kw = dict(mc_draws=draws, mc_seed=seed)
-        blocked = {k: self.everything(g, th, kw) for k, g in self.estimators(kw).items()}
-        monkeypatch.setattr(sl.gcore, "_with_block", lambda phi, block: phi)
-        per_row = {k: self.everything(g, th, kw) for k, g in self.estimators(kw).items()}
-        assert blocked == per_row
+        for name, g in self.estimators(kw).items():
+            assert self.everything(g, th, kw) == self.definitions(name, th, kw), name
 
     def test_score_runs_once_per_chunk(self, monkeypatch):
         calls = []
@@ -339,14 +380,25 @@ class TestMonteCarloBlocks:
         kw = dict(mc_draws=16384 + 7, mc_seed=1)
         g = sl.lift_point_estimator(self.F, med, mean_fn=lambda th: th, **kw)
         sl.slope_report(g, [0.1], **kw)
-        # E[u * score] and E[g * score], two chunks each.  The median runs per
-        # row: twice for V(g), twice for E g' by central differences, once each
-        # for E[g * score] and E[u * score]
-        assert calls == [2] * 4
-        assert med.calls == 6 * (16384 + 7)
+        # one pass of two chunks: the score once per chunk, the median once
+        # per draw, and E[u * score] for the lift's dups from the same columns
+        assert calls == [2] * 2
+        assert med.calls == 16384 + 7
         calls.clear()
         sl.check_identity(sl.score_estimator(self.F), 0.1, mc_draws=5000)
         assert calls == [2] * 1
+
+    def test_statistic_runs_once_per_draw_per_theta(self):
+        draws = 16384 + 7  # two chunks
+        kw = dict(mc_draws=draws, mc_seed=4)
+        med = Counted(self.MED)
+        g = sl.lift_point_estimator(self.F, med, mean_fn=lambda th: th, mean_deriv=lambda th: 1.0)
+        sl.slope_report(g, [-0.6, 0.3], **kw)
+        assert med.calls == 2 * draws
+        for fn in (sl.squared_slope, sl.check_identity):
+            med.calls = 0
+            fn(g, 0.3, **kw)
+            assert med.calls == draws, fn.__name__
 
 
 class TestInvariance:
