@@ -14,8 +14,10 @@ pairwise and equal per-row calls bit for bit.
 
 The likelihood can be multimodal.  Its local maxima all lie in the unit
 windows [x_i - 1, x_i + 1] around the observations, because l'' < 0
-needs some |x_i - theta| < 1.  ``cauchy_level_set_batch`` scans those
-windows on a 0.2 lattice, bisects the sign changes of the score, and
+needs some |x_i - theta| < 1.  ``cauchy_level_set_batch`` first drops
+the windows whose likelihood bound, from the distances to the other
+observations, lies below the LRT level, then scans the rest on a 0.2
+lattice, bisects the sign changes of the score, and
 certifies cell by cell, from l'' in [-2n, n/4] and |l'''| <= (3/2 +
 sqrt 2) n, that no cell holds a better maximum, or a stationary point
 above the LRT level not bisected: a finite MLE is the global maximizer
@@ -49,9 +51,10 @@ def cauchy_offsets(x, theta) -> np.ndarray:
     return np.subtract(xt, theta, order="C")
 
 
-def cauchy_loglik(t: np.ndarray) -> np.ndarray:
-    """Log-likelihood -sum log(1 + t^2), without the constant -n log(pi)."""
-    u = t * t
+def cauchy_loglik(t: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Log-likelihood -sum log(1 + t^2), without the constant -n log(pi);
+    with ``overwrite``, worked in ``t``'s own array, sparing a temporary."""
+    u = np.multiply(t, t, out=t if overwrite else None)
     return -np.log1p(u, out=u).sum(axis=0)
 
 
@@ -103,6 +106,15 @@ _MAX_HALVINGS = 40
 # a flat stretch, which multiplies them (elsewhere at most 49, at n = 2).
 _MAX_OPEN = 1 << 10
 _TIE_RTOL = 1e-12
+# A window is skipped when its likelihood bound lies this far (relative)
+# below the level, far above the bound's rounding and the tie tolerance.
+_SKIP_MARGIN = 1e-9
+# Half-width of the widened window the bound covers, x_i +- (1 + 2 _CELL):
+# every lattice point laid for window i lies inside it.
+_REACH = 1.0 + 2.0 * _CELL
+_SKIPPED = np.iinfo(np.int64).max  # lattice index of a skipped window's points, sorted last
+_FLOAT_MAX = np.finfo(float).max
+_END_DOUBLINGS = 1030  # a hull end's step 0.5 * 2^k reaches _FLOAT_MAX at k = 1025
 _GRID_CHUNK = 1 << 16  # lattice points evaluated at once: 8 MiB per temporary at n = 15
 # Beyond this the lattice index of an observation could overflow int64
 # and the lattice would no longer cover its window.
@@ -119,6 +131,7 @@ class MleCounters:
     brackets: int = 0  # score sign changes bisected, to maxima and to minima
     halved: int = 0  # cells split because no test closed them
     capped: int = 0  # samples with a cell open after _MAX_HALVINGS rounds, or too many open
+    windows_skipped: int = 0  # unit windows whose likelihood bound cannot reach the level set
 
 
 def cauchy_level_set_batch(x, drop: float, counters: Optional[MleCounters] = None):
@@ -138,13 +151,32 @@ def cauchy_level_set_batch(x, drop: float, counters: Optional[MleCounters] = Non
       [x_i - 1, x_i + 1], because l'' = sum 2(t_i^2 - 1)/(t_i^2 + 1)^2,
       t_i = x_i - theta, is negative only if some |t_i| < 1; so each gap
       between windows, where l is convex, holds at most one minimum.
-    * The windows are covered by the cells of a lattice of step h = 0.2
-      (11 points per window, shared where windows overlap); a cell that
-      skips lattice points spans a gap.  Every cell whose end scores go
-      from + to - is bisected, all at once, down to adjacent floats, to a
-      maximum; then so is every cell whose end scores go from - to +, to
-      a minimum, unless l at an end is not above the floor defined next.
-    * A gap cell is then closed.  Every other cell is closed by one of
+    * Window skip.  Let L = max_k l(x_k) <= l(theta_hat).  On window i
+      widened to [x_i - 1.4, x_i + 1.4], which holds every lattice point
+      laid for it, l < U_i = -sum_j log(1 + d_ij^2), d_ij the distance
+      from x_j to the widened window.  A window with U_i < L - drop -
+      1e-9 (1 + |L - drop|) lays no lattice points: it holds no global
+      maximum and no point with l >= t.  The margin covers the rounding:
+      U_i and L are sums of n terms, each off by a few ulps, and near the
+      test U_i and L - drop are about as large, so their errors stay
+      below 8 n 2^-52 (1 + |L - drop|), far below the margin for any
+      n < 5e5.  At drop 0 it also exceeds the tie tolerance, so no
+      maximum that could tie theta_hat is dropped.
+    * The windows not skipped are covered by the cells of a lattice of
+      step h = 0.2 (11 points per window, shared where windows overlap);
+      a cell that skips lattice points spans a gap, which may hold
+      skipped windows.  Every cell whose end scores go from + to - is
+      bisected, all at once, down to adjacent floats, to a maximum; then
+      so is every cell whose end scores go from - to +, to a minimum,
+      unless l at an end is not above the floor defined next.
+    * A gap cell is then closed.  It meets no window laid on the lattice,
+      which would put a lattice point in it every 0.2, so off skipped
+      windows l is convex there: no maximum, and at most one minimum,
+      bisected as above if it may lie above the floor.  A gap cell that
+      spans a skipped window, where l < t, holds no stationary point above
+      t: such a point would be a minimum m, and walking from m toward the
+      skipped window l first rises, then falls below t, which needs a
+      maximum above t in the cell.  Every other cell is closed by one of
       three tests, which use l'' in [-2n, n/4] and |l'''| <= (3/2 + sqrt 2) n:
       score slope -- a score below -nh/4 at the left end or above nh/4
       at the right end, or end scores of one sign beyond (3/2 + sqrt 2)
@@ -163,21 +195,26 @@ def cauchy_level_set_batch(x, drop: float, counters: Optional[MleCounters] = Non
       maxima above t are joined by the set iff a minimum between them has
       l > t, and it is then their only stationary point between.
     """
+    if not 0.0 <= drop < math.inf:
+        raise DomainError(f"drop must be finite and >= 0, got {drop}")
     x = np.asarray(x, dtype=float)
     B, n = x.shape
     outside = ~(np.abs(x) <= _X_MAX).all(axis=1)
     if outside.any():
         x = np.where(outside[:, None], 0.0, x)
     first = np.floor((x - 1.0) / _CELL).astype(np.int64) - 1
-    j = np.sort((first[:, :, None] + np.arange(_WINDOW_POINTS)).reshape(B, -1), axis=1)
-    fresh = np.ones(j.shape, dtype=bool)
-    fresh[:, 1:] = j[:, 1:] != j[:, :-1]
+    j = first[:, :, None] + np.arange(_WINDOW_POINTS)
+    skipped = _unreachable_windows(x, drop)
+    j[skipped] = _SKIPPED
+    j = np.sort(j.reshape(B, -1), axis=1)
+    fresh = j != _SKIPPED
+    fresh[:, 1:] &= j[:, 1:] != j[:, :-1]
     row = np.nonzero(fresh)[0]
     j = j[fresh]
     theta = j * _CELL
     l, s = _loglik_score_at(x, row, theta)
     # consecutive lattice points of a sample join in a cell; one that skips
-    # lattice points spans a gap between windows
+    # lattice points spans a gap between the windows laid
     k = np.nonzero(row[1:] == row[:-1])[0]
     cells = {
         "row": row[k], "a": theta[k], "b": theta[k + 1], "la": l[k], "lb": l[k + 1],
@@ -189,6 +226,7 @@ def cauchy_level_set_batch(x, drop: float, counters: Optional[MleCounters] = Non
     capped = np.zeros(B, dtype=bool)
     if counters is None:
         counters = MleCounters()
+    counters.windows_skipped += int(skipped.sum())
     for depth in range(_MAX_HALVINGS + 1):
         # maxima first; a minimum matters only if it may lie above the floor
         for sign in (1.0, -1.0):
@@ -240,9 +278,11 @@ def cauchy_level_set_ends(x, outer: np.ndarray, target: np.ndarray):
     """Ends (lo, hi) of the hull of {theta : l(theta) > target} per row:
     past its outermost maxima ``outer``, l > target on one interval, so
     a step of 0.5, doubled while inside, brackets each for 55 bisections.
-    Both ends go through one loop, on ``x`` stacked twice: lo from
-    outer[0] downward in the first half, hi from outer[1] upward in the
-    second.  Each row's steps are those of its own end alone."""
+    An end whose set reaches past the largest float is -inf or +inf;
+    no end is a point inside the set.  Both ends go through one loop, on
+    ``x`` stacked twice: lo from outer[0] downward in the first half, hi
+    from outer[1] upward in the second.  Each row's steps are those of
+    its own end alone."""
     m = x.shape[0]
     x = np.concatenate([x, x])
     start = np.concatenate(outer)
@@ -250,20 +290,62 @@ def cauchy_level_set_ends(x, outer: np.ndarray, target: np.ndarray):
     sgn = np.repeat([-1.0, 1.0], m)
     d = np.full(2 * m, 0.5)
     far = start + sgn * d
-    for _ in range(200):
-        inside = cauchy_loglik(cauchy_offsets(x, far)) > target
+    for k in range(_END_DOUBLINGS):
+        # d <= 0.5 * 2^k and |start| <= 1e15 + 1: t^2 and lo_b + hi_b can
+        # overflow only from k = 499, d near 1e150, where the safe forms,
+        # slower, take over
+        wide = k >= 499
+        inside = _loglik_rows(x, far, wide) > target
         if not inside.any():
             break
-        d = np.where(inside, d * 2.0, d)
+        d = np.where(inside, np.minimum(d, 0.5 * _FLOAT_MAX) * 2.0, d)
         far = start + sgn * d
     lo_b, hi_b = start, far
     for _ in range(55):
-        mid = 0.5 * (lo_b + hi_b)
-        keep = cauchy_loglik(cauchy_offsets(x, mid)) > target
+        # near +-_FLOAT_MAX, lo_b + hi_b overflows; halving first cannot
+        mid = 0.5 * lo_b + 0.5 * hi_b if wide else 0.5 * (lo_b + hi_b)
+        keep = _loglik_rows(x, mid, wide) > target
         lo_b = np.where(keep, mid, lo_b)
         hi_b = np.where(keep, hi_b, mid)
-    ends = 0.5 * (lo_b + hi_b)
+    ends = 0.5 * lo_b + 0.5 * hi_b if wide else 0.5 * (lo_b + hi_b)
+    if wide:  # rows still inside at +-_FLOAT_MAX
+        ends = np.where(inside, sgn * np.inf, ends)
     return ends[:m], ends[m:]
+
+
+def _loglik_rows(x: np.ndarray, theta: np.ndarray, wide: bool) -> np.ndarray:
+    """``cauchy_loglik`` of row k of ``x`` at ``theta[k]``.  ``wide`` when
+    some |theta| may pass 1e150, where (x_i - theta)^2 can overflow: each
+    log(1 + t^2) of an overflowed row is then logaddexp(0, 2 log|t|)."""
+    if not wide:
+        return cauchy_loglik(cauchy_offsets(x, theta), overwrite=True)
+    # t^2 may overflow to inf, and a 0 offset beside a huge one takes log 0
+    with np.errstate(over="ignore", divide="ignore"):
+        l = cauchy_loglik(cauchy_offsets(x, theta), overwrite=True)
+        over = l == -np.inf
+        if over.any():
+            t = cauchy_offsets(x[over], theta[over])
+            l[over] = -np.logaddexp(0.0, 2.0 * np.log(np.abs(t))).sum(axis=0)
+    return l
+
+
+def _unreachable_windows(x: np.ndarray, drop: float) -> np.ndarray:
+    """(B, n) mask of the unit windows that can hold no global maximum and
+    no point of the level set: on window i widened to x_i +- _REACH,
+    l < U_i = -sum_j log(1 + d_ij^2), d_ij the distance from x_j to it,
+    and U_i lies below L - drop, L = max_k l(x_k) <= l(theta_hat), by
+    more than the margin 1e-9 (1 + |L - drop|).  One (B, n, n) array,
+    worked in place, serves both L and U."""
+    d = np.subtract(x[:, :, None], x[:, None, :])
+    d *= d
+    level = -np.log1p(d, out=d).sum(axis=2).min(axis=1) - drop
+    np.subtract(x[:, :, None], x[:, None, :], out=d)
+    np.abs(d, out=d)
+    d -= _REACH
+    np.maximum(d, 0.0, out=d)
+    d *= d
+    bound = -np.log1p(d, out=d).sum(axis=2)
+    return bound < (level - _SKIP_MARGIN * (1.0 + np.abs(level)))[:, None]
 
 
 def _loglik_score_at(x: np.ndarray, row: np.ndarray, theta: np.ndarray):
@@ -273,8 +355,8 @@ def _loglik_score_at(x: np.ndarray, row: np.ndarray, theta: np.ndarray):
     for c in range(0, theta.size, _GRID_CHUNK):
         part = slice(c, c + _GRID_CHUNK)
         t = cauchy_offsets(x[row[part]], theta[part])
-        l[part] = cauchy_loglik(t)
         s[part] = cauchy_score(t)
+        l[part] = cauchy_loglik(t, overwrite=True)
     return l, s
 
 

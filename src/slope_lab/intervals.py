@@ -95,8 +95,8 @@ def score_interval(f: Family, y, k: float) -> Interval:
     reaches +/-k, which happens for the Cauchy score whose value decays
     to zero in both tails.
     """
-    if k <= 0:
-        raise DomainError(f"level k must be positive, got {k}")
+    if not 0.0 < k < math.inf:
+        raise DomainError(f"level k must be positive and finite, got {k}")
 
     def sbar(theta: float) -> float:
         return f.score(theta, y) / math.sqrt(f.fisher_info(theta))
@@ -171,10 +171,11 @@ def lrt_interval(L: LrtEstimate, z: float, adjustment: float = 1.0) -> Interval:
     """Connected hull of {theta : S(theta) > -(adjustment*z)^2}: the
     outermost roots of S = -z^2, from the family's ``lrt_hull``, with
     ``disconnected`` set when the level set is a union of intervals."""
-    z_eff = adjustment * z
-    if z_eff <= 0:
-        raise DomainError(f"level z must be positive, got {z_eff}")
-    lo, hi, disconnected = L.family.lrt_hull(L.sample, z_eff * z_eff / 2.0)
+    z_eff = _positive_level(z, adjustment)
+    drop = z_eff * z_eff / 2.0
+    if drop == math.inf:
+        raise DomainError(f"level adjustment * z = {z_eff} gives an infinite drop z^2 / 2")
+    lo, hi, disconnected = L.family.lrt_hull(L.sample, drop)
     return Interval(
         lo=lo,
         hi=hi,
@@ -183,6 +184,14 @@ def lrt_interval(L: LrtEstimate, z: float, adjustment: float = 1.0) -> Interval:
         adjustment=adjustment,
         disconnected=disconnected,
     )
+
+
+def _positive_level(z: float, adjustment: float) -> float:
+    """adjustment * z, a DomainError unless it is positive and finite."""
+    z_eff = adjustment * z
+    if not 0.0 < z_eff < math.inf:
+        raise DomainError(f"level adjustment * z must be positive and finite, got {adjustment} * {z}")
+    return z_eff
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +207,9 @@ def wald_interval(
     method: str = METHOD_WALD_EXPECTED,
 ) -> Interval:
     """theta_hat +/- adjustment * z / sqrt(info)."""
-    if info <= 0:
+    if not info > 0:
         raise DomainError(f"information must be positive, got {info}")
-    half = adjustment * z / math.sqrt(info)
+    half = _positive_level(z, adjustment) / math.sqrt(info)
     return Interval(
         lo=theta_hat - half,
         hi=theta_hat + half,

@@ -8,9 +8,9 @@ paragraph of ``cauchy``).  Replicates are processed in vectorized
 batches: the Philox draw, one certified pass of ``cauchy`` for the MLE
 and LRT level set, the observed information, and the LRT hull's ends are
 all done on whole batches.  With one thread, ``cauchy-sim --raw`` runs
-about 17,000 replicates/s end to end at the benchmark's reference speed
+about 22,500 replicates/s end to end at the benchmark's reference speed
 (``bench/`` workload ``coverage``).  Of a one-thread ``run_coverage`` on 100,000 replicates,
-about 75% goes to the MLE pass and about 22% to the LRT hull's ends.
+about 70% goes to the MLE pass and about 25% to the LRT hull's ends.
 
 The per-replicate table records everything the downstream projections
 need (coverage flags, KL lengths, observed information, and the raw
@@ -95,7 +95,7 @@ class SimSummary:
     n_failures: int = 0
     # seconds per STAGES entry, summed over batches (and so over threads)
     stage_seconds: Dict[str, float] = field(default_factory=dict)
-    # MLE work (brackets bisected, cells halved), disconnected LRT level
+    # MLE work (brackets bisected, cells halved, unit windows skipped), disconnected LRT level
     # sets, failed replicates by reason (certificate cap, non-finite theta_hat, i_obs <= 0)
     counters: Dict[str, int] = field(default_factory=dict)
     # the width multipliers the two Wald methods' columns carry (see readjust)
@@ -247,6 +247,7 @@ def _run_batch(cfg: SimConfig, start: int, count: int):
     counters = {
         "brackets": mle.brackets,
         "cells_halved": mle.halved,
+        "windows_skipped": mle.windows_skipped,
         "failed_cap": mle.capped,
         "failed_nonfinite": int((~finite).sum()) - mle.capped,
         "failed_info": int((finite & (i_obs <= 0.0)).sum()),

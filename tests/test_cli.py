@@ -161,6 +161,7 @@ class TestCauchySim:
         assert set(tel["stage_seconds"]) == {"draw", "mle", "obs_info", "lrt_roots", "widths_kl"}
         assert all(v >= 0.0 for v in tel["stage_seconds"].values())
         assert tel["counters"]["brackets"] >= 300
+        assert tel["counters"]["windows_skipped"] > 0
         failed = sum(v for k, v in tel["counters"].items() if k.startswith("failed_"))
         assert failed == tel["failed_replicates"] == 0
         assert tel["threads"] == slope_lab.mc.threads_from_env()

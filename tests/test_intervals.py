@@ -355,6 +355,79 @@ class TestLrt:
         assert not sl.lrt_interval(L, Z95).disconnected
 
 
+class TestLrtFarEnds:
+    """A hull end is bracketed and bisected however far out it lies, or
+    infinite when the set reaches past the largest float."""
+
+    def test_end_near_3e72(self):
+        f = sl.CauchyLocation(15)
+        x = np.sort(np.random.default_rng(1).standard_cauchy(15))
+        L = sl.lrt_estimate(f, x)
+        iv = sl.lrt_interval(L, 100.0)
+        target = L.sup_loglik - 5000.0
+        for end in (iv.lo, iv.hi):
+            assert 1e72 < abs(end) < 1e73
+            assert f.loglik(end * (1.0 - 1e-12), x) > target > f.loglik(end * (1.0 + 1e-12), x)
+
+    def test_single_observation_at_drop_700(self):
+        # l = -log(1 + (theta - 0.3)^2) > -700 for |theta - 0.3| < sqrt(e^700 - 1)
+        iv = sl.lrt_interval(sl.lrt_estimate(sl.CauchyLocation(1), np.array([0.3])), math.sqrt(1400.0))
+        half = math.sqrt(math.expm1(700.0))
+        assert iv.lo == pytest.approx(0.3 - half, rel=1e-12)
+        assert iv.hi == pytest.approx(0.3 + half, rel=1e-12)
+
+    def test_set_past_the_largest_float_has_infinite_ends(self):
+        # at theta = +-1.8e308, l = -2 log(1.8e308) = -1419.6 > -2000
+        iv = sl.lrt_interval(sl.lrt_estimate(sl.CauchyLocation(1), np.array([0.3])), math.sqrt(4000.0))
+        assert (iv.lo, iv.hi) == (-math.inf, math.inf)
+
+    def test_far_row_leaves_its_batch_neighbour_alone(self):
+        x = np.array([[0.3], [0.3]])
+        _, target, outer, _ = sl.cauchy.cauchy_level_set_batch(x, 1.92)
+        alone = sl.cauchy.cauchy_level_set_ends(x[:1], outer[:, :1], target[:1])
+        target[1] = -700.0
+        lo, hi = sl.cauchy.cauchy_level_set_ends(x, outer, target)
+        assert (lo[0], hi[0]) == (alone[0][0], alone[1][0])
+        assert hi[1] == pytest.approx(0.3 + math.sqrt(math.expm1(700.0)), rel=1e-12)
+
+
+class TestLevelChecks:
+    """A level that is not positive and finite is a DomainError naming it."""
+
+    BAD = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+
+    @pytest.mark.parametrize("z", BAD)
+    def test_lrt_interval(self, z):
+        L = sl.lrt_estimate(sl.CauchyLocation(15), np.sort(RNG(3).standard_cauchy(15)))
+        with pytest.raises(sl.DomainError, match="level"):
+            sl.lrt_interval(L, z)
+        with pytest.raises(sl.DomainError, match="level"):
+            sl.lrt_interval(L, Z95, adjustment=z)
+
+    @pytest.mark.parametrize("f,y", [(sl.NormalLocation(1.0, 4), 0.3), (sl.Bernoulli(10), 3)])
+    def test_lrt_interval_with_an_infinite_drop(self, f, y):
+        # 1e200 is finite, but its drop z^2 / 2 is not
+        with pytest.raises(sl.DomainError, match="level"):
+            sl.lrt_interval(sl.lrt_estimate(f, y), 1e200)
+
+    @pytest.mark.parametrize("z", BAD)
+    def test_wald_interval(self, z):
+        with pytest.raises(sl.DomainError, match="level"):
+            sl.wald_interval(0.0, 7.5, z)
+        with pytest.raises(sl.DomainError, match="level"):
+            sl.wald_interval(0.0, 7.5, Z95, adjustment=z)
+
+    @pytest.mark.parametrize("k", BAD)
+    def test_score_interval(self, k):
+        with pytest.raises(sl.DomainError, match="level"):
+            sl.score_interval(sl.NormalLocation(1.0, 4), 0.2, k)
+
+    @pytest.mark.parametrize("drop", [math.nan, math.inf, -1.0])
+    def test_level_set_drop(self, drop):
+        with pytest.raises(sl.DomainError, match="drop"):
+            sl.cauchy.cauchy_level_set_batch(np.array([[-0.5, 0.5, 2.0]]), drop)
+
+
 class TestWald:
     def test_hand_values(self):
         iv = sl.wald_interval(2.0, 4.0, 1.0)

@@ -3,9 +3,12 @@
 import dataclasses
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import slope_lab as sl
@@ -206,6 +209,141 @@ class TestLrtRoots:
         assert counters["lrt_disconnected"] == oracle.sum()
 
 
+def _loglik_at(x, theta):
+    """l of the one sample ``x`` at each point of ``theta``."""
+    return -np.log1p((x[:, None] - theta[None, :]) ** 2).sum(axis=0)
+
+
+def _level_set_laying_every_window(x, drop):
+    """The kernel with no window skipped."""
+    lay_all = lambda x, drop: np.zeros(x.shape, dtype=bool)
+    with mock.patch.object(cauchy, "_unreachable_windows", lay_all):
+        return cauchy_level_set_batch(x, drop)
+
+
+def _topology_oracle(x, t):
+    """Independent oracle for one sorted sample: the local maxima of l above
+    t and whether {l > t} is not one interval, from a lattice of step 1e-3
+    over every unit window and, in every gap between windows, where l is
+    convex, its minimum, bisected on the score.  None when some extremum
+    lies within 1e-4 of t, where the lattice cannot decide."""
+    k = np.round(x / 1e-3).astype(np.int64)
+    points = [np.unique((k[:, None] + np.arange(-1002, 1003)).ravel()) * 1e-3]
+    score = lambda th: float((2.0 * (x - th) / (1.0 + (x - th) ** 2)).sum())
+    for a, b in zip(x[:-1] + 1.01, x[1:] - 1.01):
+        if a < b and score(a) < 0.0 < score(b):
+            for _ in range(200):
+                mid = 0.5 * (a + b)
+                a, b = (mid, b) if score(mid) < 0.0 else (a, mid)
+            points.append([a])
+    g = np.sort(np.concatenate(points))
+    ll = _loglik_at(x, g)
+    inner = ll[1:-1]
+    peaks = (inner > ll[:-2]) & (inner >= ll[2:])
+    troughs = (inner < ll[:-2]) & (inner <= ll[2:])
+    if np.any(np.abs(inner[peaks | troughs] - t) < 1e-4):
+        return None
+    above = ll > t
+    runs = int(above[0]) + int(np.count_nonzero(above[1:] & ~above[:-1]))
+    return g[1:-1][peaks & (inner > t)], runs > 1
+
+
+def _check_skip_is_sound(x, drop):
+    """The kernel on the one sorted sample ``x``: against itself laying
+    every window, against the dense-grid oracle, and l below the level over
+    each skipped window.  Returns the number of windows skipped."""
+    counters = cauchy.MleCounters()
+    theta_hat, target, outer, disconnected = cauchy_level_set_batch(x[None], drop, counters)
+    skipped = cauchy._unreachable_windows(x[None], drop)[0]
+    assert counters.windows_skipped == skipped.sum()
+    # laying every window gives the same answer (a batch of one may move in the last bits)
+    ref = _level_set_laying_every_window(x[None], drop)
+    for got, want in zip((theta_hat, target, outer), ref[:3]):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert disconnected[0] == ref[3][0]
+    # theta_hat is a global maximizer on the grid over every window
+    l_hat = _loglik_at(x, theta_hat)[0]
+    assert target[0] == l_hat - drop
+    grid = (x[:, None] + np.linspace(-1.0, 1.0, 2001)).ravel()
+    assert l_hat >= _loglik_at(x, grid).max() - 1e-12 * (1.0 + abs(l_hat))
+    # l stays below the level over each skipped window, widened as the bound is
+    for xi in x[skipped]:
+        assert _loglik_at(x, xi + np.linspace(-1.4, 1.4, 28_001)).max() < target[0]
+    oracle = _topology_oracle(x, target[0])
+    if drop == 0.0:
+        assert outer[0][0] == outer[1][0] == theta_hat[0] and not disconnected[0]
+    elif oracle is not None:
+        maxima, split = oracle
+        ends = np.concatenate([maxima, theta_hat])
+        assert outer[0][0] == pytest.approx(ends.min(), abs=2e-3)
+        assert outer[1][0] == pytest.approx(ends.max(), abs=2e-3)
+        assert disconnected[0] == split
+    return int(skipped.sum())
+
+
+_SKIP_DROPS = (0.0, 0.5, sl.SimConfig().z ** 2 / 2.0, 4.5)  # 0 and z^2 / 2 for z = 1, 1.96, 3
+
+
+class TestWindowSkip:
+    """The window skip of ``cauchy_level_set_batch`` drops no maximum and no
+    point of the level set."""
+
+    @pytest.mark.parametrize("drop", _SKIP_DROPS)
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [0.0, 60.0],
+            [-0.3, 0.4, 250.0],
+            [-1e6, -0.5, 0.2, 0.9, 40.0],
+            [-3.0, 3.0, 8.0, 1e4, 1e15],
+            list(np.sort(np.r_[np.random.default_rng(4).standard_cauchy(12), -700.0, 90.0, 3e5])),
+        ],
+        ids=["n2", "n3", "n5", "n5-wide", "n15"],
+    )
+    def test_far_outliers(self, x, drop):
+        skipped = _check_skip_is_sound(np.array(x), drop)
+        # two windows bound each other: l(x_k) lies under the other's bound
+        assert (skipped == 0) if len(x) == 2 else (skipped > 0)
+
+    @pytest.mark.parametrize("drop", _SKIP_DROPS)
+    @pytest.mark.parametrize("n", [3, 5, 15])
+    def test_bound_just_above_and_below_the_level(self, n, drop):
+        # an outlier D to the right of a fixed cluster, D bisected to adjacent
+        # floats where the skip of its window switches on
+        cluster = np.sort(np.random.default_rng(n).uniform(-1.5, 1.5, n - 1))
+        row = lambda d: np.append(cluster, d)
+        skips = lambda d: bool(cauchy._unreachable_windows(row(d)[None], drop)[0, -1])
+        lo, hi = cluster[-1], 1e6
+        assert not skips(lo) and skips(hi)
+        while np.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if skips(mid) else (mid, hi)
+        assert _check_skip_is_sound(row(lo), drop) == 0
+        assert _check_skip_is_sound(row(hi), drop) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3, 5, 15]),
+        seed=st.integers(0, 2**32 - 1),
+        far=st.lists(st.floats(4.0, 1e6) | st.floats(-1e6, -4.0), min_size=1, max_size=4),
+        drop=st.sampled_from(_SKIP_DROPS),
+    )
+    def test_random_clusters_with_far_outliers(self, n, seed, far, drop):
+        k = min(len(far), n - 1)
+        cluster = np.random.default_rng(seed).uniform(-3.0, 3.0, n - k)
+        _check_skip_is_sound(np.sort(np.r_[cluster, far[:k]]), drop)
+
+    def test_batch_counts_match_the_mask(self):
+        x = _draw_batch(0, 0, 512, 15, 0.0)
+        drop = sl.SimConfig().z ** 2 / 2.0
+        counters = cauchy.MleCounters()
+        got = cauchy_level_set_batch(x, drop, counters)
+        assert counters.windows_skipped == cauchy._unreachable_windows(x, drop).sum() > 0
+        # in a batch the answer is the unskipped one bit for bit
+        for a, b in zip(got, _level_set_laying_every_window(x, drop)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 class TestRunCoverage:
     def test_deterministic_across_workers(self):
         a = sl.run_coverage(sl.SimConfig(reps=5000, seed=7), workers=1)
@@ -264,6 +402,7 @@ class TestRunCoverage:
         assert all(v >= 0.0 for v in small_summary.stage_seconds.values())
         c = small_summary.counters
         assert c["brackets"] >= CFG_SMALL.reps
+        assert c["windows_skipped"] > 0
         failed = c["failed_cap"] + c["failed_nonfinite"] + c["failed_info"]
         assert failed == small_summary.n_failures
 
