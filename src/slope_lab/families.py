@@ -23,23 +23,26 @@ parameter (k(n,y) = 0 convention); scores, information, and slope
 quantities are invariant to this choice.
 
 A new family is one new class here, with ``check_sample``, ``loglik``,
-``score``, ``fisher_info``, ``sample``, and ``density`` (``Family.expect``
-integrates it by quadrature) or its own ``expect``; ``mle`` and ``kl``
+``score``, ``fisher_info``, ``sample``, and the nodes of its expectations:
+``values`` and ``weights`` for a finite-node or sampling family, or
+``density`` for a continuous one.  ``Family.expect``, the one expectation
+engine, which no family overrides, takes the weighted mean of ``values``
+under ``weights`` (the exact binomial sum, the Gauss-Hermite rule), their
+plain mean and standard error under equal weights (Monte Carlo), or
+quadrature of phi * density where there are no nodes.  ``mle`` and ``kl``
 serve LRT intervals and KL lengths.  ``observed_info`` (a central
 difference of the score), ``sup_loglik`` (l at the MLE) and
 ``reference_info`` (the Fisher information) have base defaults, and so
 have ``lrt_hull(y, drop)`` and ``kl_ball(lo, hi)``, by ``_bisect``
 (``CauchyLocation``'s from ``cauchy``); an override keeps its base signature.
 
-A Monte Carlo family (``CauchyLocation``) hands back the per-draw values
-of an integrand through ``values``, and its ``expect`` is their mean and
-standard error.  It draws its samples in chunks.  An integrand may carry
-a block form, ``phi.block``, which takes a chunk (m, n) of sorted samples
-and returns its m values, equal to ``phi`` row by row bit for bit, or
-several such columns; the engine then calls it once per chunk instead of
-``phi`` once per row.  ``CauchyLocation.score`` takes such a block, so
-the slope engine's one pass per theta calls the score once per chunk and
-a user statistic once per draw.
+A Monte Carlo family (``CauchyLocation``) draws its samples in chunks.  An
+integrand may carry a block form, ``phi.block``, which takes a chunk (m, n)
+of sorted samples and returns its m values, equal to ``phi`` row by row bit
+for bit, or several such columns; the engine then calls it once per chunk
+instead of ``phi`` once per row.  ``CauchyLocation.score`` takes such a
+block, so the slope engine's one pass per theta calls the score once per
+chunk and a user statistic once per draw.
 """
 
 from __future__ import annotations
@@ -141,6 +144,12 @@ def median_density(k: int, z: float, theta: float) -> float:
     return out
 
 
+def _at_nodes(phi, nodes: list) -> np.ndarray:
+    """phi at each node, as (nodes,), or C-contiguous (k, nodes) where phi
+    returns k values."""
+    return np.ascontiguousarray(np.array([phi(y) for y in nodes], dtype=float).T)
+
+
 def _median_dlog_dtheta(k: int, t: np.ndarray) -> np.ndarray:
     """d/dtheta log f_med(z; theta) expressed in t = z - theta."""
     a = np.arctan(t)
@@ -185,27 +194,40 @@ class Family:
         raise NotImplementedError
 
     def expect(self, theta: float, phi, *, mc_draws: int = DEFAULT_MC_DRAWS, mc_seed: int = 0) -> tuple:
-        """(E_theta[phi(Y)], standard error): quadrature of phi * density, SE 0.
+        """(E_theta[phi(Y)], standard error), the one expectation engine.
 
-        The exact engines (this quadrature, a sum, a fixed rule) call ``phi``
-        once per point.  A sampling family overrides ``values`` as well, and
-        its ``expect`` is the mean of those values with their standard error.
+        The mean of ``values`` under ``weights``, SE 0; under equal weights
+        (None, a sampling family) their plain mean and its standard error.
+        Where ``values`` is None, quadrature of phi * density, SE 0.
         """
-        return integrate_real_line(lambda y: phi(y) * self.density(theta, y)), 0.0
+        vals = self.values(theta, phi, mc_draws=mc_draws, mc_seed=mc_seed)
+        if vals is None:
+            return integrate_real_line(lambda y: phi(y) * self.density(theta, y)), 0.0
+        w = self.weights(theta)
+        if w is None:
+            return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
+        return float(np.dot(w, vals)), 0.0
 
     def values(self, theta: float, phi, *, mc_draws: int = DEFAULT_MC_DRAWS, mc_seed: int = 0):
-        """The per-draw values of ``phi`` behind a sampling ``expect``, or None:
-        an exact engine hands back none.
+        """``phi`` at the nodes of this family's expectations, or None where
+        there are none and ``expect`` integrates the density.
 
-        A sampling family draws its samples in chunks and may hand each chunk
-        to ``phi.block`` when ``phi`` has one: the block form returns the
-        chunk's values, equal to ``phi`` row by row bit for bit, or several
-        such columns (k, m), which come back as (k, mc_draws).  The slope
-        engine keeps these columns, one pass per theta, and takes every
-        moment from them; its block forms call this family's ``score`` on
-        the whole chunk, so the ``score`` of such a family takes a block
-        (m, n) of samples too.
+        Where ``phi`` returns k values per node they come back as a
+        C-contiguous (k, nodes) array, so that each row reduces in the order
+        a one-valued ``phi`` would.  A sampling family draws its samples in
+        chunks and may hand each chunk to ``phi.block`` when ``phi`` has one:
+        the block form returns the chunk's values, equal to ``phi`` row by
+        row bit for bit, or several such columns (k, m).  The slope engine
+        keeps these rows, one pass per theta, and takes every moment from
+        them; its block forms call this family's ``score`` on the whole
+        chunk, so the ``score`` of such a family takes a block (m, n) of
+        samples too.
         """
+        return None
+
+    def weights(self, theta: float):
+        """The weights of the nodes of ``values`` at theta, summing to 1, or
+        None for equal weights."""
         return None
 
     def mle(self, y: Sample) -> float:
@@ -268,8 +290,8 @@ class Bernoulli(Family):
     charts = (CHART_P, CHART_LOG_ODDS)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"n must be positive, got {self.n}")
+        if not 1 <= self.n < math.inf or self.n != int(self.n):
+            raise DomainError(f"n must be a positive integer, got {self.n}")
         if self.chart not in self.charts:
             raise DomainError(f"unknown chart {self.chart!r}")
 
@@ -287,14 +309,14 @@ class Bernoulli(Family):
         return 1.0 / (1.0 + math.exp(-theta))
 
     def check_sample(self, y: Sample) -> None:
-        if y != int(y) or not 0 <= y <= self.n:
+        if not 0 <= y <= self.n or y != int(y):  # the range first: int() of NaN or inf raises
             raise DomainError(f"y={y} not an integer in [0, {self.n}]")
 
-    def pmf(self, theta: float, y=None) -> np.ndarray:
-        """Exact binomial weights over the support (or at a given y)."""
+    def pmf(self, theta: float) -> np.ndarray:
+        """Exact binomial weights over the support."""
         self.check_param(theta)
         p = self._p(theta)
-        ys = self.support() if y is None else np.asarray(y)
+        ys = self.support()
         log_pmf = (
             gammaln(self.n + 1)
             - gammaln(ys + 1)
@@ -334,11 +356,12 @@ class Bernoulli(Family):
         p = self._p(theta)
         return int(np.count_nonzero(rng.random(self.n) < p))
 
-    def expect(self, theta, phi, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> tuple:
-        """The exact binomial sum over the support."""
-        w = self.pmf(theta)
-        vals = np.array([phi(int(y)) for y in self.support()], dtype=float)
-        return float(np.dot(w, vals)), 0.0
+    def values(self, theta, phi, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> np.ndarray:
+        """phi at each count of the support: the exact binomial sum's nodes."""
+        return _at_nodes(phi, [int(y) for y in self.support()])
+
+    def weights(self, theta: float) -> np.ndarray:
+        return self.pmf(theta)
 
     def mle(self, y: Sample) -> float:
         p_hat = y / self.n
@@ -474,11 +497,6 @@ class CauchyLocation(Family):
     def sample(self, theta: float, rng: np.random.Generator) -> np.ndarray:
         self.check_param(theta)
         return cauchy_sorted_draws(rng.random(self.n), theta)
-
-    def expect(self, theta, phi, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> tuple:
-        """Seeded Monte Carlo: the mean of ``values`` and its standard error."""
-        vals = self.values(theta, phi, mc_draws=mc_draws, mc_seed=mc_seed)
-        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mc_draws))
 
     def values(self, theta, phi, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> np.ndarray:
         """phi at ``mc_draws`` samples (an integer >= 2, for the standard
@@ -622,15 +640,26 @@ class BivariateNormalSlice(Family):
         sd = 1.0 / math.sqrt(self.n)
         return (float(rng.normal(theta, sd)), float(rng.normal(0.0, sd)))
 
-    def expect(self, theta, phi, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> tuple:
-        """64 x 64 Gauss-Hermite rule over the two independent coordinates."""
-        nodes, weights = np.polynomial.hermite_e.hermegauss(64)
+    def values(self, theta, phi, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> np.ndarray:
+        """phi at the 64 x 64 Gauss-Hermite nodes (z1, z2), z1 the outer one."""
+        nodes = _gauss_hermite()[0]
         sd = 1.0 / math.sqrt(self.n)
-        total = 0.0
-        for a, wa in zip(nodes, weights):
-            z1 = theta + sd * a
-            total += wa * sum(wb * phi((z1, sd * b)) for b, wb in zip(nodes, weights))
-        return total / (2.0 * math.pi), 0.0
+        return _at_nodes(phi, [(theta + sd * a, sd * b) for a in nodes for b in nodes])
+
+    def weights(self, theta: float) -> np.ndarray:
+        return _gauss_hermite()[1]
+
+
+@functools.cache
+def _gauss_hermite() -> tuple:
+    """The 64-point rule for the standard normal weight e^(-x^2/2): its nodes,
+    and the product weights of the 64 x 64 rule over 2 pi, in the order of
+    ``BivariateNormalSlice.values``.  Computed on first use (about 13 ms)."""
+    nodes, w = np.polynomial.hermite_e.hermegauss(64)
+    product = np.outer(w, w).ravel() / (2.0 * math.pi)
+    for shared in (nodes, product):  # cached: every caller gets these arrays
+        shared.flags.writeable = False
+    return nodes, product
 
 
 # The median information and variance are pure functions of k and each

@@ -12,18 +12,20 @@ by the Fisher information, with the score attaining the bound.  The
 slope of a point estimator is defined through its lift
 h(y, theta) = u(y) - E_theta[u].
 
-Expectations dispatch on the family's sample space: exact sums for the
-finite Bernoulli support, adaptive quadrature for the one-dimensional
-continuous families, and seeded Monte Carlo (with reported standard
-error) for the full Cauchy sample space, which is the only genuinely
-n-dimensional one.  Every slope quantity at theta is a view of one set
-of moments (V(g), E g', E[g * score]), each taken once, on first use,
-and each the mean of an elementwise formula in per-sample quantities:
-g (u for a lift), g' or g at theta +- h, and the score.  On the Monte
-Carlo family one pass over the draws at theta keeps them all as
-columns: a user statistic runs once per draw per theta, the score once
-per chunk, and every moment is a reduction of the kept columns.  On an
-exact engine each moment is its own expectation pass.
+Expectations are ``Family.expect``: a weighted mean of values at nodes,
+which are the Bernoulli support under the exact binomial weights, a
+Gauss-Hermite rule, or seeded Monte Carlo draws under equal weights (with
+reported standard error) for the full Cauchy sample space; or adaptive
+quadrature for the one-dimensional continuous families, which have no
+nodes.  Every slope quantity at theta is a view of one set of moments
+(V(g), E g', E[g * score]), each taken once, on first use, and each the
+mean of an elementwise formula in per-sample quantities: g (u for a
+lift), g' or g at theta +- h, and the score.  Where the family has nodes,
+one pass over them at theta keeps these quantities as columns: a user
+statistic runs once per node per theta, a Monte Carlo score once per
+chunk, and every moment is a reduction of the kept columns under the
+weights, read once per theta.  Under quadrature each moment is its own
+expectation pass.
 """
 
 from __future__ import annotations
@@ -54,9 +56,10 @@ def expect(
     mc_seed: int = 0,
     return_se: bool = False,
 ):
-    """E_theta[phi(Y)] under family ``f``, by ``f.expect``: an exact sum,
-    quadrature or seeded Monte Carlo.  With ``return_se=True`` the Monte
-    Carlo standard error is returned alongside (0.0 for the exact engines).
+    """E_theta[phi(Y)] under family ``f``, by ``f.expect``: an exact sum or
+    rule, quadrature or seeded Monte Carlo.  With ``return_se=True`` the
+    Monte Carlo standard error is returned alongside (0.0 for the exact
+    engines).
     """
     f.check_param(theta)
     value, se = f.expect(theta, phi, mc_draws=mc_draws, mc_seed=mc_seed)
@@ -86,12 +89,13 @@ class _Pass:
     """Means of elementwise formulas in named per-sample quantities under
     ``f`` at theta.
 
-    On a sampling family one pass over the draws computes each quantity
-    once per draw (a block form once per chunk) and keeps it as a column;
-    every mean is then a reduction of the kept columns, in the order a pass
-    per mean would take.  An exact engine hands back no values, so there each
-    mean is its own expectation pass, which computes at each point only the
-    quantities its formula reads.
+    Where ``f`` has nodes, one pass over them computes each quantity once
+    per node (a block form once per Monte Carlo chunk) and keeps it as a
+    column, and reads the node weights once; every mean is then a reduction
+    of the kept columns, ``np.dot(weights, column)`` or ``column.mean()``,
+    in the order ``f.expect`` of that formula would take.  Under quadrature
+    there are no nodes, so each mean is its own expectation pass, which
+    computes at each point only the quantities its formula reads.
     """
 
     def __init__(self, f: Family, theta: float, quantities: dict, kw: dict):
@@ -101,6 +105,7 @@ class _Pass:
                             lambda xs: [(getattr(fn, "block", None) or _per_row(fn))(xs) for fn in fns])
         vals = f.values(theta, every, **kw)
         self.columns = None if vals is None else dict(zip(quantities, vals))
+        self.weights = None if vals is None else f.weights(theta)
 
     def mean(self, formula: Optional[Callable], *names: str) -> float:
         """E[formula(*the quantities named)], a formula of at most two; with
@@ -108,9 +113,9 @@ class _Pass:
         cols, q = self.columns, self.quantities
         if cols is not None:
             vals = cols[names[0]] if formula is None else formula(*[cols[k] for k in names])
-            if not names:  # a constant, averaged over the draws as a pass over them would
+            if not names:  # a constant, averaged over the nodes as a pass over them would
                 vals = np.full(len(next(iter(cols.values()))), vals)
-            return float(vals.mean())
+            return float(vals.mean() if self.weights is None else np.dot(self.weights, vals))
         if formula is None:
             at = q[names[0]]
         elif not names:
@@ -132,7 +137,7 @@ class _Pass:
 
 
 def variance(f: Family, theta: float, phi: Callable, **kw) -> float:
-    """V_theta(phi(Y)); on a sampling family from one pass over the draws."""
+    """V_theta(phi(Y)); where the family has nodes, from one pass over them."""
     return _Pass(f, theta, {"phi": phi}, kw).moments("phi")[1]
 
 
@@ -236,8 +241,8 @@ class _SlopeAt:
 
     Each moment is the mean of an elementwise formula in g's per-sample
     quantities (a ``_Pass``): g itself (u for a lift, whose g is u - ups),
-    g' or g at theta +- h, and the score.  On a sampling family one pass
-    over the draws keeps them all.
+    g' or g at theta +- h, and the score.  Where the family has nodes, one
+    pass over them keeps them all.
     """
 
     def __init__(self, g: GenEstimator, theta: float, kw: dict):
@@ -419,10 +424,11 @@ class SlopeReport:
 
 def slope_report(g: GenEstimator, grid: Sequence[float], **kw) -> SlopeReport:
     """Every slope column of g over ``grid``, each equal to its standalone
-    function.  Each moment behind them is taken once per theta: on an exact
-    engine 5 expectation passes for an estimator with ``deriv``, 1 for the
-    score; on a sampling family one pass over the draws, and a lift without
-    a closed-form mean adds one pass each at theta +- h."""
+    function.  Each moment behind them is taken once per theta: where the
+    family has nodes (a sum, a rule, Monte Carlo draws) one pass over them,
+    and a lift without a closed-form mean adds one pass each at theta +- h;
+    under quadrature 5 expectation passes for an estimator with ``deriv``,
+    1 for the score."""
     rows = [(s.lam, s.rho2, s.eff, s.eff * g.family.n, s.residual) for s in (_SlopeAt(g, th, kw) for th in grid)]
     return SlopeReport(np.asarray(grid, dtype=float), *np.array(rows, dtype=float).reshape(-1, 5).T.copy())
 

@@ -26,7 +26,7 @@ from scipy.special import betaincinv
 
 from .cauchy import cauchy_mle  # noqa: F401  (re-exported: part of this module's API)
 from .errors import CurvatureError, DomainError, NonexistenceError, NonMonotoneError
-from .families import _MAX_DOUBLINGS, Family, _bisect
+from .families import _MAX_DOUBLINGS, Bernoulli, Family, _bisect
 
 METHOD_SCORE = "score_inversion"
 METHOD_LRT = "lrt"
@@ -207,8 +207,10 @@ def wald_interval(
     method: str = METHOD_WALD_EXPECTED,
 ) -> Interval:
     """theta_hat +/- adjustment * z / sqrt(info)."""
-    if not info > 0:
-        raise DomainError(f"information must be positive, got {info}")
+    if not math.isfinite(theta_hat):
+        raise DomainError(f"theta_hat must be finite, got {theta_hat}")
+    if not 0 < info < math.inf:
+        raise DomainError(f"information must be positive and finite, got {info}")
     half = _positive_level(z, adjustment) / math.sqrt(info)
     return Interval(
         lo=theta_hat - half,
@@ -229,10 +231,10 @@ def exact_bernoulli_interval(n: int, y: int, alpha: float) -> Interval:
     y + 1, n - y), with lo = 0 at y = 0 and hi = 1 at y = n (Clopper and
     Pearson 1934).  ``scipy.special.betaincinv`` gives each end to within
     2e-15 relative: against a 40-digit inversion, for n <= 100, every y
-    and alpha in {0.5, 0.05, 0.01}, the worst is 1.7e-15.
+    and alpha in {0.5, 0.05, 0.01}, the worst is 1.7e-15.  The count y is
+    checked as ``Bernoulli(n)`` checks a sample: an integer in [0, n], n >= 1.
     """
-    if not 0 <= y <= n:
-        raise DomainError(f"y={y} outside [0, {n}]")
+    Bernoulli(n).check_sample(y)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha={alpha} outside (0, 1)")
     lo = 0.0 if y == 0 else float(betaincinv(y, n - y + 1, alpha / 2.0))

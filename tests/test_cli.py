@@ -92,17 +92,18 @@ class TestCurves:
             assert np.dot(w, vals**2) == pytest.approx(1.0, abs=1e-9)
 
     def test_variance_taken_once_per_theta(self, tmp_path, monkeypatch):
-        # the score's two variance passes serve every outcome at that theta
+        # one pass over the support gives the score's variance, which serves
+        # every outcome at that theta
         thetas = []
 
         def counted(f, theta, phi, **kw):
             thetas.append(theta)
-            return expect(f, theta, phi, **kw)
+            return values(f, theta, phi, **kw)
 
-        expect = slope_lab.gcore.expect
-        monkeypatch.setattr(slope_lab.gcore, "expect", counted)
+        values = slope_lab.Bernoulli.values
+        monkeypatch.setattr(slope_lab.Bernoulli, "values", counted)
         assert run(["curves", "--n", "10", "--grid", "7", "--out", str(tmp_path / "c.csv")]) == cli.EXIT_OK
-        assert len(thetas) == 2 * 7 and len(set(thetas)) == 7
+        assert len(thetas) == 7 and len(set(thetas)) == 7
 
     def test_unsupported_family(self, tmp_path):
         code = run(["curves", "--family", "cauchy", "--out", str(tmp_path / "x.csv")])

@@ -113,11 +113,12 @@ class TestLift:
                 self.calls += 1
                 return self.fn(y)
 
-        # 11 support points: E[u * score] for the slope, E[u] for the
-        # lift's mean, then E[h] and E[(h - E h)^2] for the variance
+        # one pass over the 11 support points keeps the u column: E[u] for
+        # the lift's mean, E[u * score] for the slope and both moments of
+        # the variance are reductions of it
         u = Counted(lambda y: float(y * (y - 1)))
         sl.lambda_efficiency(sl.lift_point_estimator(BERN, u), 0.3)
-        assert u.calls == 4 * 11
+        assert u.calls == 11
         # one pass of 1000 draws keeps the median column: E[median] is its
         # mean, and both moments of the variance are reductions of it
         med = Counted(lambda x: float(x[7]))
@@ -190,10 +191,11 @@ class TestSquaredSlopeAndEfficiency:
             assert effv == pytest.approx(effl, abs=1e-8)
 
     def test_v_efficiency_takes_the_mean_once(self):
-        # 11 support points: E[u] for the bias check, reused by the variance pass
+        # one pass over the 11 support points: E[u] for the bias check and
+        # the variance are reductions of the kept u column
         u = Counted(lambda y: y / 10.0)
         sl.v_efficiency(BERN, u, 0.3)
-        assert u.calls == 2 * 11
+        assert u.calls == 11
 
     def test_v_efficiency_rejects_biased(self):
         with pytest.raises(sl.BiasError):
@@ -233,20 +235,23 @@ class TestSlopeReport:
     def passes_per_theta(g, grid, monkeypatch, **kw):
         calls = []
 
-        def counted(*a, **k):
-            calls.append(a[1])
-            return expect(*a, **k)
+        def counted(f, theta, phi, **k):
+            calls.append(theta)
+            return values(f, theta, phi, **k)
 
-        expect = sl.gcore.expect
-        monkeypatch.setattr(sl.gcore, "expect", counted)
+        values = sl.Bernoulli.values
+        monkeypatch.setattr(sl.Bernoulli, "values", counted)
         sl.slope_report(g, grid, **kw)
         return [calls.count(th) for th in grid]
 
     def test_each_moment_taken_once_per_theta(self, monkeypatch):
-        # V(g) (two passes), E g' by deriv, E g' by central differences and
-        # E[g * score]; the score needs only E[score^2] for its identity
-        g = sl.lift_point_estimator(BERN, lambda y: float(y), mean_fn=lambda p: 10 * p, mean_deriv=lambda p: 10.0)
-        assert self.passes_per_theta(g, [0.2, 0.6], monkeypatch) == [5, 5]
+        # one pass over the support keeps every per-sample quantity: V(g),
+        # E g' by deriv and by central differences, and E[g * score] are
+        # reductions of it; the score needs only E[score^2] for its identity
+        u = Counted(lambda y: float(y))
+        g = sl.lift_point_estimator(BERN, u, mean_fn=lambda p: 10 * p, mean_deriv=lambda p: 10.0)
+        assert self.passes_per_theta(g, [0.2, 0.6], monkeypatch) == [1, 1]
+        assert u.calls == 2 * 11
         assert self.passes_per_theta(sl.score_estimator(BERN), [0.2, 0.6], monkeypatch) == [1, 1]
 
     @pytest.mark.parametrize(
@@ -399,6 +404,128 @@ class TestMonteCarloBlocks:
             med.calls = 0
             fn(g, 0.3, **kw)
             assert med.calls == draws, fn.__name__
+
+
+class TestNodeEngines:
+    """The slope quantities on the binomial sum and the Gauss-Hermite rule,
+    against explicit per-moment expectations written from the definitions:
+    one weighted sum per moment, with Python's ``** 2``."""
+
+    P_OF = {"p": lambda th: th, "log_odds": lambda th: 1.0 / (1.0 + math.exp(-th))}
+    GRID = {"p": [0.05, 0.3, 0.62, 0.9], "log_odds": [-2.5, -0.4, 0.8, 3.0]}
+
+    @classmethod
+    def bernoulli_estimators(cls, f):
+        p = cls.P_OF[f.chart]
+        dp = (lambda th: 1.0) if f.chart == "p" else (lambda th: p(th) * (1.0 - p(th)))
+        u = lambda y: float(y * (y - 1))
+        mean, dmean = lambda th: 90.0 * p(th) ** 2, lambda th: 180.0 * p(th) * dp(th)
+        g = lambda y, th: (y - 10.0 * p(th)) * (1.0 + th * th)
+        dg = lambda y, th: -10.0 * dp(th) * (1.0 + th * th) + (y - 10.0 * p(th)) * 2.0 * th
+        return {
+            "score": (sl.score_estimator(f), None),
+            "lift_engine": (sl.lift_point_estimator(f, u), (u, None, None)),
+            "lift_mean_only": (sl.lift_point_estimator(f, u, mean_fn=mean), (u, mean, None)),
+            "lift_closed_form": (sl.lift_point_estimator(f, u, mean_fn=mean, mean_deriv=dmean), (u, mean, dmean)),
+            "custom_fd": (sl.GenEstimator(f, g), (g, None)),
+            "custom_deriv": (sl.GenEstimator(f, g, deriv=dg), (g, dg)),
+        }
+
+    @staticmethod
+    def everything(g, th, ys):
+        """slope_report's columns, var and standardize at each y, by the slope engine."""
+        rep = sl.slope_report(g, [th])
+        values = [getattr(rep, c)[0] for c in ("lam", "rho2", "eff_lambda", "eff_n", "identity_residual")]
+        return values + [g.var(th)] + [sl.standardize(g, th, y) for y in ys]
+
+    @staticmethod
+    def definitions(f, E, kind, parts, th, ys):
+        """``everything`` from explicit per-moment expectations ``E(phi, th)``."""
+        score = lambda y: f.score(th, y)
+        info, h = f.fisher_info(th), 1e-5 * (1.0 + abs(th))
+        if kind == "score":
+            m = E(score, th)
+            var = E(lambda y: (score(y) - m) ** 2, th)
+            cov = E(lambda y: score(y) * score(y), th)
+            lam, rho2, residual, g = info, 1.0, abs(info - cov), score
+        elif kind.startswith("lift"):
+            u, mean, dmean = parts
+            ups = (lambda t: E(u, t)) if mean is None else mean
+            dups = E(lambda y: u(y) * score(y), th) if dmean is None else dmean(th)
+            ups_th = ups(th)
+            g = lambda y: u(y) - ups_th
+            m = E(g, th)
+            var = E(lambda y: (g(y) - m) ** 2, th)
+            cov = E(lambda y: g(y) * score(y), th)
+            slope = E(lambda y: -dups, th)
+            up, um = ups(th + h), ups(th - h)
+            fd = E(lambda y: ((u(y) - up) - (u(y) - um)) / (2.0 * h), th)
+            lam, rho2, residual = slope * slope / var, cov * cov / (var * info), abs(-fd - cov)
+        else:
+            ev, dg = parts
+            g = lambda y, t=th: ev(y, t)
+            m = E(g, th)
+            var = E(lambda y: (g(y) - m) ** 2, th)
+            cov = E(lambda y: g(y) * score(y), th)
+            fd = E(lambda y: (g(y, th + h) - g(y, th - h)) / (2.0 * h), th)
+            slope = fd if dg is None else E(lambda y: dg(y, th), th)
+            lam, rho2, residual = slope * slope / var, cov * cov / (var * info), abs(-slope - cov)
+        eff = lam / info
+        return [lam, rho2, eff, eff * f.n, residual, var] + [g(y) / math.sqrt(var) for y in ys]
+
+    @pytest.mark.parametrize("chart", ["p", "log_odds"])
+    def test_bernoulli_equals_the_binomial_sums(self, chart):
+        f = sl.Bernoulli(10, chart=chart)
+        E = lambda phi, th: float(np.dot(f.pmf(th), [phi(y) for y in range(11)]))
+        hexes = lambda vals: [float(v).hex() for v in vals]
+        ys = range(11)
+        for name, (g, parts) in self.bernoulli_estimators(f).items():
+            for th in self.GRID[chart]:
+                want = self.definitions(f, E, name, parts, th, ys)
+                assert hexes(self.everything(g, th, ys)) == hexes(want), (name, th)
+        u = lambda y: y / 10.0
+        for th in self.GRID[chart]:
+            m = E(u, th)
+            v = E(lambda y: (u(y) - m) ** 2, th)
+            assert sl.v_efficiency(f, u, th, tol=math.inf).hex() == (1.0 / (f.fisher_info(th) * v)).hex()
+
+    def test_bivariate_slice_equals_the_nested_rule(self):
+        # the rule's one weighted sum over its 4,096 nodes adds in another
+        # order than the nested sum over each coordinate, so the two agree to
+        # rounding: these tolerances were fixed before the engine changed
+        f = sl.BivariateNormalSlice(6)
+        nodes, w = np.polynomial.hermite_e.hermegauss(64)
+        sd = 1.0 / math.sqrt(f.n)
+
+        def E(phi, th):
+            total = 0.0
+            for a, wa in zip(nodes, w):
+                total += wa * sum(wb * phi((th + sd * a, sd * b)) for b, wb in zip(nodes, w))
+            return total / (2.0 * math.pi)
+
+        u = lambda z: z[0] + 0.5 * z[1] ** 2
+        estimators = {
+            "score": (sl.score_estimator(f), None),
+            "lift_on_axis": (sl.lift_point_estimator(f, lambda z: z[0], mean_fn=lambda th: th,
+                                                     mean_deriv=lambda th: 1.0),
+                             (lambda z: z[0], lambda th: th, lambda th: 1.0)),
+            "lift_off_axis": (sl.lift_point_estimator(f, lambda z: z[1], mean_fn=lambda th: 0.0,
+                                                      mean_deriv=lambda th: 0.0),
+                              (lambda z: z[1], lambda th: 0.0, lambda th: 0.0)),
+            "lift_engine": (sl.lift_point_estimator(f, u), (u, None, None)),
+            "custom_fd": (sl.GenEstimator(f, lambda z, th: math.tanh(z[0] - th) + 0.1 * z[1]),
+                          (lambda z, th: math.tanh(z[0] - th) + 0.1 * z[1], None)),
+        }
+        ys = [(0.3, -0.2), (1.4, 0.9)]
+        for name, (g, parts) in estimators.items():
+            for th in (-0.3, 0.4, 1.1):
+                got, want = self.everything(g, th, ys), self.definitions(f, E, name, parts, th, ys)
+                residual = 4
+                for i, (a, b) in enumerate(zip(got, want)):
+                    if i == residual:
+                        assert a == pytest.approx(b, rel=0.0, abs=1e-10), (name, th, i)
+                    else:
+                        assert a == pytest.approx(b, rel=1e-14, abs=1e-30), (name, th, i)
 
 
 class TestInvariance:

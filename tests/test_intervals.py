@@ -448,6 +448,16 @@ class TestWald:
         with pytest.raises(sl.DomainError):
             sl.wald_interval(0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("theta_hat", [math.nan, math.inf, -math.inf])
+    def test_non_finite_estimate_is_named(self, theta_hat):
+        with pytest.raises(sl.DomainError, match="theta_hat"):
+            sl.wald_interval(theta_hat, 1.0, Z95)
+
+    @pytest.mark.parametrize("info", [math.inf, math.nan])
+    def test_infinite_info_is_named(self, info):
+        with pytest.raises(sl.DomainError, match="information"):
+            sl.wald_interval(0.0, info, Z95)
+
 
 class TestExactBernoulli:
     @pytest.mark.parametrize(
@@ -484,6 +494,13 @@ class TestExactBernoulli:
             sl.exact_bernoulli_interval(10, 11, 0.05)
         with pytest.raises(sl.DomainError):
             sl.exact_bernoulli_interval(10, 4, 0.0)
+
+    @pytest.mark.parametrize("n, y", [(10, 2.5), (10, -1), (10, math.nan), (10, math.inf),
+                                      (0, 0), (-3, 0), (2.5, 1), (math.nan, 0), (math.inf, 0)])
+    def test_count_and_trials_are_checked(self, n, y):
+        # as Bernoulli(n) takes them: n a positive integer, y an integer in [0, n]
+        with pytest.raises(sl.DomainError, match="not an integer" if n == 10 else "n must be a positive integer"):
+            sl.exact_bernoulli_interval(n, y, 0.05)
 
 
 class TestIntervalType:

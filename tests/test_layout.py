@@ -1,6 +1,7 @@
 """The package's import graph: imports only at module level, and the
 Cauchy module standing on numpy and ``errors`` alone; and the family
-contract: an override keeps its base method's signature."""
+contract: an override keeps its base method's signature, and no family
+overrides the one expectation engine, ``Family.expect``."""
 
 import ast
 import inspect
@@ -57,4 +58,7 @@ def test_family_overrides_keep_the_base_signature():
                 assert _shape(fn) == _shape(base[name]), f"{cls.__name__}.{name}"
                 checked += 1
     assert checked > 20
+    # one expectation engine: families give values and weights, or a density
+    assert "expect" in vars(families.Family)
+    assert [c.__name__ for c in subclasses if "expect" in vars(c)] == []
     assert list(inspect.signature(families.Family.lrt_hull).parameters) == ["self", "y", "drop"]
