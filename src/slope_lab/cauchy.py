@@ -139,7 +139,10 @@ def cauchy_level_set_batch(x, drop: float, counters: Optional[MleCounters] = Non
 
     Returns (theta_hat, target, outer, disconnected): t = l(theta_hat) -
     drop, the smallest and largest local maxima with l > t (theta_hat if
-    none lies further out), and whether {theta : l > t} is not one interval.
+    none lies further out), and whether the level set, {theta : l > t}
+    with theta_hat, is not one interval.  At drop 0 that set is theta_hat
+    and any maximum whose l rounds above it: a tie, as at n = 2 with the
+    observations more than 2 apart, is two points, flagged.
 
     Guarantee: a finite theta_hat is a global maximizer of
     l(theta) = -sum log(1 + (x_i - theta)^2), up to rounding in l and a
@@ -266,11 +269,13 @@ def cauchy_level_set_batch(x, drop: float, counters: Optional[MleCounters] = Non
     theta_hat[constant] = x[constant, 0]
     target = cauchy_loglik(cauchy_offsets(x, theta_hat)) - drop
     above = lr > target[rows]
+    # theta_hat is in the set even where drop 0 leaves its l at t
+    peaks = maxima & (above | (r == theta_hat[rows]))
     outer = np.array([theta_hat, theta_hat])
-    np.minimum.at(outer[0], rows[maxima & above], r[maxima & above])
-    np.maximum.at(outer[1], rows[maxima & above], r[maxima & above])
+    np.minimum.at(outer[0], rows[peaks], r[peaks])
+    np.maximum.at(outer[1], rows[peaks], r[peaks])
     bridges = ~maxima & above & (outer[0][rows] < r) & (r < outer[1][rows])
-    disconnected = np.bincount(rows[bridges], minlength=B) < np.bincount(rows[maxima & above], minlength=B) - 1
+    disconnected = np.bincount(rows[bridges], minlength=B) < np.bincount(rows[peaks], minlength=B) - 1
     return theta_hat, target, outer, disconnected
 
 

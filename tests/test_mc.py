@@ -271,7 +271,10 @@ def _check_skip_is_sound(x, drop):
         assert _loglik_at(x, xi + np.linspace(-1.4, 1.4, 28_001)).max() < target[0]
     oracle = _topology_oracle(x, target[0])
     if drop == 0.0:
-        assert outer[0][0] == outer[1][0] == theta_hat[0] and not disconnected[0]
+        # the set is theta_hat and the maxima tied with it, each a point
+        assert outer[0][0] == theta_hat[0]
+        assert _loglik_at(x, outer[1])[0] == pytest.approx(l_hat, rel=1e-12, abs=1e-12)
+        assert disconnected[0] == (outer[1][0] != theta_hat[0])
     elif oracle is not None:
         maxima, split = oracle
         ends = np.concatenate([maxima, theta_hat])
@@ -332,6 +335,17 @@ class TestWindowSkip:
         k = min(len(far), n - 1)
         cluster = np.random.default_rng(seed).uniform(-3.0, 3.0, n - k)
         _check_skip_is_sound(np.sort(np.r_[cluster, far[:k]]), drop)
+
+    @pytest.mark.parametrize("x0", [-1.6046209097536697, -1.1936498704489582])
+    def test_tied_maxima_at_drop_zero_are_two_points(self, x0):
+        # l of two points more than 2 apart is symmetric about their midpoint:
+        # two global maxima, and at drop 0 the level set is both of them
+        x = np.array([x0, 4.0])
+        theta_hat, target, outer, disconnected = cauchy_level_set_batch(x[None], 0.0)
+        assert outer[0][0] == theta_hat[0] < x0 + 1.0 and outer[1][0] > 3.0
+        assert outer[0][0] + outer[1][0] == pytest.approx(x0 + 4.0, abs=1e-9)
+        assert disconnected[0]
+        _check_skip_is_sound(x, 0.0)
 
     def test_batch_counts_match_the_mask(self):
         x = _draw_batch(0, 0, 512, 15, 0.0)
