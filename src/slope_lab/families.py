@@ -24,25 +24,22 @@ quantities are invariant to this choice.
 
 A new family is one new class here, with ``check_sample``, ``loglik``,
 ``score``, ``fisher_info``, ``sample``, and the nodes of its expectations:
-``values`` and ``weights`` for a finite-node or sampling family, or
-``density`` for a continuous one.  ``Family.expect``, the one expectation
-engine, which no family overrides, takes the weighted mean of ``values``
-under ``weights`` (the exact binomial sum, the Gauss-Hermite rule), their
-plain mean and standard error under equal weights (Monte Carlo), or
-quadrature of phi * density where there are no nodes.  ``mle`` and ``kl``
-serve LRT intervals and KL lengths.  ``observed_info`` (a central
+``values(theta, block, ...)`` and ``weights`` for a finite-node or sampling
+family, or ``density`` for a continuous one.  ``values`` calls ``block`` on
+the family's nodes, a sequence of samples, and returns what it gives: one
+value per node, or several such columns.  ``Family.expect``, the one
+expectation engine, which no family overrides, takes the weighted mean of
+``values`` under ``weights`` (the exact binomial sum, the Gauss-Hermite
+rule), their plain mean and standard error under equal weights (Monte
+Carlo), or quadrature of phi * density where there are no nodes.
+``scores(theta, ys)`` gives the score at every sample of a block; the base
+calls ``score`` per sample, and a family with a vectorised score
+(``CauchyLocation``, per Monte Carlo chunk) overrides it.  ``mle`` and
+``kl`` serve LRT intervals and KL lengths.  ``observed_info`` (a central
 difference of the score), ``sup_loglik`` (l at the MLE) and
 ``reference_info`` (the Fisher information) have base defaults, and so
 have ``lrt_hull(y, drop)`` and ``kl_ball(lo, hi)``, by ``_bisect``
 (``CauchyLocation``'s from ``cauchy``); an override keeps its base signature.
-
-A Monte Carlo family (``CauchyLocation``) draws its samples in chunks.  An
-integrand may carry a block form, ``phi.block``, which takes a chunk (m, n)
-of sorted samples and returns its m values, equal to ``phi`` row by row bit
-for bit, or several such columns; the engine then calls it once per chunk
-instead of ``phi`` once per row.  ``CauchyLocation.score`` takes such a
-block, so the slope engine's one pass per theta calls the score once per
-chunk and a user statistic once per draw.
 """
 
 from __future__ import annotations
@@ -144,10 +141,15 @@ def median_density(k: int, z: float, theta: float) -> float:
     return out
 
 
-def _at_nodes(phi, nodes: list) -> np.ndarray:
-    """phi at each node, as (nodes,), or C-contiguous (k, nodes) where phi
-    returns k values."""
-    return np.ascontiguousarray(np.array([phi(y) for y in nodes], dtype=float).T)
+def _per_row(fn: Callable) -> Callable:
+    """The block function that calls ``fn`` on each sample of a block."""
+    return lambda ys: np.array([fn(y) for y in ys], dtype=float)
+
+
+def _check_size(name: str, value, least: int) -> None:
+    """A DomainError unless ``value`` is an integer >= ``least`` (0 or 1)."""
+    if not least <= value < math.inf or value != int(value):  # the range first: int() of NaN or inf raises
+        raise DomainError(f"{name} must be a {('nonnegative', 'positive')[least]} integer, got {value}")
 
 
 def _median_dlog_dtheta(k: int, t: np.ndarray) -> np.ndarray:
@@ -200,7 +202,8 @@ class Family:
         (None, a sampling family) their plain mean and its standard error.
         Where ``values`` is None, quadrature of phi * density, SE 0.
         """
-        vals = self.values(theta, phi, mc_draws=mc_draws, mc_seed=mc_seed)
+        self.check_param(theta)
+        vals = self.values(theta, _per_row(phi), mc_draws=mc_draws, mc_seed=mc_seed)
         if vals is None:
             return integrate_real_line(lambda y: phi(y) * self.density(theta, y)), 0.0
         w = self.weights(theta)
@@ -208,22 +211,20 @@ class Family:
             return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
         return float(np.dot(w, vals)), 0.0
 
-    def values(self, theta: float, phi, *, mc_draws: int = DEFAULT_MC_DRAWS, mc_seed: int = 0):
-        """``phi`` at the nodes of this family's expectations, or None where
-        there are none and ``expect`` integrates the density.
+    def values(self, theta: float, block: Callable, *, mc_draws: int = DEFAULT_MC_DRAWS, mc_seed: int = 0):
+        """``block`` on the nodes of this family's expectations at theta, or
+        None where there are none and ``expect`` integrates the density.
 
-        Where ``phi`` returns k values per node they come back as a
-        C-contiguous (k, nodes) array, so that each row reduces in the order
-        a one-valued ``phi`` would.  A sampling family draws its samples in
-        chunks and may hand each chunk to ``phi.block`` when ``phi`` has one:
-        the block form returns the chunk's values, equal to ``phi`` row by
-        row bit for bit, or several such columns (k, m).  The slope engine
-        keeps these rows, one pass per theta, and takes every moment from
-        them; its block forms call this family's ``score`` on the whole
-        chunk, so the ``score`` of such a family takes a block (m, n) of
-        samples too.
+        ``block`` takes a sequence of samples and returns one value per
+        sample, or several such columns; they come back as an array (nodes,)
+        or (k, nodes).  A sampling family calls it once per chunk of draws.
+        The caller checks theta.
         """
         return None
+
+    def scores(self, theta: float, ys) -> np.ndarray:
+        """The score at each sample of the block ``ys``, by ``score``."""
+        return np.array([self.score(theta, y) for y in ys], dtype=float)
 
     def weights(self, theta: float):
         """The weights of the nodes of ``values`` at theta, summing to 1, or
@@ -290,8 +291,7 @@ class Bernoulli(Family):
     charts = (CHART_P, CHART_LOG_ODDS)
 
     def __post_init__(self):
-        if not 1 <= self.n < math.inf or self.n != int(self.n):
-            raise DomainError(f"n must be a positive integer, got {self.n}")
+        _check_size("n", self.n, 1)
         if self.chart not in self.charts:
             raise DomainError(f"unknown chart {self.chart!r}")
 
@@ -356,9 +356,9 @@ class Bernoulli(Family):
         p = self._p(theta)
         return int(np.count_nonzero(rng.random(self.n) < p))
 
-    def values(self, theta, phi, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> np.ndarray:
-        """phi at each count of the support: the exact binomial sum's nodes."""
-        return _at_nodes(phi, [int(y) for y in self.support()])
+    def values(self, theta, block, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> np.ndarray:
+        """``block`` on the counts of the support: the exact binomial sum's nodes."""
+        return np.asarray(block([int(y) for y in self.support()]), dtype=float)
 
     def weights(self, theta: float) -> np.ndarray:
         return self.pmf(theta)
@@ -407,10 +407,9 @@ class NormalLocation(Family):
     n: int
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
-        if self.n < 1:
-            raise DomainError(f"n must be positive, got {self.n}")
+        if not 0 < self.sigma < math.inf:
+            raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
+        _check_size("n", self.n, 1)
 
     def check_sample(self, y: Sample) -> None:
         if not np.isfinite(y):
@@ -457,8 +456,7 @@ class CauchyLocation(Family):
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"n must be positive, got {self.n}")
+        _check_size("n", self.n, 1)
 
     def check_sample(self, y: Sample) -> None:
         self._observations(y)
@@ -498,20 +496,16 @@ class CauchyLocation(Family):
         self.check_param(theta)
         return cauchy_sorted_draws(rng.random(self.n), theta)
 
-    def values(self, theta, phi, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> np.ndarray:
-        """phi at ``mc_draws`` samples (an integer >= 2, for the standard
-        error) from Philox key (mc_seed, 0), in the order drawn.
+    def scores(self, theta, ys) -> np.ndarray:
+        """The scores of a block (m, n) of sorted rows, in one ``score`` call."""
+        return self.score(theta, ys)
 
-        The samples come in chunks of up to 2**14 sorted rows (m, n).  An
-        integrand with a block form gets each chunk whole from
-        ``phi.block``, which returns the m values of ``phi`` bit for bit, or
-        several such columns (k, m): the values are then (k, mc_draws).  Any
-        other integrand is called once per row.
-        """
-        self.check_param(theta)
+    def values(self, theta, block, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> np.ndarray:
+        """``block`` on ``mc_draws`` samples (an integer >= 2, for the
+        standard error) from Philox key (mc_seed, 0), in the order drawn:
+        once per chunk of up to 2**14 sorted rows (m, n)."""
         rng = np.random.Generator(np.random.Philox(key=[check_seed(mc_seed, "mc_seed"), 0]))
         mc_draws = _check_mc_draws(mc_draws)
-        block = getattr(phi, "block", None) or (lambda xs: [phi(x) for x in xs])
         vals = None
         for c in range(0, mc_draws, _MC_CHUNK):
             # chunks read the stream in order, so they draw what one call would
@@ -552,8 +546,7 @@ class CauchyMedian(Family):
     k: int
 
     def __post_init__(self):
-        if self.k < 0:
-            raise DomainError(f"k must be nonnegative, got {self.k}")
+        _check_size("k", self.k, 0)
 
     @property
     def n(self) -> int:
@@ -613,8 +606,7 @@ class BivariateNormalSlice(Family):
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"n must be positive, got {self.n}")
+        _check_size("n", self.n, 1)
 
     def check_sample(self, y: Sample) -> None:
         z1, z2 = y
@@ -640,11 +632,11 @@ class BivariateNormalSlice(Family):
         sd = 1.0 / math.sqrt(self.n)
         return (float(rng.normal(theta, sd)), float(rng.normal(0.0, sd)))
 
-    def values(self, theta, phi, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> np.ndarray:
-        """phi at the 64 x 64 Gauss-Hermite nodes (z1, z2), z1 the outer one."""
+    def values(self, theta, block, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> np.ndarray:
+        """``block`` on the 64 x 64 Gauss-Hermite nodes (z1, z2), z1 the outer one."""
         nodes = _gauss_hermite()[0]
         sd = 1.0 / math.sqrt(self.n)
-        return _at_nodes(phi, [(theta + sd * a, sd * b) for a in nodes for b in nodes])
+        return np.asarray(block([(theta + sd * a, sd * b) for a in nodes for b in nodes]), dtype=float)
 
     def weights(self, theta: float) -> np.ndarray:
         return _gauss_hermite()[1]

@@ -21,11 +21,13 @@ nodes.  Every slope quantity at theta is a view of one set of moments
 (V(g), E g', E[g * score]), each taken once, on first use, and each the
 mean of an elementwise formula in per-sample quantities: g (u for a
 lift), g' or g at theta +- h, and the score.  Where the family has nodes,
-one pass over them at theta keeps these quantities as columns: a user
-statistic runs once per node per theta, a Monte Carlo score once per
-chunk, and every moment is a reduction of the kept columns under the
+one pass over them at theta keeps these quantities as columns: the family
+hands its nodes to one block function, which runs a user statistic once
+per node and takes the score from ``Family.scores`` (a Monte Carlo score
+once per chunk); every moment is a reduction of the kept columns under the
 weights, read once per theta.  Under quadrature each moment is its own
-expectation pass.
+expectation pass.  A variance or a standardized value keeps only g's own
+column.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import BiasError, DivergentIntegralError, DomainError, OrientationError, ZeroVarianceError
-from .families import DEFAULT_MC_DRAWS, Bernoulli, Family, median_fisher_info, median_variance
+from .families import DEFAULT_MC_DRAWS, Bernoulli, Family, _per_row, median_fisher_info, median_variance
 
 KIND_SCORE = "score"
 KIND_LIFTED = "lifted_point"
@@ -61,21 +63,8 @@ def expect(
     Monte Carlo standard error is returned alongside (0.0 for the exact
     engines).
     """
-    f.check_param(theta)
     value, se = f.expect(theta, phi, mc_draws=mc_draws, mc_seed=mc_seed)
     return (value, se) if return_se else value
-
-
-def _with_block(phi: Callable, block: Callable) -> Callable:
-    """``phi``, carrying ``block``: its values on a chunk (m, n) of samples
-    at once (see ``Family.values``)."""
-    phi.block = block
-    return phi
-
-
-def _per_row(fn: Callable) -> Callable:
-    """The block form that calls ``fn`` on each row of the chunk."""
-    return lambda xs: np.array([fn(x) for x in xs], dtype=float)
 
 
 def _square(v):
@@ -85,25 +74,30 @@ def _square(v):
     return np.float_power(v, 2) if isinstance(v, np.ndarray) else v**2
 
 
+_SCORE = object()  # marks the family's score among a _Pass's quantities
+
+
 class _Pass:
     """Means of elementwise formulas in named per-sample quantities under
-    ``f`` at theta.
+    ``f`` at theta: each a function of one sample, or ``_SCORE``.
 
-    Where ``f`` has nodes, one pass over them computes each quantity once
-    per node (a block form once per Monte Carlo chunk) and keeps it as a
-    column, and reads the node weights once; every mean is then a reduction
-    of the kept columns, ``np.dot(weights, column)`` or ``column.mean()``,
-    in the order ``f.expect`` of that formula would take.  Under quadrature
-    there are no nodes, so each mean is its own expectation pass, which
-    computes at each point only the quantities its formula reads.
+    Where ``f`` has nodes, ``f.values`` hands them to one block function,
+    which computes each quantity once per node (the score by ``f.scores``,
+    once per Monte Carlo chunk) and keeps it as a column; the node weights
+    are read once.  Every mean is then a reduction of the kept columns,
+    ``np.dot(weights, column)`` or ``column.mean()``, in the order
+    ``f.expect`` of that formula would take.  Under quadrature there are no
+    nodes, so each mean is its own expectation pass, which computes at each
+    point only the quantities its formula reads.
     """
 
     def __init__(self, f: Family, theta: float, quantities: dict, kw: dict):
-        self.f, self.theta, self.quantities, self.kw = f, theta, quantities, kw
-        fns = list(quantities.values())
-        every = _with_block(lambda y: [fn(y) for fn in fns],
-                            lambda xs: [(getattr(fn, "block", None) or _per_row(fn))(xs) for fn in fns])
-        vals = f.values(theta, every, **kw)
+        f.check_param(theta)
+        self.f, self.theta, self.kw = f, theta, kw
+        score = lambda y: f.score(theta, y)
+        self.quantities = {k: score if fn is _SCORE else fn for k, fn in quantities.items()}
+        blocks = [(lambda ys: f.scores(theta, ys)) if fn is _SCORE else _per_row(fn) for fn in quantities.values()]
+        vals = f.values(theta, lambda ys: [b(ys) for b in blocks], **kw)
         self.columns = None if vals is None else dict(zip(quantities, vals))
         self.weights = None if vals is None else f.weights(theta)
 
@@ -147,30 +141,31 @@ class GenEstimator:
 
     ``evaluate(y, theta)`` is the defining map.  ``deriv`` is the
     analytic theta-derivative when one is available; otherwise slope
-    computations fall back to central differences.  ``mean_fn`` /
-    ``mean_deriv`` are the lift's mean function and its derivative for
-    ``kind == "lifted_point"``.
+    computations fall back to central differences.  ``score_estimator``
+    and ``lift_point_estimator`` set ``kind``; a lift's ``mean_fn`` /
+    ``mean_deriv`` are its mean function and that function's derivative.
     """
 
     family: Family
     evaluate: Callable
-    kind: str = KIND_CUSTOM
     deriv: Optional[Callable] = None
-    mean_fn: Optional[Callable] = None
-    mean_deriv: Optional[Callable] = None
+    kind: str = field(default=KIND_CUSTOM, init=False)
+    mean_fn: Optional[Callable] = field(default=None, init=False, repr=False)
+    mean_deriv: Optional[Callable] = field(default=None, init=False, repr=False)
     _lift: Optional["_Lift"] = field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, y, theta: float) -> float:
         return self.evaluate(y, theta)
 
     def var(self, theta: float, **kw) -> float:
-        return _SlopeAt(self, theta, kw).variance
+        return _SlopeAt(self, theta, kw, value_only=True).variance
 
 
 def score_estimator(f: Family) -> GenEstimator:
-    """The score as a generalized estimator (the Lambda-optimal one); its
-    evaluate takes a block of samples wherever ``f.score`` does."""
-    return GenEstimator(family=f, evaluate=lambda y, th: f.score(th, y), kind=KIND_SCORE)
+    """The score as a generalized estimator (the Lambda-optimal one)."""
+    g = GenEstimator(family=f, evaluate=lambda y, th: f.score(th, y))
+    g.kind = KIND_SCORE
+    return g
 
 
 class _Lift:
@@ -189,9 +184,8 @@ class _Lift:
         self._defaults = tuple(sorted(kw.items()))
         once_per_theta = functools.lru_cache(maxsize=3)
         self._ups = once_per_theta(lambda th, k: expect(f, th, u, **dict(k)))
-        rows = _per_row(u)
-        self._dups = once_per_theta(lambda th, k: expect(
-            f, th, _with_block(lambda y: u(y) * f.score(th, y), lambda xs: rows(xs) * f.score(th, xs)), **dict(k)))
+        self._dups = once_per_theta(
+            lambda th, k: _Pass(f, th, {"u": u, "s": _SCORE}, dict(k)).mean(lambda u, s: u * s, "u", "s"))
 
     def _keywords(self, kw: dict) -> tuple:
         return tuple(sorted({**self.kw, **kw}.items())) if kw else self._defaults
@@ -222,9 +216,8 @@ def lift_point_estimator(
     a violation raises rather than silently negating the statistic.
     """
     lift = _Lift(f, u, mean_fn, mean_deriv, kw)
-    est = GenEstimator(family=f, evaluate=lambda y, th: u(y) - lift.ups(th), kind=KIND_LIFTED,
-                       deriv=lambda y, th: -lift.dups(th), mean_fn=lift.ups, mean_deriv=lift.dups)
-    est._lift = lift
+    est = GenEstimator(family=f, evaluate=lambda y, th: u(y) - lift.ups(th), deriv=lambda y, th: -lift.dups(th))
+    est.kind, est.mean_fn, est.mean_deriv, est._lift = KIND_LIFTED, lift.ups, lift.dups, lift
     if check_grid is not None:
         for th in check_grid:
             cov = _SlopeAt(est, th, kw).cov
@@ -242,10 +235,11 @@ class _SlopeAt:
     Each moment is the mean of an elementwise formula in g's per-sample
     quantities (a ``_Pass``): g itself (u for a lift, whose g is u - ups),
     g' or g at theta +- h, and the score.  Where the family has nodes, one
-    pass over them keeps them all.
+    pass over them keeps them all; with ``value_only``, only g's own (u, g
+    or the score), for the variance and ``standardize``.
     """
 
-    def __init__(self, g: GenEstimator, theta: float, kw: dict):
+    def __init__(self, g: GenEstimator, theta: float, kw: dict, value_only: bool = False):
         self.g, self.theta, self.kw = g, theta, kw
         self.h = h = _FD_STEP * (1.0 + abs(theta))
         quantities = {}
@@ -255,12 +249,14 @@ class _SlopeAt:
             quantities["g"] = lambda y: g.evaluate(y, theta)
             if g.deriv is not None:
                 quantities["dg"] = lambda y: g.deriv(y, theta)
-            if g.deriv is None or g.kind == KIND_LIFTED:
+            else:
                 quantities["gp"] = lambda y: g.evaluate(y, theta + h)
                 quantities["gm"] = lambda y: g.evaluate(y, theta - h)
-        f = g.family
-        quantities["s"] = _with_block(lambda y: f.score(theta, y), lambda xs: f.score(theta, xs))
-        self._pass = _Pass(f, theta, quantities, kw)
+        quantities["s"] = _SCORE
+        if value_only:
+            name = self._g()[0]
+            quantities = {name: quantities[name]}
+        self._pass = _Pass(g.family, theta, quantities, kw)
 
     def _g(self) -> tuple:
         """(name, formula) of g's values: the quantity itself (formula None),
@@ -349,7 +345,7 @@ class _SlopeAt:
 
 def standardize(g: GenEstimator, theta: float, y, **kw) -> float:
     """g(y, theta) / sqrt(V_theta(g))."""
-    return _SlopeAt(g, theta, kw).standardize(y)
+    return _SlopeAt(g, theta, kw, value_only=True).standardize(y)
 
 
 def squared_slope(g: GenEstimator, theta: float, **kw) -> float:
@@ -400,12 +396,12 @@ def check_identity(g: GenEstimator, theta: float, **kw) -> float:
     """Residual |-E g' - E(g * score)| of the differentiation identity.
 
     Both sides are computed through independent routes: the left side
-    uses the closed-form information for the score estimator and
-    central differences otherwise; the right side is always the
-    score-covariance expectation.  A lifted estimator's analytic
-    ``deriv`` is deliberately not used here, since for lifts it is
-    itself derived from a score covariance and would make the check
-    circular.
+    uses the closed-form information for the score estimator, E[dg] for
+    a custom estimator with ``deriv``, and central differences otherwise;
+    the right side is always the score-covariance expectation.  A lifted
+    estimator's analytic ``deriv`` is deliberately not used here, since
+    for lifts it is itself derived from a score covariance and would make
+    the check circular.
     """
     return _SlopeAt(g, theta, kw).residual
 

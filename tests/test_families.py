@@ -138,6 +138,33 @@ class TestCauchyBlockScore:
                 call(x)
 
 
+class TestSizeParameters:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: sl.Bernoulli(v),
+            lambda v: sl.NormalLocation(1.0, v),
+            lambda v: sl.CauchyLocation(v),
+            lambda v: sl.BivariateNormalSlice(v),
+            lambda v: sl.CauchyMedian(v - 1),  # k = n - 1: its least value is 0
+        ],
+        ids=["bernoulli", "normal", "cauchy", "bivariate", "median"],
+    )
+    @pytest.mark.parametrize("value", [0, -2, 2.5, math.nan, math.inf])
+    def test_a_size_is_an_integer_at_least_its_least(self, make, value):
+        with pytest.raises(sl.DomainError, match="must be a (positive|nonnegative) integer"):
+            make(value)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_normal_sigma_is_positive_and_finite(self, sigma):
+        with pytest.raises(sl.DomainError, match="sigma"):
+            sl.NormalLocation(sigma, 3)
+
+    def test_least_sizes_are_accepted(self):
+        assert sl.CauchyMedian(0).n == 1
+        assert sl.CauchyLocation(1).fisher_info(0.0) == 0.5
+
+
 class TestMcDraws:
     @pytest.mark.parametrize("draws", [0, 1, -3, 2.5, True, np.float64(100.0)])
     def test_rejected(self, draws):
@@ -452,6 +479,28 @@ class Logistic(sl.Family):
         return 1.0 / 3.0
 
 
+@dataclass(frozen=True)
+class Coin(sl.Family):
+    """One flip with success probability theta: a node family defined
+    outside the package, with ``values`` and ``weights`` and the base
+    ``scores``."""
+
+    def param_domain(self):
+        return (0.0, 1.0)
+
+    def score(self, theta, y):
+        return (y - theta) / (theta * (1.0 - theta))
+
+    def fisher_info(self, theta):
+        return 1.0 / (theta * (1.0 - theta))
+
+    def values(self, theta, block, *, mc_draws=families.DEFAULT_MC_DRAWS, mc_seed=0):
+        return np.asarray(block([0, 1]), dtype=float)
+
+    def weights(self, theta):
+        return np.array([1.0 - theta, theta])
+
+
 class TestNewFamily:
     """A new family needs no edit elsewhere in the package."""
 
@@ -465,6 +514,16 @@ class TestNewFamily:
         assert sl.observed_info(f, 0.0, 0.0) == pytest.approx(0.5, rel=1e-8)
         assert sl.reference_info(f, 0.4) == 1 / 3
         assert sl.default_grid(f, 3).tolist() == [-4.0, 0.0, 4.0]
+
+    def test_a_node_family_needs_values_and_weights(self):
+        f = Coin()
+        assert sl.variance(f, 0.3, lambda y: float(y)) == pytest.approx(0.21, rel=1e-14)
+        assert f.scores(0.3, [0, 1]).tolist() == [f.score(0.3, 0), f.score(0.3, 1)]
+        g = sl.lift_point_estimator(f, lambda y: float(y))
+        assert sl.squared_slope(g, 0.3) == pytest.approx(1 / 0.21, rel=1e-12)
+        assert sl.check_identity(g, 0.3) < 1e-8
+        with pytest.raises(sl.DomainError):
+            sl.variance(f, 1.0, lambda y: float(y))
 
     def test_likelihood_ratio_and_kl_need_their_methods(self):
         f = Logistic()

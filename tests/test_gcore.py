@@ -86,6 +86,40 @@ class TestScoreEstimator:
         assert sl.squared_slope(sl.score_estimator(f), 2.0) == 7.5
 
 
+class TestConstructor:
+    def test_kind_and_mean_are_not_arguments(self):
+        f = sl.Bernoulli(10)
+        g = lambda y, p: y * (y - 1) - 90 * p * p
+        for kw in ({"kind": "score"}, {"mean_fn": lambda p: 90 * p * p}, {"mean_deriv": lambda p: 123.0}):
+            with pytest.raises(TypeError):
+                sl.GenEstimator(f, g, **kw)
+        # a custom estimator is taken at its word: not the score's closed forms
+        est = sl.GenEstimator(f, g)
+        assert est.kind == "custom" and est.mean_fn is None and est.mean_deriv is None
+        assert sl.squared_slope(est, 0.3) == pytest.approx(42.155, abs=5e-4)
+        assert sl.score_correlation2(est, 0.3) == pytest.approx(0.885, abs=5e-4)
+        # the constructors that set them still do, and the lift's are readable
+        assert sl.score_estimator(f).kind == "score"
+        h = sl.lift_point_estimator(f, lambda y: float(y * (y - 1)))
+        assert h.kind == "lifted_point" and h.mean_deriv(0.3) == pytest.approx(180 * 0.3, rel=1e-12)
+
+
+class TestParameterChecks:
+    FAMILIES = [sl.Bernoulli(10), sl.Bernoulli(10, chart="log_odds"), sl.NormalLocation(1.0, 3),
+                sl.CauchyLocation(5), sl.CauchyMedian(3), sl.BivariateNormalSlice(3)]
+
+    @pytest.mark.parametrize("f", FAMILIES, ids=lambda f: type(f).__name__)
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_variance_and_v_efficiency_check_theta(self, f, theta):
+        u = lambda y: 1.0
+        with pytest.raises(sl.DomainError):
+            sl.variance(f, theta, u, mc_draws=10)
+        with pytest.raises(sl.DomainError):
+            sl.v_efficiency(f, u, theta, mc_draws=10)
+        with pytest.raises(sl.DomainError):
+            sl.expect(f, theta, u, mc_draws=10)
+
+
 class TestLift:
     def test_lift_of_y(self):
         h = lift_y()
@@ -315,26 +349,31 @@ class TestMonteCarloBlocks:
     @pytest.mark.parametrize("draws", [5000, 16384 + 7])
     def test_block_forms_equal_their_rows(self, draws, monkeypatch):
         kw = dict(mc_draws=draws, mc_seed=5)
-        seen = []
+        passes, chunks = [], []
 
-        def spy(f, theta, phi, **k):
-            seen.append((theta, phi))
-            return values(f, theta, phi, **k)
+        def spy_values(f, theta, block, **k):
+            passes.append(theta)
+            return values(f, theta, block, **k)
 
-        values = sl.CauchyLocation.values
-        monkeypatch.setattr(sl.CauchyLocation, "values", spy)
+        def spy_scores(f, theta, ys):
+            s = scores(f, theta, ys)
+            chunks.append((theta, ys.copy(), s))
+            return s
+
+        values, scores = sl.CauchyLocation.values, sl.CauchyLocation.scores
+        monkeypatch.setattr(sl.CauchyLocation, "values", spy_values)
+        monkeypatch.setattr(sl.CauchyLocation, "scores", spy_scores)
         for g in self.estimators(kw).values():
             sl.slope_report(g, [0.4], **kw)
             g.var(0.4, **kw)
-        # one pass over the draws per estimator and call, each with a block
-        # form that keeps every per-draw quantity of that estimator
-        assert len(seen) == 4 * 2 and all(hasattr(phi, "block") for _, phi in seen)
-        u = np.random.default_rng(draws).random((16384, 15))
-        for th, phi in seen:
+        # one pass over the draws per estimator and call; the score column is
+        # kept by the four slope reports and the score's own variance, while
+        # a lift's or a custom estimator's variance keeps only its own column
+        assert len(passes) == 4 * 2
+        assert len(chunks) == 5 * -(-draws // 16384)
+        for th, x, s in chunks:
             # value by value: a sum can round a one-ulp difference away
-            x = np.sort(th + np.tan(np.pi * (u - 0.5)), axis=1)
-            block = np.asarray(phi.block(x), dtype=float)
-            assert block.tobytes() == np.array([phi(r) for r in x], dtype=float).T.tobytes()
+            assert s.tobytes() == np.array([self.F.score(th, r) for r in x]).tobytes()
 
     def definitions(self, name, th, kw):
         """``everything`` from explicit per-moment expectations with per-row
@@ -392,6 +431,27 @@ class TestMonteCarloBlocks:
         calls.clear()
         sl.check_identity(sl.score_estimator(self.F), 0.1, mc_draws=5000)
         assert calls == [2] * 1
+
+    def test_variance_and_standardize_keep_only_the_value_column(self, monkeypatch):
+        draws = 16384 + 7  # two chunks
+        kw = dict(mc_draws=draws, mc_seed=4)
+        chunks = []
+        scores = sl.CauchyLocation.scores
+        monkeypatch.setattr(sl.CauchyLocation, "scores", lambda f, th, ys: chunks.append(th) or scores(f, th, ys))
+        x = np.sort(0.3 + np.random.default_rng(1).standard_cauchy(15))
+        stat = Counted(lambda y: float(y[7]))
+        custom = sl.GenEstimator(self.F, lambda y, th: stat(y) - th)
+        custom.var(0.3, **kw)
+        assert stat.calls == draws
+        stat.calls = 0
+        sl.standardize(custom, 0.3, x, **kw)
+        assert stat.calls == draws + 1
+        med = Counted(self.MED)
+        sl.lift_point_estimator(self.F, med, mean_fn=lambda th: th).var(0.3, **kw)
+        assert med.calls == draws
+        assert chunks == []
+        sl.score_estimator(self.F).var(0.3, **kw)
+        assert chunks == [0.3] * 2
 
     def test_statistic_runs_once_per_draw_per_theta(self):
         draws = 16384 + 7  # two chunks

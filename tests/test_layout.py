@@ -62,3 +62,13 @@ def test_family_overrides_keep_the_base_signature():
     assert "expect" in vars(families.Family)
     assert [c.__name__ for c in subclasses if "expect" in vars(c)] == []
     assert list(inspect.signature(families.Family.lrt_hull).parameters) == ["self", "y", "drop"]
+
+
+def test_families_take_a_block_and_give_scores():
+    # values hands the family's nodes to one block function; scores is the
+    # score at every sample of a block, vectorised by the Monte Carlo family
+    sig = lambda fn: list(inspect.signature(fn).parameters)
+    assert sig(families.Family.values) == ["self", "theta", "block", "mc_draws", "mc_seed"]
+    assert sig(families.Family.scores) == ["self", "theta", "ys"]
+    subclasses = [c for c in vars(families).values() if inspect.isclass(c) and issubclass(c, families.Family)]
+    assert [c.__name__ for c in subclasses if "scores" in vars(c)] == ["Family", "CauchyLocation"]
