@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -35,7 +36,6 @@ from . import __version__
 from .errors import DomainError, QuadratureError, SlopeLabError
 from .families import Bernoulli, reparam
 from .gcore import (
-    _SlopeAt,
     bernoulli_efficiency_curves,
     cauchy_table_row,
     check_identity,
@@ -177,8 +177,8 @@ def cmd_curves(args: argparse.Namespace, run: _Run) -> int:
     s = score_estimator(f)
     rows = []
     for th in grid:
-        at = _SlopeAt(s, th, {})  # standardize at theta: the variance is taken once for every y
-        rows.append([at.standardize(y) for y in range(f.n + 1)])
+        sd = math.sqrt(s.var(th))  # standardize at theta: the variance is taken once for every y
+        rows.append([s(y, th) / sd for y in range(f.n + 1)])
     header = [args.param_chart] + [f"shat_y{y}" for y in range(f.n + 1)]
     run.write(csv_table("slope_lab.curves.v1", header, [grid, *zip(*rows)]))
     return EXIT_OK

@@ -27,11 +27,12 @@ A new family is one new class here, with ``check_sample``, ``loglik``,
 ``values(theta, block, ...)`` and ``weights`` for a finite-node or sampling
 family, or ``density`` for a continuous one.  ``values`` calls ``block`` on
 the family's nodes, a sequence of samples, and returns what it gives: one
-value per node, or several such columns.  ``Family.expect``, the one
-expectation engine, which no family overrides, takes the weighted mean of
-``values`` under ``weights`` (the exact binomial sum, the Gauss-Hermite
-rule), their plain mean and standard error under equal weights (Monte
-Carlo), or quadrature of phi * density where there are no nodes.
+value per node, or several such columns.  ``_Pass``, the one moment
+engine and the only reader of ``weights``, reduces them: the weighted sum
+(the binomial sum, the Gauss-Hermite rule), or under equal weights (Monte
+Carlo) the plain mean and its standard error; where there are no nodes,
+quadrature times ``density``.  ``Family.expect``, which no family
+overrides, is a pass of one quantity, and ``gcore``'s slopes of several.
 ``scores(theta, ys)`` gives the score at every sample of a block; the base
 calls ``score`` per sample, and a family with a vectorised score
 (``CauchyLocation``, per Monte Carlo chunk) overrides it.  ``mle`` and
@@ -47,7 +48,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.special import gammaln
@@ -146,9 +147,69 @@ def _per_row(fn: Callable) -> Callable:
     return lambda ys: np.array([fn(y) for y in ys], dtype=float)
 
 
+def _square(v):
+    """v ** 2 as Python's float ** takes it, by the C library's pow: on a
+    column by float_power, since numpy's ** 2 squares, which rounds
+    differently about once in 1,200."""
+    return np.float_power(v, 2) if isinstance(v, np.ndarray) else v**2
+
+
+_SCORE = object()  # marks the family's score among a _Pass's quantities
+
+
+class _Pass:
+    """Means of elementwise formulas in named per-sample quantities under
+    ``f`` at theta: each a function of one sample, or ``_SCORE``.
+
+    Where ``f`` has nodes, ``f.values`` hands them to one block function,
+    which computes each quantity once per node (the score by ``f.scores``,
+    once per Monte Carlo chunk) and keeps it as a column; the node weights
+    are read once.  Every mean is then a reduction of the kept columns,
+    ``np.dot(weights, column)``, or ``column.mean()`` with ``se`` under
+    equal weights.  Without nodes, each mean is one quadrature of its
+    formula times the density, reading only the quantities it names.
+    """
+
+    def __init__(self, f: Family, theta: float, quantities: dict, kw: dict):
+        f.check_param(theta)
+        self.f, self.theta = f, theta
+        score = lambda y: f.score(theta, y)
+        self.quantities = {k: score if fn is _SCORE else fn for k, fn in quantities.items()}
+        blocks = [(lambda ys: f.scores(theta, ys)) if fn is _SCORE else _per_row(fn) for fn in quantities.values()]
+        vals = f.values(theta, lambda ys: [b(ys) for b in blocks], **kw)
+        self.columns = None if vals is None else dict(zip(quantities, vals))
+        self.weights = None if vals is None else f.weights(theta)
+
+    def mean(self, formula: Optional[Callable], *names: str) -> float:
+        """E[formula(*the quantities named)]; with no formula, E[the one
+        quantity named]."""
+        if self.columns is not None:
+            cols = [self.columns[k] for k in names]
+            vals = cols[0] if formula is None else formula(*cols)
+            return float(vals.mean() if self.weights is None else np.dot(self.weights, vals))
+        q = [self.quantities[k] for k in names]
+        at = q[0] if formula is None else lambda y: formula(*[a(y) for a in q])
+        return integrate_real_line(lambda y: at(y) * self.f.density(self.theta, y))
+
+    def se(self, name: str) -> float:
+        """The Monte Carlo standard error of E[the quantity named], else 0.0."""
+        if self.columns is None or self.weights is not None:
+            return 0.0
+        col = self.columns[name]
+        return float(col.std(ddof=1) / math.sqrt(len(col)))
+
+    def moments(self, name: str, g: Optional[Callable] = None) -> tuple:
+        """(E g, V g) of the formula g of one quantity (the quantity itself
+        when None): the mean, then the mean squared deviation from it.  The
+        one variance routine."""
+        m = self.mean(g, name)
+        return m, self.mean((lambda v: _square(v - m)) if g is None else (lambda v: _square(g(v) - m)), name)
+
+
 def _check_size(name: str, value, least: int) -> None:
-    """A DomainError unless ``value`` is an integer >= ``least`` (0 or 1)."""
-    if not least <= value < math.inf or value != int(value):  # the range first: int() of NaN or inf raises
+    """A DomainError unless ``value`` is an int or numpy integer, not a bool,
+    and >= ``least`` (0 or 1)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise DomainError(f"{name} must be a {('nonnegative', 'positive')[least]} integer, got {value}")
 
 
@@ -196,20 +257,13 @@ class Family:
         raise NotImplementedError
 
     def expect(self, theta: float, phi, *, mc_draws: int = DEFAULT_MC_DRAWS, mc_seed: int = 0) -> tuple:
-        """(E_theta[phi(Y)], standard error), the one expectation engine.
-
-        The mean of ``values`` under ``weights``, SE 0; under equal weights
-        (None, a sampling family) their plain mean and its standard error.
-        Where ``values`` is None, quadrature of phi * density, SE 0.
-        """
-        self.check_param(theta)
-        vals = self.values(theta, _per_row(phi), mc_draws=mc_draws, mc_seed=mc_seed)
-        if vals is None:
-            return integrate_real_line(lambda y: phi(y) * self.density(theta, y)), 0.0
-        w = self.weights(theta)
-        if w is None:
-            return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
-        return float(np.dot(w, vals)), 0.0
+        """(E_theta[phi(Y)], standard error), the one expectation engine: a
+        ``_Pass`` of phi.  The mean of ``values`` under ``weights``, SE 0;
+        under equal weights (None, a sampling family) their plain mean and
+        its standard error; where ``values`` is None, quadrature of
+        phi * density, SE 0."""
+        one = _Pass(self, theta, {"phi": phi}, dict(mc_draws=mc_draws, mc_seed=mc_seed))
+        return one.mean(None, "phi"), one.se("phi")
 
     def values(self, theta: float, block: Callable, *, mc_draws: int = DEFAULT_MC_DRAWS, mc_seed: int = 0):
         """``block`` on the nodes of this family's expectations at theta, or

@@ -18,16 +18,19 @@ Gauss-Hermite rule, or seeded Monte Carlo draws under equal weights (with
 reported standard error) for the full Cauchy sample space; or adaptive
 quadrature for the one-dimensional continuous families, which have no
 nodes.  Every slope quantity at theta is a view of one set of moments
-(V(g), E g', E[g * score]), each taken once, on first use, and each the
-mean of an elementwise formula in per-sample quantities: g (u for a
-lift), g' or g at theta +- h, and the score.  Where the family has nodes,
-one pass over them at theta keeps these quantities as columns: the family
-hands its nodes to one block function, which runs a user statistic once
-per node and takes the score from ``Family.scores`` (a Monte Carlo score
-once per chunk); every moment is a reduction of the kept columns under the
-weights, read once per theta.  Under quadrature each moment is its own
-expectation pass.  A variance or a standardized value keeps only g's own
-column.
+(V(g), E g', E[g * score]), each taken once, on first use, by
+``families._Pass``, the one reduction of a moment: each the mean of an
+elementwise formula in per-sample quantities, g (u for a lift), g' or g
+at theta +- h, and the score.  Where the family has nodes, one pass over
+them at theta keeps these quantities as columns: the family hands its
+nodes to one block function, which runs a user statistic once per node
+and takes the score from ``Family.scores`` (a Monte Carlo score once per
+chunk); every moment is a reduction of the kept columns under the
+weights, read once per theta.  Under quadrature each moment is one
+quadrature pass.  A lift's h' = -dups(theta) is the same at every sample,
+so no moment of it is taken: its slope is -dups, and its central
+difference is the difference of ups at theta +- h.  A variance or a
+standardized value keeps only g's own column.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import BiasError, DivergentIntegralError, DomainError, OrientationError, ZeroVarianceError
-from .families import DEFAULT_MC_DRAWS, Bernoulli, Family, _per_row, median_fisher_info, median_variance
+from .families import DEFAULT_MC_DRAWS, Bernoulli, Family, _Pass, _SCORE, median_fisher_info, median_variance
 
 KIND_SCORE = "score"
 KIND_LIFTED = "lifted_point"
@@ -65,69 +68,6 @@ def expect(
     """
     value, se = f.expect(theta, phi, mc_draws=mc_draws, mc_seed=mc_seed)
     return (value, se) if return_se else value
-
-
-def _square(v):
-    """v ** 2 as Python's float ** takes it, by the C library's pow: on a
-    column by float_power, since numpy's ** 2 squares, which rounds
-    differently about once in 1,200."""
-    return np.float_power(v, 2) if isinstance(v, np.ndarray) else v**2
-
-
-_SCORE = object()  # marks the family's score among a _Pass's quantities
-
-
-class _Pass:
-    """Means of elementwise formulas in named per-sample quantities under
-    ``f`` at theta: each a function of one sample, or ``_SCORE``.
-
-    Where ``f`` has nodes, ``f.values`` hands them to one block function,
-    which computes each quantity once per node (the score by ``f.scores``,
-    once per Monte Carlo chunk) and keeps it as a column; the node weights
-    are read once.  Every mean is then a reduction of the kept columns,
-    ``np.dot(weights, column)`` or ``column.mean()``, in the order
-    ``f.expect`` of that formula would take.  Under quadrature there are no
-    nodes, so each mean is its own expectation pass, which computes at each
-    point only the quantities its formula reads.
-    """
-
-    def __init__(self, f: Family, theta: float, quantities: dict, kw: dict):
-        f.check_param(theta)
-        self.f, self.theta, self.kw = f, theta, kw
-        score = lambda y: f.score(theta, y)
-        self.quantities = {k: score if fn is _SCORE else fn for k, fn in quantities.items()}
-        blocks = [(lambda ys: f.scores(theta, ys)) if fn is _SCORE else _per_row(fn) for fn in quantities.values()]
-        vals = f.values(theta, lambda ys: [b(ys) for b in blocks], **kw)
-        self.columns = None if vals is None else dict(zip(quantities, vals))
-        self.weights = None if vals is None else f.weights(theta)
-
-    def mean(self, formula: Optional[Callable], *names: str) -> float:
-        """E[formula(*the quantities named)], a formula of at most two; with
-        no formula, E[the one quantity named]."""
-        cols, q = self.columns, self.quantities
-        if cols is not None:
-            vals = cols[names[0]] if formula is None else formula(*[cols[k] for k in names])
-            if not names:  # a constant, averaged over the nodes as a pass over them would
-                vals = np.full(len(next(iter(cols.values()))), vals)
-            return float(vals.mean() if self.weights is None else np.dot(self.weights, vals))
-        if formula is None:
-            at = q[names[0]]
-        elif not names:
-            at = lambda y: formula()
-        elif len(names) == 1:
-            a = q[names[0]]
-            at = lambda y: formula(a(y))
-        else:
-            a, b = (q[k] for k in names)
-            at = lambda y: formula(a(y), b(y))
-        return expect(self.f, self.theta, at, **self.kw)
-
-    def moments(self, name: str, g: Optional[Callable] = None) -> tuple:
-        """(E g, V g) of the formula g of one quantity (the quantity itself
-        when None): the mean, then the mean squared deviation from it.  The
-        one variance routine."""
-        m = self.mean(g, name)
-        return m, self.mean((lambda v: _square(v - m)) if g is None else (lambda v: _square(g(v) - m)), name)
 
 
 def variance(f: Family, theta: float, phi: Callable, **kw) -> float:
@@ -174,9 +114,10 @@ class _Lift:
     ups = E[u] and its derivative dups = E[u * score] are the closed forms
     when given.  Otherwise each is an expectation under the caller's Monte
     Carlo keywords, with the lift's own as defaults: exact whenever the
-    engine is exact, unlike a finite difference of the mean.  An expectation
-    of h or h' at theta (or at theta +- h) reads ups or dups at every sample
-    point, so each is cached for three theta and its expectation runs once.
+    engine is exact, unlike a finite difference of the mean.  h and h' read
+    ups or dups at every sample point, and a lift's central difference reads
+    ups at theta +- h, so each is cached for three theta and its
+    expectation runs once.
     """
 
     def __init__(self, f: Family, u: Callable, mean_fn, mean_deriv, kw: dict):
@@ -236,7 +177,9 @@ class _SlopeAt:
     quantities (a ``_Pass``): g itself (u for a lift, whose g is u - ups),
     g' or g at theta +- h, and the score.  Where the family has nodes, one
     pass over them keeps them all; with ``value_only``, only g's own (u, g
-    or the score), for the variance and ``standardize``.
+    or the score), for the variance and ``standardize``.  A lift's h' is
+    -dups at every sample, so its slope and central difference are read
+    from dups and ups, not averaged.
     """
 
     def __init__(self, g: GenEstimator, theta: float, kw: dict, value_only: bool = False):
@@ -267,19 +210,15 @@ class _SlopeAt:
 
     @functools.cached_property
     def ups(self) -> float:
-        """A lift's mean at theta: without a closed form, the mean of the kept u column."""
-        lift = self.g._lift
-        if lift.mean_fn is None and self._pass.columns is not None:
-            return self._pass.mean(None, "u")
-        return lift.ups(self.theta, **self.kw)
+        """A lift's mean at theta: the closed form, or E[u] of the kept pass."""
+        mean_fn = self.g._lift.mean_fn
+        return self._pass.mean(None, "u") if mean_fn is None else mean_fn(self.theta)
 
     @functools.cached_property
     def dups(self) -> float:
-        """d ups / d theta: without a closed form, E[u * score] of the kept columns."""
-        lift = self.g._lift
-        if lift.mean_deriv is None and self._pass.columns is not None:
-            return self._pass.mean(lambda u, s: u * s, "u", "s")
-        return lift.dups(self.theta, **self.kw)
+        """d ups / d theta: the closed form, or E[u * score] of the kept pass."""
+        mean_deriv = self.g._lift.mean_deriv
+        return self._pass.mean(lambda u, s: u * s, "u", "s") if mean_deriv is None else mean_deriv(self.theta)
 
     @functools.cached_property
     def variance(self) -> float:
@@ -296,14 +235,13 @@ class _SlopeAt:
         th, h, lift = self.theta, self.h, self.g._lift
         if lift is None:
             return self._pass.mean(lambda gp, gm: (gp - gm) / (2.0 * h), "gp", "gm")
-        up, um = lift.ups(th + h, **self.kw), lift.ups(th - h, **self.kw)
-        return self._pass.mean(lambda u: ((u - up) - (u - um)) / (2.0 * h), "u")
+        return (lift.ups(th - h, **self.kw) - lift.ups(th + h, **self.kw)) / (2.0 * h)
 
     @functools.cached_property
     def slope(self) -> float:
         """E[dg/dtheta] at theta; analytic derivative when available."""
         if self.g._lift is not None:
-            return self._pass.mean(lambda: -self.dups)
+            return -self.dups  # h' = -dups at every y
         return self.fd_slope if self.g.deriv is None else self._pass.mean(None, "dg")
 
     @functools.cached_property
@@ -339,7 +277,7 @@ class _SlopeAt:
         if self.g.kind == KIND_SCORE:
             lhs = self.g.family.fisher_info(self.theta)
         else:
-            lhs = -(self.fd_slope if self.g.kind == KIND_LIFTED else self.slope)
+            lhs = -(self.fd_slope if self.g._lift is not None else self.slope)
         return abs(lhs - self.cov)
 
 
@@ -423,8 +361,8 @@ def slope_report(g: GenEstimator, grid: Sequence[float], **kw) -> SlopeReport:
     function.  Each moment behind them is taken once per theta: where the
     family has nodes (a sum, a rule, Monte Carlo draws) one pass over them,
     and a lift without a closed-form mean adds one pass each at theta +- h;
-    under quadrature 5 expectation passes for an estimator with ``deriv``,
-    1 for the score."""
+    under quadrature 3 quadrature passes for a lift with closed forms (7
+    without), 4 for a custom estimator and 1 for the score."""
     rows = [(s.lam, s.rho2, s.eff, s.eff * g.family.n, s.residual) for s in (_SlopeAt(g, th, kw) for th in grid)]
     return SlopeReport(np.asarray(grid, dtype=float), *np.array(rows, dtype=float).reshape(-1, 5).T.copy())
 

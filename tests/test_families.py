@@ -150,10 +150,21 @@ class TestSizeParameters:
         ],
         ids=["bernoulli", "normal", "cauchy", "bivariate", "median"],
     )
-    @pytest.mark.parametrize("value", [0, -2, 2.5, math.nan, math.inf])
+    @pytest.mark.parametrize("value", [0, -2, 2.5, math.nan, math.inf, 3.0, np.float64(4.0)])
     def test_a_size_is_an_integer_at_least_its_least(self, make, value):
         with pytest.raises(sl.DomainError, match="must be a (positive|nonnegative) integer"):
             make(value)
+
+    @pytest.mark.parametrize(
+        "make",
+        [sl.Bernoulli, lambda v: sl.NormalLocation(1.0, v), sl.CauchyLocation, sl.BivariateNormalSlice],
+        ids=["bernoulli", "normal", "cauchy", "bivariate"],
+    )
+    def test_a_size_is_not_a_bool(self, make):
+        # True == 1, so only the type tells a bool from a one-observation size
+        with pytest.raises(sl.DomainError, match="must be a positive integer"):
+            make(True)
+        assert make(np.int64(10)).n == 10
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
     def test_normal_sigma_is_positive_and_finite(self, sigma):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import slope_lab as sl
+from slope_lab import families
 
 BERN = sl.Bernoulli(10)
 P_GRID = np.linspace(0.05, 0.95, 10)
@@ -289,6 +290,35 @@ class TestSlopeReport:
         assert self.passes_per_theta(sl.score_estimator(BERN), [0.2, 0.6], monkeypatch) == [1, 1]
 
     @pytest.mark.parametrize(
+        "make, passes",
+        [
+            (lambda f: sl.lift_point_estimator(f, lambda z: z, mean_fn=lambda th: th, mean_deriv=lambda th: 1.0), 3),
+            (lambda f: sl.lift_point_estimator(f, lambda z: z), 7),
+            (lambda f: sl.GenEstimator(f, lambda z, th: math.atan(z - th)), 4),
+            (lambda f: sl.GenEstimator(f, lambda z, th: math.atan(z - th),
+                                       deriv=lambda z, th: -1.0 / (1.0 + (z - th) ** 2)), 4),
+            (sl.score_estimator, 1),
+        ],
+        ids=["lift_closed_form", "lift_engine", "custom_fd", "custom_deriv", "score"],
+    )
+    def test_quadrature_passes_per_theta(self, make, passes, monkeypatch):
+        # each moment is one quadrature pass: V(g) two, E[g * score] one, and
+        # E g' one for a custom estimator; a lift's slope is -dups and its
+        # central difference that of its means, so neither takes a pass of its
+        # own, and without closed forms ups, dups and ups at theta +- h take four
+        f = sl.CauchyMedian(3)
+        f.fisher_info(0.0)  # the information's quadrature is cached, and not a moment
+        calls = []
+        integrate = families.integrate_real_line
+        monkeypatch.setattr(families, "integrate_real_line", lambda fn: calls.append(fn) or integrate(fn))
+        counts = []
+        for th in (-0.5, 1.0):
+            calls.clear()
+            sl.slope_report(make(f), [th])
+            counts.append(len(calls))
+        assert counts == [passes, passes]
+
+    @pytest.mark.parametrize(
         "g, grid, kw",
         [
             (lift_yy1(), P_GRID, {}),
@@ -392,12 +422,13 @@ class TestMonteCarloBlocks:
             m = E(g)
             var = E(lambda y: (g(y) - m) ** 2)
             cov = E(lambda y: g(y) * score(y))
-            fd = E(lambda y: (g(y, th + h) - g(y, th - h)) / (2.0 * h))
             if name == "custom":
+                fd = E(lambda y: (g(y, th + h) - g(y, th - h)) / (2.0 * h))
                 slope = fd
-            else:
+            else:  # a lift's h' = -dups at every draw; its fd is the difference of its means, ups = theta
+                fd = ((th - h) - (th + h)) / (2.0 * h)
                 dups = 1.0 if name == "median_closed_form" else E(lambda y: med(y) * score(y))
-                slope = E(lambda y: -dups)
+                slope = -dups
             lam, rho2, residual = slope * slope / var, cov * cov / (var * info), abs(-fd - cov)
         eff = lam / info
         values = [lam, rho2, eff, eff * f.n, residual, residual, g(x) / math.sqrt(var), var, eff]
@@ -517,9 +548,8 @@ class TestNodeEngines:
             m = E(g, th)
             var = E(lambda y: (g(y) - m) ** 2, th)
             cov = E(lambda y: g(y) * score(y), th)
-            slope = E(lambda y: -dups, th)
-            up, um = ups(th + h), ups(th - h)
-            fd = E(lambda y: ((u(y) - up) - (u(y) - um)) / (2.0 * h), th)
+            slope = -dups  # h' = -dups at every y
+            fd = (ups(th - h) - ups(th + h)) / (2.0 * h)
             lam, rho2, residual = slope * slope / var, cov * cov / (var * info), abs(-fd - cov)
         else:
             ev, dg = parts

@@ -72,3 +72,16 @@ def test_families_take_a_block_and_give_scores():
     assert sig(families.Family.scores) == ["self", "theta", "ys"]
     subclasses = [c for c in vars(families).values() if inspect.isclass(c) and issubclass(c, families.Family)]
     assert [c.__name__ for c in subclasses if "scores" in vars(c)] == ["Family", "CauchyLocation"]
+
+
+def test_only_families_reads_node_weights():
+    # a moment is reduced in one place, families._Pass, which reads the weights
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "families.py":
+            callers += [
+                f"{path.name}:{node.lineno}"
+                for node in ast.walk(_tree(path.name))
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "weights"
+            ]
+    assert callers == []
