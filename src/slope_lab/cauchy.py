@@ -10,7 +10,12 @@ a coverage run's last batch, or the scalar ``cauchy_mle`` (a batch of
 one), can differ in the last place from the same sample inside a larger
 batch.  ``CauchyLocation.score`` hands ``cauchy_score`` a block's
 transpose, whose rows are contiguous, so a block's scores are summed
-pairwise and equal per-row calls bit for bit.
+pairwise and equal per-row calls bit for bit.  The certified kernel
+transposes its batch once, into one C-ordered (n, B) array, and every
+stage reads columns of it: an evaluation's offsets are the columns it
+needs less theta, the same C-ordered (n, m) array ``cauchy_offsets``
+gives, and the window-skip test's pairwise array is (n, n, B), summed
+down its middle axis with the samples contiguous.
 
 The likelihood can be multimodal.  Its local maxima all lie in the unit
 windows [x_i - 1, x_i + 1] around the observations, because l'' < 0
@@ -112,10 +117,13 @@ _SKIP_MARGIN = 1e-9
 # Half-width of the widened window the bound covers, x_i +- (1 + 2 _CELL):
 # every lattice point laid for window i lies inside it.
 _REACH = 1.0 + 2.0 * _CELL
-_SKIPPED = np.iinfo(np.int64).max  # lattice index of a skipped window's points, sorted last
+_SKIPPED = np.iinfo(np.int64).max  # start of a skipped window, sorted last
+# Elements of the skip test's pairwise array at once: 8 MiB, one chunk of
+# columns for n = 15 and a 4096-sample batch.
+_SKIP_CHUNK = 1 << 20
 _FLOAT_MAX = np.finfo(float).max
 _END_DOUBLINGS = 1030  # a hull end's step 0.5 * 2^k reaches _FLOAT_MAX at k = 1025
-_GRID_CHUNK = 1 << 16  # lattice points evaluated at once: 8 MiB per temporary at n = 15
+_GRID_CHUNK = 1 << 16  # lattice points evaluated at once: 7.5 MiB per (n, chunk) temporary at n = 15
 # Beyond this the lattice index of an observation could overflow int64
 # and the lattice would no longer cover its window.
 _X_MAX = 1e15
@@ -132,6 +140,7 @@ class MleCounters:
     halved: int = 0  # cells split because no test closed them
     capped: int = 0  # samples with a cell open after _MAX_HALVINGS rounds, or too many open
     windows_skipped: int = 0  # unit windows whose likelihood bound cannot reach the level set
+    lattice_points: int = 0  # lattice points evaluated before any halving
 
 
 def cauchy_level_set_batch(x, drop: float, counters: Optional[MleCounters] = None):
@@ -163,8 +172,12 @@ def cauchy_level_set_batch(x, drop: float, counters: Optional[MleCounters] = Non
       U_i and L are sums of n terms, each off by a few ulps, and near the
       test U_i and L - drop are about as large, so their errors stay
       below 8 n 2^-52 (1 + |L - drop|), far below the margin for any
-      n < 5e5.  At drop 0 it also exceeds the tie tolerance, so no
-      maximum that could tie theta_hat is dropped.
+      n < 5e5.  That holds whatever order a sum adds its terms in, as
+      the terms log(1 + d^2) share one sign: any order rounds a sum S
+      of n of them by at most (n - 1) 2^-53 S (Higham, Accuracy and
+      Stability of Numerical Algorithms, 2002, section 4.2).  At drop 0
+      it also exceeds the tie tolerance, so no maximum that could tie
+      theta_hat is dropped.
     * The windows not skipped are covered by the cells of a lattice of
       step h = 0.2 (11 points per window, shared where windows overlap);
       a cell that skips lattice points spans a gap, which may hold
@@ -205,17 +218,15 @@ def cauchy_level_set_batch(x, drop: float, counters: Optional[MleCounters] = Non
     outside = ~(np.abs(x) <= _X_MAX).all(axis=1)
     if outside.any():
         x = np.where(outside[:, None], 0.0, x)
-    first = np.floor((x - 1.0) / _CELL).astype(np.int64) - 1
-    j = first[:, :, None] + np.arange(_WINDOW_POINTS)
-    skipped = _unreachable_windows(x, drop)
-    j[skipped] = _SKIPPED
-    j = np.sort(j.reshape(B, -1), axis=1)
-    fresh = j != _SKIPPED
-    fresh[:, 1:] &= j[:, 1:] != j[:, :-1]
-    row = np.nonzero(fresh)[0]
-    j = j[fresh]
+    xt = np.ascontiguousarray(x.T)
+    skipped = _unreachable_windows(xt, drop).T
+    row, j = _lattice(x, skipped)
     theta = j * _CELL
-    l, s = _loglik_score_at(x, row, theta)
+    l, s = _loglik_score_at(xt, row, theta)
+    if counters is None:
+        counters = MleCounters()
+    counters.windows_skipped += int(skipped.sum())
+    counters.lattice_points += row.size
     # consecutive lattice points of a sample join in a cell; one that skips
     # lattice points spans a gap between the windows laid
     k = np.nonzero(row[1:] == row[:-1])[0]
@@ -227,9 +238,6 @@ def cauchy_level_set_batch(x, drop: float, counters: Optional[MleCounters] = Non
     found = []  # (row, root, l(root), sign, radius) of each bisection round
     best = np.full(B, -np.inf)  # largest l over the maxima found
     capped = np.zeros(B, dtype=bool)
-    if counters is None:
-        counters = MleCounters()
-    counters.windows_skipped += int(skipped.sum())
     for depth in range(_MAX_HALVINGS + 1):
         # maxima first; a minimum matters only if it may lie above the floor
         for sign in (1.0, -1.0):
@@ -238,12 +246,12 @@ def cauchy_level_set_batch(x, drop: float, counters: Optional[MleCounters] = Non
                 new &= np.minimum(cells["la"], cells["lb"]) > best[cells["row"]] - drop
             k = np.nonzero(new)[0]
             rows = cells["row"][k]
-            xr = x[rows]
+            xr = xt.take(rows, axis=1)
             r = _bisect_score(xr, cells["a"][k], cells["b"][k], sign)
-            t = cauchy_offsets(xr, r)
-            lr = cauchy_loglik(t)
+            t = np.subtract(xr, r, out=xr)
             # within this radius of a root l'' keeps its sign
             radius = np.maximum(sign * cauchy_obs_info(t), 0.0) / (_L3 * n)
+            lr = cauchy_loglik(t, overwrite=True)
             found.append((rows, r, lr, np.full(k.size, sign), radius))
             cells["root"][k] = r
             if sign > 0.0:
@@ -255,7 +263,7 @@ def cauchy_level_set_batch(x, drop: float, counters: Optional[MleCounters] = Non
         if not still.any():
             break
         counters.halved += int(still.sum())
-        cells = _halve(x, {key: v[still] for key, v in cells.items()})
+        cells = _halve(xt, {key: v[still] for key, v in cells.items()})
     counters.capped += int(capped.sum())
     rows, r, lr, sign, _ = (np.concatenate(v) for v in zip(*found))
     counters.brackets += rows.size
@@ -267,7 +275,7 @@ def cauchy_level_set_batch(x, drop: float, counters: Optional[MleCounters] = Non
     # a constant sample's mode is its value; bisection could end an ulp off
     constant = (x == x[:, :1]).all(axis=1) & ~outside
     theta_hat[constant] = x[constant, 0]
-    target = cauchy_loglik(cauchy_offsets(x, theta_hat)) - drop
+    target = cauchy_loglik(xt - theta_hat, overwrite=True) - drop
     above = lr > target[rows]
     # theta_hat is in the set even where drop 0 leaves its l at t
     peaks = maxima & (above | (r == theta_hat[rows]))
@@ -289,7 +297,8 @@ def cauchy_level_set_ends(x, outer: np.ndarray, target: np.ndarray):
     from outer[1] upward in the second.  Each row's steps are those of
     its own end alone."""
     m = x.shape[0]
-    x = np.concatenate([x, x])
+    xt = np.ascontiguousarray(np.concatenate([x, x]).T)
+    work = np.empty_like(xt)
     start = np.concatenate(outer)
     target = np.concatenate([target, target])
     sgn = np.repeat([-1.0, 1.0], m)
@@ -300,7 +309,7 @@ def cauchy_level_set_ends(x, outer: np.ndarray, target: np.ndarray):
         # overflow only from k = 499, d near 1e150, where the safe forms,
         # slower, take over
         wide = k >= 499
-        inside = _loglik_rows(x, far, wide) > target
+        inside = _loglik_rows(xt, far, wide, work) > target
         if not inside.any():
             break
         d = np.where(inside, np.minimum(d, 0.5 * _FLOAT_MAX) * 2.0, d)
@@ -309,7 +318,7 @@ def cauchy_level_set_ends(x, outer: np.ndarray, target: np.ndarray):
     for _ in range(55):
         # near +-_FLOAT_MAX, lo_b + hi_b overflows; halving first cannot
         mid = 0.5 * lo_b + 0.5 * hi_b if wide else 0.5 * (lo_b + hi_b)
-        keep = _loglik_rows(x, mid, wide) > target
+        keep = _loglik_rows(xt, mid, wide, work) > target
         lo_b = np.where(keep, mid, lo_b)
         hi_b = np.where(keep, hi_b, mid)
     ends = 0.5 * lo_b + 0.5 * hi_b if wide else 0.5 * (lo_b + hi_b)
@@ -318,62 +327,93 @@ def cauchy_level_set_ends(x, outer: np.ndarray, target: np.ndarray):
     return ends[:m], ends[m:]
 
 
-def _loglik_rows(x: np.ndarray, theta: np.ndarray, wide: bool) -> np.ndarray:
-    """``cauchy_loglik`` of row k of ``x`` at ``theta[k]``.  ``wide`` when
-    some |theta| may pass 1e150, where (x_i - theta)^2 can overflow: each
-    log(1 + t^2) of an overflowed row is then logaddexp(0, 2 log|t|)."""
+def _loglik_rows(xt: np.ndarray, theta: np.ndarray, wide: bool, work: np.ndarray) -> np.ndarray:
+    """``cauchy_loglik`` of column k of ``xt`` at ``theta[k]``, worked in
+    ``work``, an array of ``xt``'s shape.  ``wide`` when some |theta| may
+    pass 1e150, where (x_i - theta)^2 can overflow: each log(1 + t^2) of
+    an overflowed column is then logaddexp(0, 2 log|t|)."""
     if not wide:
-        return cauchy_loglik(cauchy_offsets(x, theta), overwrite=True)
+        return cauchy_loglik(np.subtract(xt, theta, out=work), overwrite=True)
     # t^2 may overflow to inf, and a 0 offset beside a huge one takes log 0
     with np.errstate(over="ignore", divide="ignore"):
-        l = cauchy_loglik(cauchy_offsets(x, theta), overwrite=True)
+        l = cauchy_loglik(np.subtract(xt, theta, out=work), overwrite=True)
         over = l == -np.inf
         if over.any():
-            t = cauchy_offsets(x[over], theta[over])
+            t = xt[:, over] - theta[over]
             l[over] = -np.logaddexp(0.0, 2.0 * np.log(np.abs(t))).sum(axis=0)
     return l
 
 
-def _unreachable_windows(x: np.ndarray, drop: float) -> np.ndarray:
-    """(B, n) mask of the unit windows that can hold no global maximum and
-    no point of the level set: on window i widened to x_i +- _REACH,
-    l < U_i = -sum_j log(1 + d_ij^2), d_ij the distance from x_j to it,
-    and U_i lies below L - drop, L = max_k l(x_k) <= l(theta_hat), by
-    more than the margin 1e-9 (1 + |L - drop|).  One (B, n, n) array,
-    worked in place, serves both L and U."""
-    d = np.subtract(x[:, :, None], x[:, None, :])
-    d *= d
-    level = -np.log1p(d, out=d).sum(axis=2).min(axis=1) - drop
-    np.subtract(x[:, :, None], x[:, None, :], out=d)
-    np.abs(d, out=d)
-    d -= _REACH
-    np.maximum(d, 0.0, out=d)
-    d *= d
-    bound = -np.log1p(d, out=d).sum(axis=2)
-    return bound < (level - _SKIP_MARGIN * (1.0 + np.abs(level)))[:, None]
+def _unreachable_windows(xt: np.ndarray, drop: float) -> np.ndarray:
+    """(n, B) mask of the unit windows, of the samples in the columns of
+    ``xt``, that can hold no global maximum and no point of the level
+    set: on window i widened to x_i +- _REACH, l < U_i = -sum_j log(1 +
+    d_ij^2), d_ij the distance from x_j to it, and U_i lies below L -
+    drop, L = max_k l(x_k) <= l(theta_hat), by more than the margin 1e-9
+    (1 + |L - drop|).  One (n, n, b) array per chunk of b columns, worked
+    in place, serves both L and U; the sums over j run down its middle
+    axis, in sample order (pairwise for a chunk of one column)."""
+    n, B = xt.shape
+    skipped = np.empty((n, B), dtype=bool)
+    step = max(1, _SKIP_CHUNK // (n * n))
+    for c in range(0, B, step):
+        xc = xt[:, c : c + step]
+        d = np.subtract(xc[:, None, :], xc[None, :, :])
+        d *= d
+        level = -np.log1p(d, out=d).sum(axis=1).min(axis=0) - drop
+        np.subtract(xc[:, None, :], xc[None, :, :], out=d)
+        np.abs(d, out=d)
+        d -= _REACH
+        np.maximum(d, 0.0, out=d)
+        d *= d
+        bound = -np.log1p(d, out=d).sum(axis=1)
+        skipped[:, c : c + step] = bound < level - _SKIP_MARGIN * (1.0 + np.abs(level))
+    return skipped
 
 
-def _loglik_score_at(x: np.ndarray, row: np.ndarray, theta: np.ndarray):
-    """l and l' of sample ``x[row[k]]`` at ``theta[k]``, in bounded chunks."""
+def _lattice(x: np.ndarray, skipped: np.ndarray):
+    """Row and lattice index, row by row and ascending, of every lattice
+    point laid for the rows of ``x``: _WINDOW_POINTS indices from below
+    each window not ``skipped``, each index once.  The window starts are
+    sorted, skipped ones last; as every window lays as many indices, the
+    ends come sorted too, so a window lays only its indices past the end
+    of the window before it."""
+    first = np.floor((x - 1.0) / _CELL).astype(np.int64) - 1
+    first[skipped] = _SKIPPED
+    first.sort(axis=1)
+    end = first + _WINDOW_POINTS * (first != _SKIPPED)  # a skipped window ends where it starts
+    start = first.copy()
+    np.maximum(first[:, 1:], end[:, :-1], out=start[:, 1:])
+    count = end - start
+    row = np.repeat(np.arange(x.shape[0]), count.sum(axis=1))
+    count = count.ravel()
+    offset = np.repeat(start.ravel() - (np.cumsum(count) - count), count)
+    return row, offset + np.arange(offset.size)
+
+
+def _loglik_score_at(xt: np.ndarray, row: np.ndarray, theta: np.ndarray):
+    """l and l' of sample ``xt[:, row[k]]`` at ``theta[k]``, in bounded chunks."""
     l = np.empty_like(theta)
     s = np.empty_like(theta)
     for c in range(0, theta.size, _GRID_CHUNK):
         part = slice(c, c + _GRID_CHUNK)
-        t = cauchy_offsets(x[row[part]], theta[part])
+        t = xt.take(row[part], axis=1)
+        t -= theta[part]
         s[part] = cauchy_score(t)
         l[part] = cauchy_loglik(t, overwrite=True)
     return l, s
 
 
-def _bisect_score(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """Shrink brackets sign * s(lo) > 0 >= sign * s(hi), one per row of
-    ``x``, to adjacent floats; returns their midpoints."""
+def _bisect_score(xt: np.ndarray, lo: np.ndarray, hi: np.ndarray, sign: float) -> np.ndarray:
+    """Shrink brackets sign * s(lo) > 0 >= sign * s(hi), one per column of
+    ``xt``, to adjacent floats; returns their midpoints."""
+    t = np.empty_like(xt)
     for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if not ((lo < mid) & (mid < hi)).any():
             break
         # at adjacent floats mid is lo or hi, whose score keeps its side
-        pos = sign * cauchy_score(cauchy_offsets(x, mid)) > 0.0
+        pos = sign * cauchy_score(np.subtract(xt, mid, out=t)) > 0.0
         lo = np.where(pos, mid, lo)
         hi = np.where(pos, hi, mid)
     return 0.5 * (lo + hi)
@@ -407,11 +447,11 @@ def _closed(c: dict, n: int, floor: np.ndarray, found: list) -> np.ndarray:
     return closed
 
 
-def _halve(x: np.ndarray, c: dict) -> dict:
+def _halve(xt: np.ndarray, c: dict) -> dict:
     """Split each cell at its midpoint; a root found in a cell stays with
     the halves that contain it."""
     m = 0.5 * (c["a"] + c["b"])
-    lm, sm = _loglik_score_at(x, c["row"], m)
+    lm, sm = _loglik_score_at(xt, c["row"], m)
     left = c["root"] <= m
     right = c["root"] >= m
     return {

@@ -8,9 +8,9 @@ paragraph of ``cauchy``).  Replicates are processed in vectorized
 batches: the Philox draw, one certified pass of ``cauchy`` for the MLE
 and LRT level set, the observed information, and the LRT hull's ends are
 all done on whole batches.  With one thread, ``cauchy-sim --raw`` runs
-about 22,500 replicates/s end to end at the benchmark's reference speed
+about 27,000 replicates/s end to end at the benchmark's reference speed
 (``bench/`` workload ``coverage``).  Of a one-thread ``run_coverage`` on 100,000 replicates,
-about 70% goes to the MLE pass and about 25% to the LRT hull's ends.
+about two thirds goes to the MLE pass and about 28% to the LRT hull's ends.
 
 The per-replicate table records everything the downstream projections
 need (coverage flags, KL lengths, observed information, and the raw
@@ -248,6 +248,7 @@ def _run_batch(cfg: SimConfig, start: int, count: int):
         "brackets": mle.brackets,
         "cells_halved": mle.halved,
         "windows_skipped": mle.windows_skipped,
+        "lattice_points": mle.lattice_points,
         "failed_cap": mle.capped,
         "failed_nonfinite": int((~finite).sum()) - mle.capped,
         "failed_info": int((finite & (i_obs <= 0.0)).sum()),

@@ -163,6 +163,8 @@ class TestCauchySim:
         assert all(v >= 0.0 for v in tel["stage_seconds"].values())
         assert tel["counters"]["brackets"] >= 300
         assert tel["counters"]["windows_skipped"] > 0
+        points, c = slope_lab.cauchy._WINDOW_POINTS, tel["counters"]
+        assert points * 300 <= c["lattice_points"] <= points * (15 * 300 - c["windows_skipped"])
         failed = sum(v for k, v in tel["counters"].items() if k.startswith("failed_"))
         assert failed == tel["failed_replicates"] == 0
         assert tel["threads"] == slope_lab.mc.threads_from_env()

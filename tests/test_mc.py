@@ -254,7 +254,7 @@ def _check_skip_is_sound(x, drop):
     each skipped window.  Returns the number of windows skipped."""
     counters = cauchy.MleCounters()
     theta_hat, target, outer, disconnected = cauchy_level_set_batch(x[None], drop, counters)
-    skipped = cauchy._unreachable_windows(x[None], drop)[0]
+    skipped = cauchy._unreachable_windows(x[:, None], drop)[:, 0]
     assert counters.windows_skipped == skipped.sum()
     # laying every window gives the same answer (a batch of one may move in the last bits)
     ref = _level_set_laying_every_window(x[None], drop)
@@ -315,7 +315,7 @@ class TestWindowSkip:
         # floats where the skip of its window switches on
         cluster = np.sort(np.random.default_rng(n).uniform(-1.5, 1.5, n - 1))
         row = lambda d: np.append(cluster, d)
-        skips = lambda d: bool(cauchy._unreachable_windows(row(d)[None], drop)[0, -1])
+        skips = lambda d: bool(cauchy._unreachable_windows(row(d)[:, None], drop)[-1, 0])
         lo, hi = cluster[-1], 1e6
         assert not skips(lo) and skips(hi)
         while np.nextafter(lo, hi) < hi:
@@ -352,10 +352,87 @@ class TestWindowSkip:
         drop = sl.SimConfig().z ** 2 / 2.0
         counters = cauchy.MleCounters()
         got = cauchy_level_set_batch(x, drop, counters)
-        assert counters.windows_skipped == cauchy._unreachable_windows(x, drop).sum() > 0
+        assert counters.windows_skipped == cauchy._unreachable_windows(x.T, drop).sum() > 0
         # in a batch the answer is the unskipped one bit for bit
         for a, b in zip(got, _level_set_laying_every_window(x, drop)):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _lattice_by_sort(x, skipped):
+    """The sort-and-dedupe construction that ``cauchy._lattice`` replaced,
+    kept as its reference: every window's indices in one row, a skipped
+    window's sorted last, and each index kept once."""
+    first = np.floor((x - 1.0) / cauchy._CELL).astype(np.int64) - 1
+    j = first[:, :, None] + np.arange(cauchy._WINDOW_POINTS)
+    j[skipped] = cauchy._SKIPPED
+    j = np.sort(j.reshape(x.shape[0], x.shape[1] * cauchy._WINDOW_POINTS), axis=1)
+    fresh = j != cauchy._SKIPPED
+    fresh[:, 1:] &= j[:, 1:] != j[:, :-1]
+    return np.nonzero(fresh)[0], j[fresh]
+
+
+class TestKernelLayout:
+    """The kernel works on one (n, B) transpose of its batch: the lattice it
+    lays, its chunks, and its rows kept apart."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.integers(0, 6),
+        n=st.integers(1, 15),
+        seed=st.integers(0, 2**32 - 1),
+        values=st.sampled_from(["cauchy", "wide", "ties", "constant"]),
+        p_skip=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+    )
+    def test_lattice_matches_sort_and_dedupe(self, rows, n, seed, values, p_skip):
+        rng = np.random.default_rng(seed)
+        if values == "cauchy":
+            x = rng.standard_cauchy((rows, n))
+        elif values == "wide":
+            x = rng.standard_cauchy((rows, n)) * 10.0 ** rng.integers(-3, 15, (rows, 1))
+        elif values == "ties":
+            x = rng.choice([-2.0, -0.3, 0.0, 0.1, 0.2, 1.7], (rows, n))
+        else:
+            x = np.repeat(rng.normal(size=(rows, 1)), n, axis=1)
+        skipped = rng.random((rows, n)) < p_skip
+        if rows:
+            skipped[rng.integers(rows)] = True  # a row with every window skipped
+        row, j = cauchy._lattice(x, skipped)
+        want_row, want_j = _lattice_by_sort(x, skipped)
+        assert row.tolist() == want_row.tolist() and j.tolist() == want_j.tolist()
+
+    def test_empty_batch(self):
+        theta_hat, target, outer, disconnected = cauchy_level_set_batch(np.empty((0, 15)), 1.92)
+        assert (theta_hat.shape, target.shape, outer.shape, disconnected.shape) == ((0,), (0,), (2, 0), (0,))
+        lo, hi = cauchy_level_set_ends(np.empty((0, 15)), outer, target)
+        assert lo.shape == hi.shape == (0,)
+
+    def test_row_permutation_permutes_every_output(self):
+        x = _draw_batch(0, 0, 512, 15, 0.0)
+        x[1] = x[1, ::-1]  # unsorted
+        x[2] = 0.7  # constant
+        x[3, -1] = 2e15  # beyond the lattice's range: NaN
+        c = 20.0 + np.sort(np.random.default_rng(4).uniform(0.0, 1.0, 7))
+        x[4] = np.r_[-c[::-1], 0.0, c]  # symmetric: two tied maxima
+        perm = np.random.default_rng(1).permutation(len(x))
+        for drop in (0.0, sl.SimConfig().z ** 2 / 2.0):
+            theta_hat, target, outer, disconnected = cauchy_level_set_batch(x, drop)
+            ends = cauchy_level_set_ends(x, outer, target)
+            got = cauchy_level_set_batch(x[perm], drop)
+            got_ends = cauchy_level_set_ends(x[perm], got[2], got[1])
+            for a, b in zip((*got, *got_ends), (theta_hat, target, outer, disconnected, *ends)):
+                assert a.tobytes() == b[..., perm].tobytes()
+
+    @pytest.mark.parametrize("n", [3, 15, 61])
+    def test_skip_chunks_give_the_one_chunk_mask(self, n, monkeypatch):
+        # a coverage batch at n = 15 is one chunk
+        assert sl.mc.BATCH * 15 * 15 <= cauchy._SKIP_CHUNK
+        xt = np.ascontiguousarray(_draw_batch(n, 0, 250, n, 0.0).T)
+        drop = sl.SimConfig().z ** 2 / 2.0
+        whole = cauchy._unreachable_windows(xt, drop)
+        assert xt.size * n <= cauchy._SKIP_CHUNK and whole.any()
+        for budget in (1, 3 * n * n, 7 * n * n + 1):
+            monkeypatch.setattr(cauchy, "_SKIP_CHUNK", budget)
+            assert np.array_equal(cauchy._unreachable_windows(xt, drop), whole)
 
 
 class TestRunCoverage:
@@ -417,6 +494,10 @@ class TestRunCoverage:
         c = small_summary.counters
         assert c["brackets"] >= CFG_SMALL.reps
         assert c["windows_skipped"] > 0
+        # every sample lays the window of its best observation, and no more than its windows kept
+        points = cauchy._WINDOW_POINTS
+        assert points * CFG_SMALL.reps <= c["lattice_points"]
+        assert c["lattice_points"] <= points * (CFG_SMALL.n * CFG_SMALL.reps - c["windows_skipped"])
         failed = c["failed_cap"] + c["failed_nonfinite"] + c["failed_info"]
         assert failed == small_summary.n_failures
 
