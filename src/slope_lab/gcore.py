@@ -12,6 +12,16 @@ by the Fisher information, with the score attaining the bound.  The
 slope of a point estimator is defined through its lift
 h(y, theta) = u(y) - E_theta[u].
 
+An estimator plays one of three roles, fixed by its type: the custom
+``GenEstimator(family, evaluate, deriv)``, taken at its word; the score
+(``score_estimator``), with Lambda = I and rho^2 = 1 in closed form; and a
+lifted point statistic (``lift_point_estimator``), whose slope is
+-dups = -E[u * score].  Each role's per-theta moment class (``_SlopeAt``,
+``_ScoreAt``, ``_LiftAt``) gives its per-sample quantities, the formula of
+g's values, its slope and covariance, and the left side of the identity
+-E g' = E[g * score]; nothing else asks which estimator it holds.  A lift's
+keywords fill in whatever a call leaves out, for every moment of that call.
+
 Expectations are ``Family.expect``: a weighted mean of values at nodes,
 which are the Bernoulli support under the exact binomial weights, a
 Gauss-Hermite rule, or seeded Monte Carlo draws under equal weights (with
@@ -21,11 +31,12 @@ nodes.  Every slope quantity at theta is a view of one set of moments
 (V(g), E g', E[g * score]), each taken once, on first use, by
 ``families._Pass``, the one reduction of a moment: each the mean of an
 elementwise formula in per-sample quantities, g (u for a lift), g' or g
-at theta +- h, and the score.  Where the family has nodes, one pass over
-them at theta keeps these quantities as columns: the family hands its
-nodes to one block function, which runs a user statistic once per node
-and takes the score from ``Family.scores`` (a Monte Carlo score once per
-chunk); every moment is a reduction of the kept columns under the
+at theta +- h, and the score.  The pass is made when a moment is first
+read, so the score's closed forms take none.  Where the family has nodes,
+one pass over them at theta keeps these quantities as columns: the family
+hands its nodes to one block function, which runs a user statistic once per
+node and takes the score from ``Family.scores`` (a Monte Carlo score once
+per chunk); every moment is a reduction of the kept columns under the
 weights, read once per theta.  Under quadrature each moment is one
 quadrature pass.  A lift's h' = -dups(theta) is the same at every sample,
 so no moment of it is taken: its slope is -dups, and its central
@@ -38,16 +49,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
 from .errors import BiasError, DivergentIntegralError, DomainError, OrientationError, ZeroVarianceError
 from .families import DEFAULT_MC_DRAWS, Bernoulli, Family, _Pass, _SCORE, median_fisher_info, median_variance
-
-KIND_SCORE = "score"
-KIND_LIFTED = "lifted_point"
-KIND_CUSTOM = "custom"
 
 _FD_STEP = 1e-5
 
@@ -75,67 +82,214 @@ def variance(f: Family, theta: float, phi: Callable, **kw) -> float:
     return _Pass(f, theta, {"phi": phi}, kw).moments("phi")[1]
 
 
+class _SlopeAt:
+    """The moments of a custom estimator g at theta behind every slope
+    quantity, each taken once, on first use, and shared by the quantities
+    that read it; the score's and a lift's roles subclass it.
+
+    Each moment is the mean of an elementwise formula in g's per-sample
+    quantities (a ``_Pass``, made on first read): g's own (``own``), g' or
+    g at theta +- h, and the score.  Where the family has nodes, one pass
+    keeps them all; with ``value_only``, only g's own, for the variance and
+    ``standardize``.
+    """
+
+    own = "g"
+
+    def __init__(self, g: GenEstimator, theta: float, kw: dict, value_only: bool = False):
+        self.g, self.theta, self.kw, self.value_only = g, theta, kw, value_only
+        self.h = _FD_STEP * (1.0 + abs(theta))
+
+    def quantities(self) -> dict:
+        """g's per-sample quantities: g, then g' or g at theta +- h, then the score."""
+        g, th, h = self.g, self.theta, self.h
+        quantities = {"g": lambda y: g.evaluate(y, th)}
+        if g.deriv is not None:
+            quantities["dg"] = lambda y: g.deriv(y, th)
+        else:
+            quantities["gp"] = lambda y: g.evaluate(y, th + h)
+            quantities["gm"] = lambda y: g.evaluate(y, th - h)
+        quantities["s"] = _SCORE
+        return quantities
+
+    def value(self, v):
+        """g's values from its own quantity's: the quantity itself."""
+        return v
+
+    @functools.cached_property
+    def _pass(self) -> _Pass:
+        quantities = self.quantities()
+        if self.value_only:
+            quantities = {self.own: quantities[self.own]}
+        return _Pass(self.g.family, self.theta, quantities, self.kw)
+
+    @functools.cached_property
+    def variance(self) -> float:
+        return self._pass.moments(self.own, self.value)[1]
+
+    @property
+    def var(self) -> float:
+        if not self.variance > 0:
+            raise ZeroVarianceError(f"variance {self.variance} is not positive at theta={self.theta}")
+        return self.variance
+
+    @functools.cached_property
+    def slope(self) -> float:
+        """E[dg/dtheta] at theta: E[g'] by the analytic derivative when
+        available, else the mean of g's central difference."""
+        if self.g.deriv is not None:
+            return self._pass.mean(None, "dg")
+        h = self.h
+        return self._pass.mean(lambda gp, gm: (gp - gm) / (2.0 * h), "gp", "gm")
+
+    @functools.cached_property
+    def cov(self) -> float:
+        return self._pass.mean(lambda v, s: self.value(v) * s, self.own, "s")
+
+    def standardize(self, y) -> float:
+        return self.value(self._pass.quantities[self.own](y)) / math.sqrt(self.var)
+
+    @property
+    def lam(self) -> float:
+        return self.slope * self.slope / self.var
+
+    @property
+    def rho2(self) -> float:
+        return self.cov * self.cov / (self.var * self.g.family.fisher_info(self.theta))
+
+    @property
+    def eff(self) -> float:
+        return self.lam / reference_info(self.g.family, self.theta)
+
+    @property
+    def lhs(self) -> float:
+        """The left side of the identity: -E g', as the slope takes it."""
+        return -self.slope
+
+    @property
+    def residual(self) -> float:
+        return abs(self.lhs - self.cov)
+
+
+class _ScoreAt(_SlopeAt):
+    """The score's moments: its one quantity is the score, Lambda = I and
+    rho^2 = 1 are closed forms, and so is the identity's left side, I."""
+
+    own = "s"
+
+    def quantities(self) -> dict:
+        return {"s": _SCORE}
+
+    @functools.cached_property
+    def cov(self) -> float:
+        return self._pass.mean(lambda s: s * s, "s")  # g is the score: one score per point, squared
+
+    @property
+    def lam(self) -> float:
+        return self.g.family.fisher_info(self.theta)
+
+    @property
+    def rho2(self) -> float:
+        self.g.family.check_param(self.theta)
+        return 1.0
+
+    lhs = lam
+
+
+class _LiftAt(_SlopeAt):
+    """A lift's moments: h = u - ups, with u its quantity beside the score.
+
+    ups = E[u] and dups = E[u * score] are the closed forms when given, else
+    means of the pass: exact whenever the engine is exact, unlike a finite
+    difference of the mean.  The slope is -dups; the identity's left side is
+    the central difference of ups, which keeps the check non-circular.  The
+    keywords are the lift's, with the call's over them.
+    """
+
+    own = "u"
+
+    def __init__(self, g: GenEstimator, theta: float, kw: dict, value_only: bool = False):
+        super().__init__(g, theta, {**g._kw, **kw}, value_only)
+
+    def quantities(self) -> dict:
+        return {"u": self.g._u, "s": _SCORE}
+
+    def value(self, u):
+        return u - self.ups
+
+    @functools.cached_property
+    def ups(self) -> float:
+        """The lift's mean at theta: the closed form, or E[u] of the pass."""
+        mean_fn = self.g._mean_fn
+        return self._pass.mean(None, "u") if mean_fn is None else mean_fn(self.theta)
+
+    @functools.cached_property
+    def dups(self) -> float:
+        """d ups / d theta: the closed form, or E[u * score] of the pass."""
+        mean_deriv = self.g._mean_deriv
+        return self._pass.mean(lambda u, s: u * s, "u", "s") if mean_deriv is None else mean_deriv(self.theta)
+
+    @functools.cached_property
+    def slope(self) -> float:
+        return -self.dups  # h' = -dups at every y
+
+    @property
+    def lhs(self) -> float:
+        """Minus the central difference of ups at theta +- h."""
+        th, h, g = self.theta, self.h, self.g
+        return -(g.ups(th - h, **self.kw) - g.ups(th + h, **self.kw)) / (2.0 * h)
+
+
 @dataclass
 class GenEstimator:
     """A generalized estimator: sample -> function on the parameter space.
 
     ``evaluate(y, theta)`` is the defining map.  ``deriv`` is the
     analytic theta-derivative when one is available; otherwise slope
-    computations fall back to central differences.  ``score_estimator``
-    and ``lift_point_estimator`` set ``kind``; a lift's ``mean_fn`` /
-    ``mean_deriv`` are its mean function and that function's derivative.
+    computations fall back to central differences.  Built directly, it is
+    the custom estimator, taken at its word; ``score_estimator`` and
+    ``lift_point_estimator`` return the other two roles, private
+    subclasses whose type names their moments.
     """
 
     family: Family
     evaluate: Callable
     deriv: Optional[Callable] = None
-    kind: str = field(default=KIND_CUSTOM, init=False)
-    mean_fn: Optional[Callable] = field(default=None, init=False, repr=False)
-    mean_deriv: Optional[Callable] = field(default=None, init=False, repr=False)
-    _lift: Optional["_Lift"] = field(default=None, init=False, repr=False, compare=False)
+    _at: ClassVar[type] = _SlopeAt  # the role's moments at one theta
 
     def __call__(self, y, theta: float) -> float:
         return self.evaluate(y, theta)
 
     def var(self, theta: float, **kw) -> float:
-        return _SlopeAt(self, theta, kw, value_only=True).variance
+        return self._at(self, theta, kw, value_only=True).variance
+
+
+class _Score(GenEstimator):
+    """The score; its moments are ``_ScoreAt``."""
+
+    _at = _ScoreAt
 
 
 def score_estimator(f: Family) -> GenEstimator:
     """The score as a generalized estimator (the Lambda-optimal one)."""
-    g = GenEstimator(family=f, evaluate=lambda y, th: f.score(th, y))
-    g.kind = KIND_SCORE
-    return g
+    return _Score(f, lambda y, th: f.score(th, y))
 
 
-class _Lift:
+class _Lift(GenEstimator):
     """A point statistic u lifted to h(y, theta) = u(y) - ups(theta).
 
-    ups = E[u] and its derivative dups = E[u * score] are the closed forms
-    when given.  Otherwise each is an expectation under the caller's Monte
-    Carlo keywords, with the lift's own as defaults: exact whenever the
-    engine is exact, unlike a finite difference of the mean.  h and h' read
-    ups or dups at every sample point, and a lift's central difference reads
-    ups at theta +- h, so each is cached for three theta and its
-    expectation runs once.
+    ``ups(theta, **kw)`` and ``dups(theta, **kw)`` are the ``_LiftAt``
+    moments.  h and h' read them at every sample point, so each is cached
+    for three calls and its expectation runs once.
     """
 
+    _at = _LiftAt
+
     def __init__(self, f: Family, u: Callable, mean_fn, mean_deriv, kw: dict):
-        self.u, self.mean_fn, self.mean_deriv, self.kw = u, mean_fn, mean_deriv, kw
-        self._defaults = tuple(sorted(kw.items()))
-        once_per_theta = functools.lru_cache(maxsize=3)
-        self._ups = once_per_theta(lambda th, k: expect(f, th, u, **dict(k)))
-        self._dups = once_per_theta(
-            lambda th, k: _Pass(f, th, {"u": u, "s": _SCORE}, dict(k)).mean(lambda u, s: u * s, "u", "s"))
-
-    def _keywords(self, kw: dict) -> tuple:
-        return tuple(sorted({**self.kw, **kw}.items())) if kw else self._defaults
-
-    def ups(self, theta: float, **kw) -> float:
-        return self.mean_fn(theta) if self.mean_fn is not None else self._ups(theta, self._keywords(kw))
-
-    def dups(self, theta: float, **kw) -> float:
-        return self.mean_deriv(theta) if self.mean_deriv is not None else self._dups(theta, self._keywords(kw))
+        super().__init__(f, lambda y, th: u(y) - self.ups(th), lambda y, th: -self.dups(th))
+        self._u, self._mean_fn, self._mean_deriv, self._kw = u, mean_fn, mean_deriv, kw
+        self.ups = functools.lru_cache(maxsize=3)(lambda theta, **kw: _LiftAt(self, theta, kw, value_only=True).ups)
+        self.dups = functools.lru_cache(maxsize=3)(lambda theta, **kw: _LiftAt(self, theta, kw).dups)
 
 
 def lift_point_estimator(
@@ -150,18 +304,18 @@ def lift_point_estimator(
 
     Returns h(y, theta) = u(y) - ups(theta) with ups(theta) = E_theta[u],
     computed through the expectation engine unless a closed form is
-    supplied.  The slope functions take ups and its derivative under their
-    own Monte Carlo keywords; ``**kw`` are the defaults, for ``evaluate``,
-    ``deriv``, ``mean_fn`` and ``mean_deriv`` called alone.  The orientation
-    restriction E[h * score] >= 0 is checked on ``check_grid`` when given;
-    a violation raises rather than silently negating the statistic.
+    supplied, and d ups / d theta likewise; the result's ``ups(theta)`` and
+    ``dups(theta)`` give them.  ``**kw`` are the lift's Monte Carlo
+    keywords: they fill in whatever a call leaves out, for every moment of
+    that call (the pass at theta, and ups at theta +- h), and are the
+    keywords of ``evaluate`` and ``deriv``.  The orientation restriction
+    E[h * score] >= 0 is checked on ``check_grid`` when given; a violation
+    raises rather than silently negating the statistic.
     """
-    lift = _Lift(f, u, mean_fn, mean_deriv, kw)
-    est = GenEstimator(family=f, evaluate=lambda y, th: u(y) - lift.ups(th), deriv=lambda y, th: -lift.dups(th))
-    est.kind, est.mean_fn, est.mean_deriv, est._lift = KIND_LIFTED, lift.ups, lift.dups, lift
+    est = _Lift(f, u, mean_fn, mean_deriv, kw)
     if check_grid is not None:
         for th in check_grid:
-            cov = _SlopeAt(est, th, kw).cov
+            cov = _LiftAt(est, th, {}).cov
             if cov < -1e-8:
                 raise OrientationError(
                     f"E[h * score] = {cov:.3e} < 0 at theta={th}; negate the statistic"
@@ -169,121 +323,10 @@ def lift_point_estimator(
     return est
 
 
-class _SlopeAt:
-    """The moments of g at theta behind every slope quantity, each taken
-    once, on first use, and shared by the quantities that read it.
-
-    Each moment is the mean of an elementwise formula in g's per-sample
-    quantities (a ``_Pass``): g itself (u for a lift, whose g is u - ups),
-    g' or g at theta +- h, and the score.  Where the family has nodes, one
-    pass over them keeps them all; with ``value_only``, only g's own (u, g
-    or the score), for the variance and ``standardize``.  A lift's h' is
-    -dups at every sample, so its slope and central difference are read
-    from dups and ups, not averaged.
-    """
-
-    def __init__(self, g: GenEstimator, theta: float, kw: dict, value_only: bool = False):
-        self.g, self.theta, self.kw = g, theta, kw
-        self.h = h = _FD_STEP * (1.0 + abs(theta))
-        quantities = {}
-        if g._lift is not None:
-            quantities["u"] = g._lift.u
-        elif g.kind != KIND_SCORE:
-            quantities["g"] = lambda y: g.evaluate(y, theta)
-            if g.deriv is not None:
-                quantities["dg"] = lambda y: g.deriv(y, theta)
-            else:
-                quantities["gp"] = lambda y: g.evaluate(y, theta + h)
-                quantities["gm"] = lambda y: g.evaluate(y, theta - h)
-        quantities["s"] = _SCORE
-        if value_only:
-            name = self._g()[0]
-            quantities = {name: quantities[name]}
-        self._pass = _Pass(g.family, theta, quantities, kw)
-
-    def _g(self) -> tuple:
-        """(name, formula) of g's values: the quantity itself (formula None),
-        or u - ups for a lift."""
-        if self.g._lift is not None:
-            return "u", lambda u: u - self.ups
-        return ("s" if self.g.kind == KIND_SCORE else "g"), None
-
-    @functools.cached_property
-    def ups(self) -> float:
-        """A lift's mean at theta: the closed form, or E[u] of the kept pass."""
-        mean_fn = self.g._lift.mean_fn
-        return self._pass.mean(None, "u") if mean_fn is None else mean_fn(self.theta)
-
-    @functools.cached_property
-    def dups(self) -> float:
-        """d ups / d theta: the closed form, or E[u * score] of the kept pass."""
-        mean_deriv = self.g._lift.mean_deriv
-        return self._pass.mean(lambda u, s: u * s, "u", "s") if mean_deriv is None else mean_deriv(self.theta)
-
-    @functools.cached_property
-    def variance(self) -> float:
-        return self._pass.moments(*self._g())[1]
-
-    @property
-    def var(self) -> float:
-        if not self.variance > 0:
-            raise ZeroVarianceError(f"variance {self.variance} is not positive at theta={self.theta}")
-        return self.variance
-
-    @functools.cached_property
-    def fd_slope(self) -> float:
-        th, h, lift = self.theta, self.h, self.g._lift
-        if lift is None:
-            return self._pass.mean(lambda gp, gm: (gp - gm) / (2.0 * h), "gp", "gm")
-        return (lift.ups(th - h, **self.kw) - lift.ups(th + h, **self.kw)) / (2.0 * h)
-
-    @functools.cached_property
-    def slope(self) -> float:
-        """E[dg/dtheta] at theta; analytic derivative when available."""
-        if self.g._lift is not None:
-            return -self.dups  # h' = -dups at every y
-        return self.fd_slope if self.g.deriv is None else self._pass.mean(None, "dg")
-
-    @functools.cached_property
-    def cov(self) -> float:
-        if self.g.kind == KIND_SCORE:
-            return self._pass.mean(lambda s: s * s, "s")  # g is the score: one score per point, squared
-        name, g = self._g()
-        return self._pass.mean((lambda v, s: v * s) if g is None else (lambda v, s: g(v) * s), name, "s")
-
-    def standardize(self, y) -> float:
-        name, g = self._g()
-        v = self._pass.quantities[name](y)
-        return (v if g is None else g(v)) / math.sqrt(self.var)
-
-    @property
-    def lam(self) -> float:
-        if self.g.kind == KIND_SCORE:
-            return self.g.family.fisher_info(self.theta)
-        return self.slope * self.slope / self.var
-
-    @property
-    def rho2(self) -> float:
-        if self.g.kind == KIND_SCORE:
-            return 1.0
-        return self.cov * self.cov / (self.var * self.g.family.fisher_info(self.theta))
-
-    @property
-    def eff(self) -> float:
-        return self.lam / reference_info(self.g.family, self.theta)
-
-    @property
-    def residual(self) -> float:
-        if self.g.kind == KIND_SCORE:
-            lhs = self.g.family.fisher_info(self.theta)
-        else:
-            lhs = -(self.fd_slope if self.g._lift is not None else self.slope)
-        return abs(lhs - self.cov)
-
-
 def standardize(g: GenEstimator, theta: float, y, **kw) -> float:
-    """g(y, theta) / sqrt(V_theta(g))."""
-    return _SlopeAt(g, theta, kw, value_only=True).standardize(y)
+    """g(y, theta) / sqrt(V_theta(g)), for a sample y the family admits."""
+    g.family.check_sample(y)
+    return g._at(g, theta, kw, value_only=True).standardize(y)
 
 
 def squared_slope(g: GenEstimator, theta: float, **kw) -> float:
@@ -292,12 +335,12 @@ def squared_slope(g: GenEstimator, theta: float, **kw) -> float:
     The score attains Lambda = I, which is returned through the closed
     form; lifted estimators with a constant mean function have slope 0.
     """
-    return _SlopeAt(g, theta, kw).lam
+    return g._at(g, theta, kw).lam
 
 
 def score_correlation2(g: GenEstimator, theta: float, **kw) -> float:
     """rho^2(g, score) = (E[g * score])^2 / (V(g) * I)."""
-    return _SlopeAt(g, theta, kw).rho2
+    return g._at(g, theta, kw).rho2
 
 
 def reference_info(f: Family, theta: float) -> float:
@@ -314,7 +357,7 @@ def lambda_efficiency(g: GenEstimator, theta: float, **kw) -> float:
     reduction it additionally charges the information lost by reducing
     the sample to its median.
     """
-    return _SlopeAt(g, theta, kw).eff
+    return g._at(g, theta, kw).eff
 
 
 def v_efficiency(f: Family, u: Callable, theta: float, tol: float = 1e-8, **kw) -> float:
@@ -327,7 +370,7 @@ def v_efficiency(f: Family, u: Callable, theta: float, tol: float = 1e-8, **kw) 
 
 def effective_n(g: GenEstimator, theta: float, **kw) -> float:
     """The full-sample size at which the optimal estimator matches g's slope."""
-    return _SlopeAt(g, theta, kw).eff * g.family.n
+    return g._at(g, theta, kw).eff * g.family.n
 
 
 def check_identity(g: GenEstimator, theta: float, **kw) -> float:
@@ -341,7 +384,7 @@ def check_identity(g: GenEstimator, theta: float, **kw) -> float:
     for lifts it is itself derived from a score covariance and would make
     the check circular.
     """
-    return _SlopeAt(g, theta, kw).residual
+    return g._at(g, theta, kw).residual
 
 
 @dataclass
@@ -363,7 +406,7 @@ def slope_report(g: GenEstimator, grid: Sequence[float], **kw) -> SlopeReport:
     and a lift without a closed-form mean adds one pass each at theta +- h;
     under quadrature 3 quadrature passes for a lift with closed forms (7
     without), 4 for a custom estimator and 1 for the score."""
-    rows = [(s.lam, s.rho2, s.eff, s.eff * g.family.n, s.residual) for s in (_SlopeAt(g, th, kw) for th in grid)]
+    rows = [(s.lam, s.rho2, s.eff, s.eff * g.family.n, s.residual) for s in (g._at(g, th, kw) for th in grid)]
     return SlopeReport(np.asarray(grid, dtype=float), *np.array(rows, dtype=float).reshape(-1, 5).T.copy())
 
 

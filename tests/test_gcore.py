@@ -35,6 +35,14 @@ class Counted:
         return self.fn(y)
 
 
+def count_passes(monkeypatch, f):
+    """The theta of every ``values`` call of f's class: one per pass."""
+    thetas, values = [], type(f).values
+    monkeypatch.setattr(type(f), "values", lambda self, theta, block, **kw: thetas.append(theta)
+                        or values(self, theta, block, **kw))
+    return thetas
+
+
 def lift_y():
     return sl.lift_point_estimator(BERN, lambda y: float(y))
 
@@ -86,6 +94,21 @@ class TestScoreEstimator:
         f = sl.CauchyLocation(15)
         assert sl.squared_slope(sl.score_estimator(f), 2.0) == 7.5
 
+    @pytest.mark.parametrize("f", [BERN, sl.NormalLocation(1.0, 3), sl.CauchyLocation(15), sl.CauchyMedian(3),
+                                   sl.BivariateNormalSlice(3)], ids=lambda f: type(f).__name__)
+    def test_closed_forms_take_no_pass(self, f, monkeypatch):
+        passes = count_passes(monkeypatch, f)
+        g, th = sl.score_estimator(f), 0.3
+        info = f.fisher_info(th)
+        assert sl.squared_slope(g, th) == info
+        assert sl.score_correlation2(g, th) == 1.0
+        assert sl.lambda_efficiency(g, th) == info / f.reference_info(th)
+        assert sl.effective_n(g, th) == info / f.reference_info(th) * f.n
+        assert passes == []
+        # the identity's right side is still a moment: one pass
+        sl.check_identity(g, th, mc_draws=100)
+        assert passes == [th]
+
 
 class TestConstructor:
     def test_kind_and_mean_are_not_arguments(self):
@@ -96,13 +119,14 @@ class TestConstructor:
                 sl.GenEstimator(f, g, **kw)
         # a custom estimator is taken at its word: not the score's closed forms
         est = sl.GenEstimator(f, g)
-        assert est.kind == "custom" and est.mean_fn is None and est.mean_deriv is None
+        assert type(est) is sl.GenEstimator and not hasattr(est, "ups") and not hasattr(est, "dups")
         assert sl.squared_slope(est, 0.3) == pytest.approx(42.155, abs=5e-4)
         assert sl.score_correlation2(est, 0.3) == pytest.approx(0.885, abs=5e-4)
-        # the constructors that set them still do, and the lift's are readable
-        assert sl.score_estimator(f).kind == "score"
+        # the constructors give the other roles: the score's closed forms, the lift's ups and dups
+        s = sl.score_estimator(f)
+        assert sl.squared_slope(s, 0.3) == f.fisher_info(0.3) and sl.score_correlation2(s, 0.3) == 1.0
         h = sl.lift_point_estimator(f, lambda y: float(y * (y - 1)))
-        assert h.kind == "lifted_point" and h.mean_deriv(0.3) == pytest.approx(180 * 0.3, rel=1e-12)
+        assert h.dups(0.3) == pytest.approx(180 * 0.3, rel=1e-12)
 
 
 class TestParameterChecks:
@@ -120,6 +144,14 @@ class TestParameterChecks:
         with pytest.raises(sl.DomainError):
             sl.expect(f, theta, u, mc_draws=10)
 
+    @pytest.mark.parametrize("f", FAMILIES, ids=lambda f: type(f).__name__)
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_score_closed_forms_check_theta(self, f, theta):
+        g = sl.score_estimator(f)
+        for fn in (sl.squared_slope, sl.score_correlation2, sl.lambda_efficiency, sl.effective_n):
+            with pytest.raises(sl.DomainError):
+                fn(g, theta, mc_draws=10)
+
 
 class TestLift:
     def test_lift_of_y(self):
@@ -128,7 +160,7 @@ class TestLift:
 
     def test_umvue_mean_function(self):
         h = lift_yy1()
-        assert h.mean_fn(0.4) == pytest.approx(90 * 0.16, abs=1e-9)
+        assert h.ups(0.4) == pytest.approx(90 * 0.16, abs=1e-9)
 
     def test_unbiased_lift_slope_minus_one(self):
         h = lift_y()  # unbiased for np; its mean derivative is constant
@@ -176,6 +208,24 @@ class TestLift:
             for c in ("lam", "rho2", "eff_lambda", "eff_n", "identity_residual"):
                 assert getattr(a, c).tobytes() == getattr(b, c).tobytes(), c
 
+    def test_lift_keywords_fill_in_every_moment_of_a_call(self):
+        f = sl.CauchyLocation(5)
+        med = Counted(lambda x: float(x[2]))
+        g = sl.lift_point_estimator(f, med, mc_draws=1000)
+        residual = sl.check_identity(g, 0.2, mc_seed=3)
+        # E[h * score] at theta and ups at theta +- h, each over the lift's 1000 draws
+        assert med.calls == 3 * 1000
+        bare = sl.lift_point_estimator(f, lambda x: float(x[2]))
+        assert residual == sl.check_identity(bare, 0.2, mc_draws=1000, mc_seed=3)
+        med.calls = 0
+        g.var(0.2)
+        assert med.calls == 1000
+        # a keyword the call gives overrides the lift's
+        med.calls = 0
+        sl.squared_slope(g, 0.2, mc_draws=500)
+        assert med.calls == 500
+        assert g.ups(0.4, mc_seed=3) == sl.expect(f, 0.4, lambda x: float(x[2]), mc_draws=1000, mc_seed=3)
+
 
 class TestStandardize:
     def test_hand_value(self):
@@ -191,6 +241,30 @@ class TestStandardize:
             v = g.var(p)
             total = sl.expect(BERN, p, lambda y: (g(y, p) / math.sqrt(v)) ** 2)
             assert total == pytest.approx(1.0, abs=1e-10)
+
+    ROLES = {
+        "score": lambda f, u: sl.score_estimator(f),
+        "lift_closed_form": lambda f, u: sl.lift_point_estimator(f, u, mean_fn=lambda th: th, mean_deriv=lambda th: 1.0),
+        "lift_engine": lambda f, u: sl.lift_point_estimator(f, u, mc_draws=50),
+        "custom_deriv": lambda f, u: sl.GenEstimator(f, lambda y, th: u(y) - th, lambda y, th: -1.0),
+        "custom": lambda f, u: sl.GenEstimator(f, lambda y, th: u(y) - th),
+    }
+    BAD = {
+        "count_above_n": (BERN, 11),
+        "nan_observation": (sl.CauchyLocation(5), [-1.0, 0.0, math.nan, 1.0, 2.0]),
+        "unsorted": (sl.CauchyLocation(5), [-1.0, 1.0, 0.0, 2.0, 3.0]),
+    }
+
+    @pytest.mark.parametrize("role", ROLES)
+    @pytest.mark.parametrize("bad", BAD)
+    def test_sample_is_checked_before_any_pass(self, role, bad, monkeypatch):
+        f, y = self.BAD[bad]
+        u = Counted(lambda y: float(y * (y - 1)) if np.ndim(y) == 0 else float(y[2]))
+        g = self.ROLES[role](f, u)
+        passes = count_passes(monkeypatch, f)
+        with pytest.raises(sl.DomainError):
+            sl.standardize(g, 0.3, y, mc_draws=50)
+        assert passes == [] and u.calls == 0
 
 
 class TestSquaredSlopeAndEfficiency:
@@ -372,8 +446,8 @@ class TestMonteCarloBlocks:
         values = [getattr(rep, c)[0] for c in ("lam", "rho2", "eff_lambda", "eff_n", "identity_residual")]
         values += [sl.check_identity(g, th, **kw), sl.standardize(g, th, x, **kw), g.var(th, **kw),
                    sl.lambda_efficiency(g, th, **kw)]
-        if g.mean_deriv is not None:
-            values.append(g.mean_deriv(th))
+        if hasattr(g, "dups"):
+            values.append(g.dups(th))
         return [float(v).hex() for v in values]
 
     @pytest.mark.parametrize("draws", [5000, 16384 + 7])

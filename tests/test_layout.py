@@ -1,14 +1,17 @@
 """The package's import graph: imports only at module level, and the
-Cauchy module standing on numpy and ``errors`` alone; and the family
+Cauchy module standing on numpy and ``errors`` alone; the family
 contract: an override keeps its base method's signature, and no family
-overrides the one expectation engine, ``Family.expect``."""
+overrides the one expectation engine, ``Family.expect``; and the estimator
+roles: chosen by type, with no field naming them and no test of which
+estimator the moment code holds."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
 import slope_lab
-from slope_lab import families
+from slope_lab import families, gcore
 
 SRC = Path(slope_lab.__file__).parent
 
@@ -85,3 +88,20 @@ def test_only_families_reads_node_weights():
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "weights"
             ]
     assert callers == []
+
+
+def test_estimator_roles_are_types_not_fields():
+    assert [f.name for f in dataclasses.fields(gcore.GenEstimator)] == ["family", "evaluate", "deriv"]
+    estimators = {name for name, c in vars(gcore).items() if inspect.isclass(c) and issubclass(c, gcore.GenEstimator)}
+    assert len(estimators) == 3
+    found = []
+    for node in ast.walk(_tree("gcore.py")):
+        if isinstance(node, ast.Name) and node.id.startswith("KIND_"):
+            found.append(f"{node.lineno}: name {node.id}")
+        elif isinstance(node, ast.Attribute) and (node.attr == "kind" or node.attr.startswith("KIND_")):
+            found.append(f"{node.lineno}: attribute .{node.attr}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("isinstance", "issubclass") and len(node.args) == 2
+              and {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)} & estimators):
+            found.append(f"{node.lineno}: {node.func.id} on an estimator")
+    assert found == []
