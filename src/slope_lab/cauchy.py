@@ -14,18 +14,20 @@ pairwise and equal per-row calls bit for bit.  The certified kernel
 transposes its batch once, into one C-ordered (n, B) array, and every
 stage reads columns of it: an evaluation's offsets are the columns it
 needs less theta, the same C-ordered (n, m) array ``cauchy_offsets``
-gives, and the window-skip test's pairwise array is (n, n, B), summed
-down its middle axis with the samples contiguous.
+gives.  Evaluations at many points go in chunks bounded in elements,
+n times the points, and no chunk holds one point, whose column would be
+summed pairwise, so no bit depends on where a chunk ends.  The
+window-skip test holds one (n, b) array per step, b the windows it tests.
 
 The likelihood can be multimodal.  Its local maxima all lie in the unit
 windows [x_i - 1, x_i + 1] around the observations, because l'' < 0
 needs some |x_i - theta| < 1.  ``cauchy_level_set_batch`` first drops
-the windows whose likelihood bound, from the distances to the other
-observations, lies below the LRT level, then scans the rest on a 0.2
-lattice, bisects the sign changes of the score, and
-certifies cell by cell, from l'' in [-2n, n/4] and |l'''| <= (3/2 +
-sqrt 2) n, that no cell holds a better maximum, or a stationary point
-above the LRT level not bisected: a finite MLE is the global maximizer
+the outermost windows whose likelihood bound, from the distances to the
+other observations, lies below the LRT level, then scans the rest on a
+0.2 lattice, bisects the sign changes of the score, and certifies cell
+by cell, from l'' in [-2n, n/4] and |l'''| <= (3/2 + sqrt 2) n, that no
+cell holds a better maximum, or a stationary point above the LRT level
+not bisected: a finite MLE is the global maximizer
 (ties to the smaller theta), a sample it cannot certify is reported as
 failed, and the LRT level set is reported as its hull, flagged when it
 is a union of intervals.  The scalar ``cauchy_mle`` and the Cauchy
@@ -118,12 +120,11 @@ _SKIP_MARGIN = 1e-9
 # every lattice point laid for window i lies inside it.
 _REACH = 1.0 + 2.0 * _CELL
 _SKIPPED = np.iinfo(np.int64).max  # start of a skipped window, sorted last
-# Elements of the skip test's pairwise array at once: 8 MiB, one chunk of
-# columns for n = 15 and a 4096-sample batch.
-_SKIP_CHUNK = 1 << 20
 _FLOAT_MAX = np.finfo(float).max
 _END_DOUBLINGS = 1030  # a hull end's step 0.5 * 2^k reaches _FLOAT_MAX at k = 1025
-_GRID_CHUNK = 1 << 16  # lattice points evaluated at once: 7.5 MiB per (n, chunk) temporary at n = 15
+# Elements (n times the points) of an evaluation's offsets at once: 1 MiB
+# per float temporary, 8,738 points at n = 15.
+_CHUNK_ELEMENTS = 1 << 17
 # Beyond this the lattice index of an observation could overflow int64
 # and the lattice would no longer cover its window.
 _X_MAX = 1e15
@@ -139,8 +140,8 @@ class MleCounters:
     brackets: int = 0  # score sign changes bisected, to maxima and to minima
     halved: int = 0  # cells split because no test closed them
     capped: int = 0  # samples with a cell open after _MAX_HALVINGS rounds, or too many open
-    windows_skipped: int = 0  # unit windows whose likelihood bound cannot reach the level set
-    lattice_points: int = 0  # lattice points evaluated before any halving
+    windows_skipped: int = 0  # outermost unit windows whose likelihood bound cannot reach the level set
+    lattice_points: int = 0  # lattice points scored before any halving
 
 
 def cauchy_level_set_batch(x, drop: float, counters: Optional[MleCounters] = None):
@@ -163,21 +164,27 @@ def cauchy_level_set_batch(x, drop: float, counters: Optional[MleCounters] = Non
       [x_i - 1, x_i + 1], because l'' = sum 2(t_i^2 - 1)/(t_i^2 + 1)^2,
       t_i = x_i - theta, is negative only if some |t_i| < 1; so each gap
       between windows, where l is convex, holds at most one minimum.
-    * Window skip.  Let L = max_k l(x_k) <= l(theta_hat).  On window i
-      widened to [x_i - 1.4, x_i + 1.4], which holds every lattice point
-      laid for it, l < U_i = -sum_j log(1 + d_ij^2), d_ij the distance
-      from x_j to the widened window.  A window with U_i < L - drop -
-      1e-9 (1 + |L - drop|) lays no lattice points: it holds no global
-      maximum and no point with l >= t.  The margin covers the rounding:
-      U_i and L are sums of n terms, each off by a few ulps, and near the
-      test U_i and L - drop are about as large, so their errors stay
-      below 8 n 2^-52 (1 + |L - drop|), far below the margin for any
-      n < 5e5.  That holds whatever order a sum adds its terms in, as
-      the terms log(1 + d^2) share one sign: any order rounds a sum S
-      of n of them by at most (n - 1) 2^-53 S (Higham, Accuracy and
-      Stability of Numerical Algorithms, 2002, section 4.2).  At drop 0
-      it also exceeds the tie tolerance, so no maximum that could tie
-      theta_hat is dropped.
+    * Window skip.  Let L = l(x_m) <= l(theta_hat), O(n) per sample, at
+      m = floor(n/2), the middle of a sorted sample (any x_m would do).
+      On window i widened to [x_i - 1.4, x_i + 1.4], which holds every
+      lattice point laid for it, l < U_i = -sum_j log(1 + d_ij^2), d_ij
+      the distance from x_j to the widened window.  Windows are tested
+      from each end of the sample inward, and each side stops at its
+      first window with U_i >= L - drop - 1e-9 (1 + |L - drop|); the
+      windows it passed lay no lattice points: they hold no global
+      maximum and no point with l >= t.  Every window between is laid,
+      among them window m, as U_m >= l(x_m); laying a window the test
+      would skip is always sound, as its cells are certified like any
+      other, so the outside-in order gives up only lattice points.  The
+      margin covers the rounding: U_i and L are sums of n terms, each off
+      by a few ulps, and near the test U_i and L - drop are about as
+      large, so their errors stay below 8 n 2^-52 (1 + |L - drop|), far
+      below the margin for any n < 5e5.  That holds whatever order a sum
+      adds its terms in, as the terms log(1 + d^2) share one sign: any
+      order rounds a sum S of n of them by at most (n - 1) 2^-53 S
+      (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+      section 4.2).  At drop 0 it also exceeds the tie tolerance, so no
+      maximum that could tie theta_hat is dropped.
     * The windows not skipped are covered by the cells of a lattice of
       step h = 0.2 (11 points per window, shared where windows overlap);
       a cell that skips lattice points spans a gap, which may hold
@@ -202,6 +209,10 @@ def cauchy_level_set_batch(x, drop: float, counters: Optional[MleCounters] = Non
       so far less the drop, and so below t;
       curvature -- the cell lies within |l''(r)| / ((3/2 + sqrt 2) n) of
       a bisected root r, so r is its only stationary point.
+      The slope and gap tests read only h and the end scores, so a cell
+      of the lattice they close, its ends no bracket, is never built and
+      carries no l: it would be closed before any halving, whatever the
+      floor.
     * A cell no test closes is halved, bisected if its ends change sign,
       and tested again, at most 40 times; a row with a cell still open, or
       with more than 1024 open at once, is NaN and counted in
@@ -222,19 +233,26 @@ def cauchy_level_set_batch(x, drop: float, counters: Optional[MleCounters] = Non
     skipped = _unreachable_windows(xt, drop).T
     row, j = _lattice(x, skipped)
     theta = j * _CELL
-    l, s = _loglik_score_at(xt, row, theta)
+    (s,) = _at_points(xt, row, theta, cauchy_score)
     if counters is None:
         counters = MleCounters()
     counters.windows_skipped += int(skipped.sum())
     counters.lattice_points += row.size
     # consecutive lattice points of a sample join in a cell; one that skips
-    # lattice points spans a gap between the windows laid
+    # lattice points spans a gap between the windows laid.  A cell that
+    # brackets no root and that the score closes, whatever the floor, is
+    # never built, and l is taken only at the ends of the cells built.
     k = np.nonzero(row[1:] == row[:-1])[0]
+    k = k[_can_stay_open(theta[k + 1] - theta[k], s[k], s[k + 1], n)]
+    ends = np.zeros(row.size, dtype=bool)
+    ends[k] = ends[k + 1] = True
+    l = np.empty_like(theta)
+    (l[ends],) = _at_points(xt, row[ends], theta[ends], _loglik)
     cells = {
         "row": row[k], "a": theta[k], "b": theta[k + 1], "la": l[k], "lb": l[k + 1],
         "sa": s[k], "sb": s[k + 1], "root": np.full(k.size, np.nan),
     }
-    del row, j, theta, l, s, k
+    del row, j, theta, l, s, k, ends
     found = []  # (row, root, l(root), sign, radius) of each bisection round
     best = np.full(B, -np.inf)  # largest l over the maxima found
     capped = np.zeros(B, dtype=bool)
@@ -345,29 +363,37 @@ def _loglik_rows(xt: np.ndarray, theta: np.ndarray, wide: bool, work: np.ndarray
 
 
 def _unreachable_windows(xt: np.ndarray, drop: float) -> np.ndarray:
-    """(n, B) mask of the unit windows, of the samples in the columns of
-    ``xt``, that can hold no global maximum and no point of the level
-    set: on window i widened to x_i +- _REACH, l < U_i = -sum_j log(1 +
-    d_ij^2), d_ij the distance from x_j to it, and U_i lies below L -
-    drop, L = max_k l(x_k) <= l(theta_hat), by more than the margin 1e-9
-    (1 + |L - drop|).  One (n, n, b) array per chunk of b columns, worked
-    in place, serves both L and U; the sums over j run down its middle
-    axis, in sample order (pairwise for a chunk of one column)."""
+    """(n, B) mask of the unit windows, of the sorted samples in the
+    columns of ``xt``, skipped as holding no global maximum and no point
+    of the level set: on window i widened to x_i +- _REACH, l < U_i =
+    -sum_j log(1 + d_ij^2), d_ij the distance from x_j to it, and U_i lies
+    below L - drop, L = l(x_m) <= l(theta_hat) at the middle observation
+    m = n // 2, by more than the margin 1e-9 (1 + |L - drop|).  Windows are
+    tested from each end inward, and each side stops at its first window
+    kept; window m, where U_m >= l(x_m), always is.  Each step holds an
+    (n, b) array of the b windows it tests, one per side of a sample still
+    testing; a window tested from the right sums its terms in reverse
+    order, which the margin covers as it covers any order."""
     n, B = xt.shape
-    skipped = np.empty((n, B), dtype=bool)
-    step = max(1, _SKIP_CHUNK // (n * n))
-    for c in range(0, B, step):
-        xc = xt[:, c : c + step]
-        d = np.subtract(xc[:, None, :], xc[None, :, :])
-        d *= d
-        level = -np.log1p(d, out=d).sum(axis=1).min(axis=0) - drop
-        np.subtract(xc[:, None, :], xc[None, :, :], out=d)
+    level = cauchy_loglik(xt - xt[n // 2], overwrite=True) - drop
+    level = np.tile(level - _SKIP_MARGIN * (1.0 + np.abs(level)), 2)
+    # the samples, then the samples reversed: step i tests row i of each
+    both = np.concatenate([xt, xt[::-1]], axis=1)
+    skipped = np.zeros(both.shape, dtype=bool)
+    testing = np.arange(2 * B)  # columns of ``both`` whose windows so far were all skipped
+    for i in range(n // 2 + 1):
+        if not testing.size:
+            break
+        d = both.take(testing, axis=1)
+        d -= both[i, testing]
         np.abs(d, out=d)
         d -= _REACH
         np.maximum(d, 0.0, out=d)
-        d *= d
-        bound = -np.log1p(d, out=d).sum(axis=1)
-        skipped[:, c : c + step] = bound < level - _SKIP_MARGIN * (1.0 + np.abs(level))
+        testing = testing[cauchy_loglik(d, overwrite=True) < level[testing]]
+        skipped[i, testing] = True
+        del d  # before the next step takes its columns
+    skipped[::-1, B:] |= skipped[:, :B]
+    return skipped[::-1, B:]
     return skipped
 
 
@@ -391,48 +417,81 @@ def _lattice(x: np.ndarray, skipped: np.ndarray):
     return row, offset + np.arange(offset.size)
 
 
-def _loglik_score_at(xt: np.ndarray, row: np.ndarray, theta: np.ndarray):
-    """l and l' of sample ``xt[:, row[k]]`` at ``theta[k]``, in bounded chunks."""
-    l = np.empty_like(theta)
-    s = np.empty_like(theta)
-    for c in range(0, theta.size, _GRID_CHUNK):
-        part = slice(c, c + _GRID_CHUNK)
+def _chunks(size: int, n: int) -> list:
+    """Slices of range(size), a chunk of points for (n, points) arrays of
+    at most _CHUNK_ELEMENTS, and at least 2 points: a last chunk of one
+    point joins the one before, as an (n, 1) array is summed pairwise and
+    its bits would depend on where a chunk ends (the Layout paragraph)."""
+    step = max(2, _CHUNK_ELEMENTS // n)
+    stops = list(range(step, size, step))
+    if stops and size - stops[-1] == 1:
+        stops.pop()
+    return [slice(a, b) for a, b in zip([0, *stops], [*stops, size])]
+
+
+def _loglik(t: np.ndarray) -> np.ndarray:
+    return cauchy_loglik(t, overwrite=True)
+
+
+def _at_points(xt: np.ndarray, row: np.ndarray, theta: np.ndarray, *fns) -> list:
+    """Each of ``fns`` at the offsets of sample ``xt[:, row[k]]`` from
+    ``theta[k]``, chunk by chunk (``_chunks``); the last may work in the
+    array of offsets."""
+    out = [np.empty_like(theta) for _ in fns]
+    for part in _chunks(theta.size, xt.shape[0]):
         t = xt.take(row[part], axis=1)
         t -= theta[part]
-        s[part] = cauchy_score(t)
-        l[part] = cauchy_loglik(t, overwrite=True)
-    return l, s
+        for o, f in zip(out, fns):
+            o[part] = f(t)
+    return out
 
 
 def _bisect_score(xt: np.ndarray, lo: np.ndarray, hi: np.ndarray, sign: float) -> np.ndarray:
     """Shrink brackets sign * s(lo) > 0 >= sign * s(hi), one per column of
     ``xt``, to adjacent floats; returns their midpoints."""
     t = np.empty_like(xt)
-    for _ in range(_BISECTIONS):
+    side = np.greater if sign > 0.0 else np.less  # sign * s > 0
+    for i in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        if not ((lo < mid) & (mid < hi)).any():
+        # at adjacent floats mid is lo or hi, whose score keeps its side: a
+        # step past them changes nothing, so every fourth step looks for them
+        if i % 4 == 0 and not ((lo < mid) & (mid < hi)).any():
             break
-        # at adjacent floats mid is lo or hi, whose score keeps its side
-        pos = sign * cauchy_score(np.subtract(xt, mid, out=t)) > 0.0
+        pos = side(cauchy_score(np.subtract(xt, mid, out=t)), 0.0)
         lo = np.where(pos, mid, lo)
         hi = np.where(pos, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def _closed_by_score(h: np.ndarray, sa: np.ndarray, sb: np.ndarray, n: int) -> np.ndarray:
+    """Cells of width ``h`` and end scores ``sa``, ``sb`` that the score
+    slope test or the gap test closes: no stationary point, or only the
+    minimum of a gap, whatever the floor."""
+    slope = (sa < -0.25 * n * h) | (sb > 0.25 * n * h)
+    # |s''| = |l'''| <= _L3 n keeps s within _L3 n h^2 / 8 of its chord
+    chord = 0.125 * _L3 * n * h * h
+    slope |= (np.minimum(sa, sb) > chord) | (np.maximum(sa, sb) < -chord)
+    # l is convex in a gap between windows, which holds only a minimum
+    return slope | (h > 1.5 * _CELL)
+
+
+def _can_stay_open(h: np.ndarray, sa: np.ndarray, sb: np.ndarray, n: int) -> np.ndarray:
+    """Cells of a fresh lattice that ``_closed`` may leave open at depth 0,
+    or that hold a bracket of either sign; every other cell it closes
+    there whatever the floor."""
+    bracket = ((sa > 0.0) & (sb <= 0.0)) | ((sa < 0.0) & (sb >= 0.0))
+    return bracket | ~_closed_by_score(h, sa, sb, n)
 
 
 def _closed(c: dict, n: int, floor: np.ndarray, found: list) -> np.ndarray:
     """Cells shown to hold no point with l above ``floor`` and no
     stationary point but one already bisected."""
     h = c["b"] - c["a"]
-    slope = (c["sa"] < -0.25 * n * h) | (c["sb"] > 0.25 * n * h)
-    # |s''| = |l'''| <= _L3 n keeps s within _L3 n h^2 / 8 of its chord
-    chord = 0.125 * _L3 * n * h * h
-    slope |= (np.minimum(c["sa"], c["sb"]) > chord) | (np.maximum(c["sa"], c["sb"]) < -chord)
     q = 0.125 * n * h * h
     bound = np.minimum(
         c["la"] + np.maximum(0.0, c["sa"] * h + q), c["lb"] + np.maximum(0.0, q - c["sb"] * h)
     ) < floor[c["row"]]
-    # l is convex in a gap between windows, which holds only a minimum
-    closed = slope | bound | (h > 1.5 * _CELL)
+    closed = _closed_by_score(h, c["sa"], c["sb"], n) | bound
     # the rest: within the radius of a root of the same sample?
     k = np.nonzero(~closed)[0]
     rows, r, _, _, radius = (np.concatenate(v) for v in zip(*found))
@@ -451,7 +510,7 @@ def _halve(xt: np.ndarray, c: dict) -> dict:
     """Split each cell at its midpoint; a root found in a cell stays with
     the halves that contain it."""
     m = 0.5 * (c["a"] + c["b"])
-    lm, sm = _loglik_score_at(xt, c["row"], m)
+    sm, lm = _at_points(xt, c["row"], m, cauchy_score, _loglik)
     left = c["root"] <= m
     right = c["root"] >= m
     return {

@@ -132,7 +132,7 @@ def median_density(k: int, z: float, theta: float) -> float:
     if k < 0 or k != int(k):
         raise DomainError(f"k must be a nonnegative integer, got {k}")
     t = np.asarray(z, dtype=float) - theta
-    log_c = gammaln(2 * k + 2) - 2.0 * gammaln(k + 1) - math.log(math.pi)
+    log_c = _median_log_constant(k)
     bracket = 0.25 - np.arctan(t) ** 2 / math.pi**2
     with np.errstate(divide="ignore"):
         log_f = log_c + k * np.log(bracket) - np.log1p(t * t)
@@ -140,6 +140,12 @@ def median_density(k: int, z: float, theta: float) -> float:
     if np.ndim(z) == 0:
         return float(out)
     return out
+
+
+@functools.cache
+def _median_log_constant(k: int) -> float:
+    """log((2k+1)! / (k!)^2 / pi), the constant of ``median_density``."""
+    return gammaln(2 * k + 2) - 2.0 * gammaln(k + 1) - math.log(math.pi)
 
 
 def _per_row(fn: Callable) -> Callable:
@@ -371,13 +377,7 @@ class Bernoulli(Family):
         self.check_param(theta)
         p = self._p(theta)
         ys = self.support()
-        log_pmf = (
-            gammaln(self.n + 1)
-            - gammaln(ys + 1)
-            - gammaln(self.n - ys + 1)
-            + ys * math.log(p)
-            + (self.n - ys) * math.log1p(-p)
-        )
+        log_pmf = _log_binomials(self.n) + ys * math.log(p) + (self.n - ys) * math.log1p(-p)
         return np.exp(log_pmf)
 
     def loglik(self, theta: float, y: Sample) -> float:
@@ -694,6 +694,15 @@ class BivariateNormalSlice(Family):
 
     def weights(self, theta: float) -> np.ndarray:
         return _gauss_hermite()[1]
+
+
+@functools.cache
+def _log_binomials(n: int) -> np.ndarray:
+    """log C(n, y) for y = 0..n, the constant part of ``Bernoulli.pmf``."""
+    ys = np.arange(n + 1)
+    out = gammaln(n + 1) - gammaln(ys + 1) - gammaln(n - ys + 1)
+    out.flags.writeable = False  # cached: every caller gets this array
+    return out
 
 
 @functools.cache

@@ -8,9 +8,10 @@ paragraph of ``cauchy``).  Replicates are processed in vectorized
 batches: the Philox draw, one certified pass of ``cauchy`` for the MLE
 and LRT level set, the observed information, and the LRT hull's ends are
 all done on whole batches.  With one thread, ``cauchy-sim --raw`` runs
-about 27,000 replicates/s end to end at the benchmark's reference speed
-(``bench/`` workload ``coverage``).  Of a one-thread ``run_coverage`` on 100,000 replicates,
-about two thirds goes to the MLE pass and about 28% to the LRT hull's ends.
+about 35,000 replicates/s end to end at the benchmark's reference speed
+(``bench/`` workload ``coverage``).  Of a one-thread ``run_coverage`` on
+100,000 replicates, a little over half goes to the MLE pass and about 36%
+to the LRT hull's ends.
 
 The per-replicate table records everything the downstream projections
 need (coverage flags, KL lengths, observed information, and the raw

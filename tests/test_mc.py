@@ -221,6 +221,13 @@ def _level_set_laying_every_window(x, drop):
         return cauchy_level_set_batch(x, drop)
 
 
+def _level_set_keeping_every_cell(x, drop, counters=None):
+    """The kernel building every cell of its lattice, with l at both ends."""
+    keep_all = lambda h, sa, sb, n: np.ones(h.shape, dtype=bool)
+    with mock.patch.object(cauchy, "_can_stay_open", keep_all):
+        return cauchy_level_set_batch(x, drop, counters)
+
+
 def _topology_oracle(x, t):
     """Independent oracle for one sorted sample: the local maxima of l above
     t and whether {l > t} is not one interval, from a lattice of step 1e-3
@@ -423,16 +430,71 @@ class TestKernelLayout:
                 assert a.tobytes() == b[..., perm].tobytes()
 
     @pytest.mark.parametrize("n", [3, 15, 61])
-    def test_skip_chunks_give_the_one_chunk_mask(self, n, monkeypatch):
-        # a coverage batch at n = 15 is one chunk
-        assert sl.mc.BATCH * 15 * 15 <= cauchy._SKIP_CHUNK
-        xt = np.ascontiguousarray(_draw_batch(n, 0, 250, n, 0.0).T)
+    def test_element_budgets_give_the_same_outputs(self, n, monkeypatch):
+        x = _draw_batch(n, 0, 250, n, 0.0)
         drop = sl.SimConfig().z ** 2 / 2.0
-        whole = cauchy._unreachable_windows(xt, drop)
-        assert xt.size * n <= cauchy._SKIP_CHUNK and whole.any()
-        for budget in (1, 3 * n * n, 7 * n * n + 1):
-            monkeypatch.setattr(cauchy, "_SKIP_CHUNK", budget)
-            assert np.array_equal(cauchy._unreachable_windows(xt, drop), whole)
+
+        def run():
+            counters = cauchy.MleCounters()
+            return [a.tobytes() for a in cauchy_level_set_batch(x, drop, counters)], counters
+
+        want, want_counters = run()
+        points = want_counters.lattice_points
+        # the lattice in chunks of s points leaves one over, to be joined
+        s = next(s for s in range(3, points) if points % s == 1)
+        # 2 points a chunk, that last point joined, and one chunk for everything
+        for budget in (2 * n, s * n, points * n):
+            monkeypatch.setattr(cauchy, "_CHUNK_ELEMENTS", budget)
+            assert run() == (want, want_counters)
+        stops = lambda size: [(p.start, p.stop) for p in cauchy._chunks(size, n)]
+        monkeypatch.setattr(cauchy, "_CHUNK_ELEMENTS", s * n)
+        assert stops(points)[-1] == (points - 1 - s, points)
+        monkeypatch.setattr(cauchy, "_CHUNK_ELEMENTS", 5 * n)
+        assert stops(11) == [(0, 5), (5, 11)] and stops(10) == [(0, 5), (5, 10)]
+        assert stops(1) == [(0, 1)] and stops(0) == [(0, 0)]
+        monkeypatch.setattr(cauchy, "_CHUNK_ELEMENTS", 1)  # below one point: 2 points a chunk
+        assert stops(5) == [(0, 2), (2, 5)]
+
+
+def _full_skip_test(x, drop):
+    """The window-skip test of every window of the sorted rows of ``x``, at
+    the level of ``cauchy._unreachable_windows``: U_i below l(x_m) - drop
+    by the margin, m = n // 2, as a (B, n) mask."""
+    n = x.shape[1]
+    level = -np.log1p((x - x[:, n // 2 : n // 2 + 1]) ** 2).sum(axis=1) - drop
+    d = [np.maximum(np.abs(x - x[:, i : i + 1]) - cauchy._REACH, 0.0) for i in range(n)]
+    bound = np.stack([-np.log1p(di * di).sum(axis=1) for di in d], axis=1)
+    return bound < (level - cauchy._SKIP_MARGIN * (1.0 + np.abs(level)))[:, None]
+
+
+class TestLeanKernel:
+    """Cells the score closes are never built and windows are tested
+    outside-in, and neither moves an output."""
+
+    @pytest.mark.parametrize("drop", [0.0, sl.SimConfig().z ** 2 / 2.0])
+    @pytest.mark.parametrize("n", [2, 3, 15, 61])
+    def test_outputs_match_every_cell_and_every_window(self, n, drop):
+        x = _draw_batch(0, 0, 512, n, 0.0)
+        counters, full = cauchy.MleCounters(), cauchy.MleCounters()
+        outputs = lambda level_set: [
+            a.tobytes() for a in (*level_set, *cauchy_level_set_ends(x, level_set[2], level_set[1]))
+        ]
+        got = outputs(cauchy_level_set_batch(x, drop, counters))
+        assert got == outputs(_level_set_keeping_every_cell(x, drop, full))
+        assert got == outputs(_level_set_laying_every_window(x, drop))
+        assert counters == full and counters.brackets > 0
+
+    @pytest.mark.parametrize("drop", [0.0, sl.SimConfig().z ** 2 / 2.0])
+    @pytest.mark.parametrize("n", [2, 3, 15, 61, 201])
+    def test_outside_in_mask_is_the_full_tests_end_runs(self, n, drop):
+        x = _draw_batch(1, 0, 512, n, 0.0)
+        full = _full_skip_test(x, drop)
+        got = cauchy._unreachable_windows(np.ascontiguousarray(x.T), drop).T
+        assert not (got & ~full).any()
+        # outside-in: the runs of windows the full test skips from each end
+        ends = lambda mask: np.logical_and.accumulate(mask, axis=1)
+        assert np.array_equal(got, ends(full) | ends(full[:, ::-1])[:, ::-1])
+        assert not got[:, n // 2].any() and (got.any() or n == 2)
 
 
 class TestRunCoverage:
