@@ -2,22 +2,16 @@
 its formulas, its draws and its certified MLE/level-set kernel.
 
 Layout.  The formulas take the offsets t = x_i - theta from
-``cauchy_offsets``, with the n observations on axis 0, and sum over that
-axis.  numpy sums an (n, 1) array pairwise, as it sums a single sample,
-but an (n, m >= 2) C-ordered array in sample order.  So a row's last
-bits can depend on the rows that share its arrays: a replicate alone in
-a coverage run's last batch, or the scalar ``cauchy_mle`` (a batch of
-one), can differ in the last place from the same sample inside a larger
-batch.  ``CauchyLocation.score`` hands ``cauchy_score`` a block's
-transpose, whose rows are contiguous, so a block's scores are summed
-pairwise and equal per-row calls bit for bit.  The certified kernel
-transposes its batch once, into one C-ordered (n, B) array, and every
-stage reads columns of it: an evaluation's offsets are the columns it
-needs less theta, the same C-ordered (n, m) array ``cauchy_offsets``
-gives.  Evaluations at many points go in chunks bounded in elements,
-n times the points, and no chunk holds one point, whose column would be
-summed pairwise, so no bit depends on where a chunk ends.  The
-window-skip test holds one (n, b) array per step, b the windows it tests.
+``cauchy_offsets``, with the n observations on axis 0, and add their
+terms over that axis in sample order, whatever the shape (``_sum_obs``):
+so a row's bits are its own, the same alone, in a block or in any batch,
+and the scalar calls are a batch of one bit for bit.  The certified
+kernel transposes its batch once, into one C-ordered (n, B) array, and
+every stage reads columns of it: an evaluation's offsets are the columns
+it needs less theta, the same array ``cauchy_offsets`` gives.
+Evaluations at many points go in chunks of at most a fixed number of
+elements, n times the points.  The window-skip test holds one (n, b)
+array per step, b the windows it tests.
 
 The likelihood can be multimodal.  Its local maxima all lie in the unit
 windows [x_i - 1, x_i + 1] around the observations, because l'' < 0
@@ -58,11 +52,22 @@ def cauchy_offsets(x, theta) -> np.ndarray:
     return np.subtract(xt, theta, order="C")
 
 
+def _sum_obs(u: np.ndarray) -> np.ndarray:
+    """Sum over axis 0, adding the observations in sample order whatever
+    the shape, as ``np.add.accumulate(u, axis=0)[-1]`` does.  numpy adds a
+    C-ordered array of two or more columns in that order, from an initial
+    -0.0 that leaves the first term exact, but a lone sample or column
+    pairwise, so those are accumulated."""
+    if u.shape[0] and (u.size == u.shape[0] or not u.flags.c_contiguous):
+        return np.add.accumulate(u, 0)[-1]
+    return np.add.reduce(u, 0, initial=-0.0)
+
+
 def cauchy_loglik(t: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Log-likelihood -sum log(1 + t^2), without the constant -n log(pi);
     with ``overwrite``, worked in ``t``'s own array, sparing a temporary."""
     u = np.multiply(t, t, out=t if overwrite else None)
-    return -np.log1p(u, out=u).sum(axis=0)
+    return -_sum_obs(np.log1p(u, out=u))
 
 
 def cauchy_score(t: np.ndarray) -> np.ndarray:
@@ -70,7 +75,7 @@ def cauchy_score(t: np.ndarray) -> np.ndarray:
     the exact factor 2 taken last, a term is 0, not NaN, for |t| > 2^1023."""
     u = t * t
     u += 1.0
-    return 2.0 * np.divide(t, u, out=u).sum(axis=0)
+    return 2.0 * _sum_obs(np.divide(t, u, out=u))
 
 
 def cauchy_obs_info(t: np.ndarray) -> np.ndarray:
@@ -79,7 +84,7 @@ def cauchy_obs_info(t: np.ndarray) -> np.ndarray:
     Each term lies in [-1/4, 2], so -l'' lies in [-n/4, 2n].
     """
     u = t * t
-    return (2.0 * (1.0 - u) / (u + 1.0) ** 2).sum(axis=0)
+    return _sum_obs(2.0 * (1.0 - u) / (u + 1.0) ** 2)
 
 
 def cauchy_kl_length(width) -> np.ndarray:
@@ -322,44 +327,43 @@ def cauchy_level_set_ends(x, outer: np.ndarray, target: np.ndarray):
     sgn = np.repeat([-1.0, 1.0], m)
     d = np.full(2 * m, 0.5)
     far = start + sgn * d
-    for k in range(_END_DOUBLINGS):
-        # d <= 0.5 * 2^k and |start| <= 1e15 + 1: t^2 and lo_b + hi_b can
-        # overflow only from k = 499, d near 1e150, where the safe forms,
-        # slower, take over
-        wide = k >= 499
-        inside = _loglik_rows(xt, far, wide, work) > target
-        if not inside.any():
-            break
-        d = np.where(inside, np.minimum(d, 0.5 * _FLOAT_MAX) * 2.0, d)
-        far = start + sgn * d
-    lo_b, hi_b = start, far
-    for _ in range(55):
-        # near +-_FLOAT_MAX, lo_b + hi_b overflows; halving first cannot
-        mid = 0.5 * lo_b + 0.5 * hi_b if wide else 0.5 * (lo_b + hi_b)
-        keep = _loglik_rows(xt, mid, wide, work) > target
-        lo_b = np.where(keep, mid, lo_b)
-        hi_b = np.where(keep, hi_b, mid)
-    ends = 0.5 * lo_b + 0.5 * hi_b if wide else 0.5 * (lo_b + hi_b)
-    if wide:  # rows still inside at +-_FLOAT_MAX
-        ends = np.where(inside, sgn * np.inf, ends)
+    # past |theta| near 1e154 t^2 overflows, which ``_loglik_rows`` mends
+    with np.errstate(over="raise"):
+        for _ in range(_END_DOUBLINGS):
+            inside = _loglik_rows(xt, far, work) > target
+            if not inside.any():
+                break
+            d = np.where(inside, np.minimum(d, 0.5 * _FLOAT_MAX) * 2.0, d)
+            far = start + sgn * d
+        # a halved bracket's midpoint is one sum, which cannot overflow near
+        # +-_FLOAT_MAX, and halving a normal float is exact: 0.5 (lo + hi)
+        lo_h, hi_h = 0.5 * start, 0.5 * far
+        for _ in range(55):
+            mid = lo_h + hi_h
+            keep = _loglik_rows(xt, mid, work) > target
+            mid *= 0.5
+            lo_h = np.where(keep, mid, lo_h)
+            hi_h = np.where(keep, hi_h, mid)
+    # rows still inside at +-_FLOAT_MAX
+    ends = np.where(inside, sgn * np.inf, lo_h + hi_h)
     return ends[:m], ends[m:]
 
 
-def _loglik_rows(xt: np.ndarray, theta: np.ndarray, wide: bool, work: np.ndarray) -> np.ndarray:
+def _loglik_rows(xt: np.ndarray, theta: np.ndarray, work: np.ndarray) -> np.ndarray:
     """``cauchy_loglik`` of column k of ``xt`` at ``theta[k]``, worked in
-    ``work``, an array of ``xt``'s shape.  ``wide`` when some |theta| may
-    pass 1e150, where (x_i - theta)^2 can overflow: each log(1 + t^2) of
-    an overflowed column is then logaddexp(0, 2 log|t|)."""
-    if not wide:
+    ``work``, an array of ``xt``'s shape, under errstate(over="raise").
+    Past |theta| near 1e154, (x_i - theta)^2 overflows: each log(1 + t^2)
+    of an overflowed column is then logaddexp(0, 2 log|t|)."""
+    try:
         return cauchy_loglik(np.subtract(xt, theta, out=work), overwrite=True)
-    # t^2 may overflow to inf, and a 0 offset beside a huge one takes log 0
-    with np.errstate(over="ignore", divide="ignore"):
-        l = cauchy_loglik(np.subtract(xt, theta, out=work), overwrite=True)
-        over = l == -np.inf
-        if over.any():
+    except FloatingPointError:
+        # t^2 overflowed to inf, and a 0 offset beside a huge one takes log 0
+        with np.errstate(over="ignore", divide="ignore"):
+            l = cauchy_loglik(np.subtract(xt, theta, out=work), overwrite=True)
+            over = l == -np.inf
             t = xt[:, over] - theta[over]
-            l[over] = -np.logaddexp(0.0, 2.0 * np.log(np.abs(t))).sum(axis=0)
-    return l
+            l[over] = -_sum_obs(np.logaddexp(0.0, 2.0 * np.log(np.abs(t))))
+        return l
 
 
 def _unreachable_windows(xt: np.ndarray, drop: float) -> np.ndarray:
@@ -394,7 +398,6 @@ def _unreachable_windows(xt: np.ndarray, drop: float) -> np.ndarray:
         del d  # before the next step takes its columns
     skipped[::-1, B:] |= skipped[:, :B]
     return skipped[::-1, B:]
-    return skipped
 
 
 def _lattice(x: np.ndarray, skipped: np.ndarray):
@@ -419,14 +422,9 @@ def _lattice(x: np.ndarray, skipped: np.ndarray):
 
 def _chunks(size: int, n: int) -> list:
     """Slices of range(size), a chunk of points for (n, points) arrays of
-    at most _CHUNK_ELEMENTS, and at least 2 points: a last chunk of one
-    point joins the one before, as an (n, 1) array is summed pairwise and
-    its bits would depend on where a chunk ends (the Layout paragraph)."""
-    step = max(2, _CHUNK_ELEMENTS // n)
-    stops = list(range(step, size, step))
-    if stops and size - stops[-1] == 1:
-        stops.pop()
-    return [slice(a, b) for a, b in zip([0, *stops], [*stops, size])]
+    at most _CHUNK_ELEMENTS, and at least one point."""
+    step = max(1, _CHUNK_ELEMENTS // n)
+    return [slice(a, min(a + step, size)) for a in range(0, size, step)]
 
 
 def _loglik(t: np.ndarray) -> np.ndarray:

@@ -535,11 +535,10 @@ class CauchyLocation(Family):
 
     def score(self, theta: float, y: Sample):
         """l'(theta) of one sorted sample (n,), or the m scores of a block
-        (m, n) of sorted rows, each equal to a per-row call bit for bit:
-        the block's transpose keeps each row contiguous (see ``cauchy``)."""
+        (m, n) of sorted rows, each equal to a per-row call bit for bit."""
         self.check_param(theta)
         x = self._observations(y, ndims=(1, 2))
-        s = cauchy_score(np.subtract(x, theta, order="C").T)
+        s = cauchy_score(cauchy_offsets(x, theta))
         return float(s) if x.ndim == 1 else s
 
     def fisher_info(self, theta: float) -> float:

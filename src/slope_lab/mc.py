@@ -1,17 +1,16 @@
 """Seeded Monte Carlo engine for the Cauchy coverage experiment.
 
 Each replicate draws its own counter-based Philox stream keyed by
-(seed, replicate index), and batches are fixed-size, so a given (seed,
-reps) gives the same bytes at any worker count; a replicate's last bits
-can still depend on the replicates that share its batch (the layout
-paragraph of ``cauchy``).  Replicates are processed in vectorized
-batches: the Philox draw, one certified pass of ``cauchy`` for the MLE
-and LRT level set, the observed information, and the LRT hull's ends are
-all done on whole batches.  With one thread, ``cauchy-sim --raw`` runs
-about 35,000 replicates/s end to end at the benchmark's reference speed
-(``bench/`` workload ``coverage``).  Of a one-thread ``run_coverage`` on
-100,000 replicates, a little over half goes to the MLE pass and about 36%
-to the LRT hull's ends.
+(seed, replicate index), and no output of ``cauchy`` depends on its
+batch-mates, so a replicate gives the same bytes in every run with its
+seed, at any ``reps`` and worker count.  Replicates are processed in
+vectorized batches: the Philox draw, one certified pass of ``cauchy``
+for the MLE and LRT level set, the observed information, and the LRT
+hull's ends are all done on whole batches.  With one thread,
+``cauchy-sim --raw`` runs about 35,000 replicates/s end to end at the
+benchmark's reference speed (``bench/`` workload ``coverage``).  Of a
+one-thread ``run_coverage`` on 100,000 replicates, a little over half
+goes to the MLE pass and about 36% to the LRT hull's ends.
 
 The per-replicate table records everything the downstream projections
 need (coverage flags, KL lengths, observed information, and the raw

@@ -173,14 +173,16 @@ class TestCauchySampleChecks:
 
 
 def test_cauchy_score_keeps_its_argument_and_bits():
-    # blocks (15, m) as the kernel and a transposed block as the score sum
-    # them, and one row whose sum over axis 0 returns each term
+    # a block (15, m) as the kernel holds it, a transposed block and a lone
+    # sample, each summed in sample order, and one row whose sum over axis
+    # 0 returns each term
     tiny_huge = [0.0, -0.0, 5e-324, -1e-300, 1e150, -1e200, 1e300]
-    blocks = (RNG(1).standard_cauchy((15, 999)), RNG(2).standard_cauchy((999, 15)).T)
+    blocks = (RNG(1).standard_cauchy((15, 999)), RNG(2).standard_cauchy((999, 15)).T, RNG(3).standard_cauchy(15))
     for t in blocks + (np.concatenate([RNG(0).standard_cauchy(4096), tiny_huge])[None],):
         before = t.copy()
         with np.errstate(over="ignore"):
-            assert sl.cauchy.cauchy_score(t).tobytes() == (2.0 * t / (t * t + 1.0)).sum(axis=0).tobytes()
+            want = np.add.accumulate(2.0 * t / (t * t + 1.0), axis=0)[-1]
+            assert np.asarray(sl.cauchy.cauchy_score(t)).tobytes() == want.tobytes()
         assert t.tobytes() == before.tobytes()
     with np.errstate(over="ignore"):
         # past 2^1023 the unscaled form overflows 2t, giving inf / inf = NaN

@@ -3,7 +3,8 @@ Cauchy module standing on numpy and ``errors`` alone; the family
 contract: an override keeps its base method's signature, and no family
 overrides the one expectation engine, ``Family.expect``; and the estimator
 roles: chosen by type, with no field naming them and no test of which
-estimator the moment code holds."""
+estimator the moment code holds; and the Cauchy sums, whose order one
+helper decides."""
 
 import ast
 import dataclasses
@@ -105,3 +106,31 @@ def test_estimator_roles_are_types_not_fields():
               and {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)} & estimators):
             found.append(f"{node.lineno}: {node.func.id} on an estimator")
     assert found == []
+
+
+def _sums_over_axis_0(tree):
+    """(function, line) of each sum over axis 0 in ``tree``, such as
+    ``u.sum(axis=0)``, ``np.sum(u, 0)`` or ``np.add.reduce(u, 0)``, in the
+    innermost function around it."""
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("sum", "reduce", "accumulate")):
+            axis = [k.value for k in node.keywords if k.arg == "axis"] + node.args[:2]
+            if any(isinstance(a, ast.Constant) and a.value == 0 for a in axis):
+                found.append((fn, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    return found
+
+
+def test_cauchy_sums_observations_in_one_place():
+    # every sum over the observations adds them in one order, chosen by
+    # one helper, so a row's bits never depend on the shape of its array
+    sums = _sums_over_axis_0(_tree("cauchy.py"))
+    assert {fn for fn, _ in sums} == {"_sum_obs"}, sums

@@ -210,8 +210,9 @@ class TestLrtRoots:
 
 
 def _loglik_at(x, theta):
-    """l of the one sample ``x`` at each point of ``theta``."""
-    return -np.log1p((x[:, None] - theta[None, :]) ** 2).sum(axis=0)
+    """l of the one sample ``x`` at each point of ``theta``, its terms
+    added in sample order, as the kernel adds them."""
+    return -np.add.accumulate(np.log1p((x[:, None] - theta[None, :]) ** 2), axis=0)[-1]
 
 
 def _level_set_laying_every_window(x, drop):
@@ -263,11 +264,10 @@ def _check_skip_is_sound(x, drop):
     theta_hat, target, outer, disconnected = cauchy_level_set_batch(x[None], drop, counters)
     skipped = cauchy._unreachable_windows(x[:, None], drop)[:, 0]
     assert counters.windows_skipped == skipped.sum()
-    # laying every window gives the same answer (a batch of one may move in the last bits)
+    # laying every window gives the same answer, bit for bit
     ref = _level_set_laying_every_window(x[None], drop)
-    for got, want in zip((theta_hat, target, outer), ref[:3]):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    assert disconnected[0] == ref[3][0]
+    for got, want in zip((theta_hat, target, outer, disconnected), ref):
+        assert got.tobytes() == want.tobytes()
     # theta_hat is a global maximizer on the grid over every window
     l_hat = _loglik_at(x, theta_hat)[0]
     assert target[0] == l_hat - drop
@@ -440,20 +440,20 @@ class TestKernelLayout:
 
         want, want_counters = run()
         points = want_counters.lattice_points
-        # the lattice in chunks of s points leaves one over, to be joined
+        # the lattice in chunks of s points leaves one over, alone in its chunk
         s = next(s for s in range(3, points) if points % s == 1)
-        # 2 points a chunk, that last point joined, and one chunk for everything
-        for budget in (2 * n, s * n, points * n):
+        # 1 point a chunk, that last point alone, and one chunk for everything
+        for budget in (n, s * n, points * n):
             monkeypatch.setattr(cauchy, "_CHUNK_ELEMENTS", budget)
             assert run() == (want, want_counters)
         stops = lambda size: [(p.start, p.stop) for p in cauchy._chunks(size, n)]
         monkeypatch.setattr(cauchy, "_CHUNK_ELEMENTS", s * n)
-        assert stops(points)[-1] == (points - 1 - s, points)
+        assert stops(points)[-1] == (points - 1, points)
         monkeypatch.setattr(cauchy, "_CHUNK_ELEMENTS", 5 * n)
-        assert stops(11) == [(0, 5), (5, 11)] and stops(10) == [(0, 5), (5, 10)]
-        assert stops(1) == [(0, 1)] and stops(0) == [(0, 0)]
-        monkeypatch.setattr(cauchy, "_CHUNK_ELEMENTS", 1)  # below one point: 2 points a chunk
-        assert stops(5) == [(0, 2), (2, 5)]
+        assert stops(11) == [(0, 5), (5, 10), (10, 11)] and stops(10) == [(0, 5), (5, 10)]
+        assert stops(1) == [(0, 1)] and stops(0) == []
+        monkeypatch.setattr(cauchy, "_CHUNK_ELEMENTS", 1)  # below one point: 1 point a chunk
+        assert stops(3) == [(0, 1), (1, 2), (2, 3)]
 
 
 def _full_skip_test(x, drop):
@@ -495,6 +495,58 @@ class TestLeanKernel:
         ends = lambda mask: np.logical_and.accumulate(mask, axis=1)
         assert np.array_equal(got, ends(full) | ends(full[:, ::-1])[:, ::-1])
         assert not got[:, n // 2].any() and (got.any() or n == 2)
+
+
+def _scaled_cauchy_draw(rng):
+    """One sample of the scaled draws behind the scalar checks: n in 2..15,
+    standard Cauchy scaled by 10^-2..10^2, sorted."""
+    n = rng.integers(2, 16)
+    return np.sort(rng.standard_cauchy(n) * 10.0 ** rng.integers(-2, 3))
+
+
+class TestRowBitsAreItsOwn:
+    """Every Cauchy sum adds the observations in sample order, whatever the
+    shape, so no output depends on the rows that share its arrays."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4096])
+    @pytest.mark.parametrize("n", [1, 2, 15, 201])
+    def test_sums_add_in_sample_order(self, n, m):
+        # and a sum of -0.0 terms is -0.0, as its first term is
+        for u in (np.random.default_rng(n * m).standard_cauchy((n, m)), np.full((n, m), -0.0)):
+            want = np.add.accumulate(u, axis=0)[-1]
+            assert cauchy._sum_obs(u).tobytes() == want.tobytes()
+            if m == 1:
+                assert np.asarray(cauchy._sum_obs(u[:, 0])).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("drop", [0.0, sl.SimConfig().z ** 2 / 2.0])
+    @pytest.mark.parametrize("n", [2, 3, 15, 61])
+    def test_a_row_alone_gives_its_batch_row(self, n, drop):
+        x = _draw_batch(0, 0, 512, n, 0.0)
+        theta_hat, target, outer, disconnected = cauchy_level_set_batch(x, drop)
+        lo, hi = cauchy_level_set_ends(x, outer, target)
+        batch = np.stack([theta_hat, target, outer[0], outer[1], disconnected, lo, hi], axis=1)
+        for r in range(len(x)):
+            alone = cauchy_level_set_batch(x[r : r + 1], drop)
+            ends = cauchy_level_set_ends(x[r : r + 1], alone[2], alone[1])
+            got = np.concatenate([alone[0], alone[1], *alone[2], alone[3], *ends])
+            assert got.tobytes() == batch[r].tobytes(), r
+
+    def test_scalar_mle_is_the_theta_hat_of_the_lrt_pass(self):
+        # draws on which the MLE pass (drop 0) and the LRT pass bisect
+        # different numbers of brackets at once
+        rng = np.random.default_rng(7)
+        draws = [_scaled_cauchy_draw(rng) for _ in range(1143)]
+        for i in (23, 174, 843, 1142):
+            theta_hat = cauchy.certified_level_set(draws[i][None], sl.SimConfig().z ** 2 / 2.0)[0][0]
+            assert sl.cauchy_mle(draws[i]) == theta_hat, i
+
+    def test_a_last_batch_of_one_gives_the_replicates_bits(self, monkeypatch):
+        monkeypatch.setattr(sl.mc, "BATCH", 8)
+        cfg = sl.SimConfig(reps=8 * 12, seed=0)
+        every = sl.run_coverage(cfg).replicates
+        for reps in range(9, 8 * 12, 8):
+            last = sl.run_coverage(dataclasses.replace(cfg, reps=reps)).replicates[-1]
+            assert last.tobytes() == every[reps - 1].tobytes(), reps
 
 
 class TestRunCoverage:
