@@ -41,6 +41,7 @@ difference of the score), ``sup_loglik`` (l at the MLE) and
 ``reference_info`` (the Fisher information) have base defaults, and so
 have ``lrt_hull(y, drop)`` and ``kl_ball(lo, hi)``, by ``_bisect``
 (``CauchyLocation``'s from ``cauchy``); an override keeps its base signature.
+A size, like every count and seed in the package, goes through ``check_int``.
 """
 
 from __future__ import annotations
@@ -69,23 +70,23 @@ CHART_LOG_ODDS = "log_odds"
 CHART_THETA = "theta"
 
 
-def check_seed(seed, name: str = "seed") -> int:
-    """``seed`` as a Philox key word, a DomainError unless an integer in [0, 2**63).
-
-    numpy's ``Philox(key=[seed, r])`` casts a larger word through float64,
-    so such seeds would silently share streams (2**64 - 1 those of 0).
-    """
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**63:
-        raise DomainError(f"{name} must be an integer in [0, 2**63), got {seed!r}")
-    return int(seed)
+# numpy's Philox(key=[seed, r]) casts a key word of 2**63 or more through
+# float64, so such seeds would silently share streams (2**64 - 1 those of 0).
+SEED_END = 2**63
 
 
-def _check_mc_draws(mc_draws) -> int:
-    """``mc_draws`` as an int, a DomainError unless an integer >= 2: the
-    standard error needs two draws."""
-    if isinstance(mc_draws, bool) or not isinstance(mc_draws, (int, np.integer)) or mc_draws < 2:
-        raise DomainError(f"mc_draws must be an integer >= 2, got {mc_draws!r}")
-    return int(mc_draws)
+def check_int(name: str, value, least: int, below: Optional[int] = None) -> int:
+    """``value`` as an int: the one rule for every size, count and seed.  A
+    DomainError unless it is an int or numpy integer, not a bool, in
+    [least, below)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least or (
+            below is not None and value >= below):
+        if below is not None:
+            kind = f"an integer in [{least}, {below})"
+        else:
+            kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(least, f"an integer >= {least}")
+        raise DomainError(f"{name} must be {kind}, got {value!r}")
+    return int(value)
 
 
 def _bisect(keep: Callable, a: float, b: float) -> float:
@@ -210,13 +211,6 @@ class _Pass:
         one variance routine."""
         m = self.mean(g, name)
         return m, self.mean((lambda v: _square(v - m)) if g is None else (lambda v: _square(g(v) - m)), name)
-
-
-def _check_size(name: str, value, least: int) -> None:
-    """A DomainError unless ``value`` is an int or numpy integer, not a bool,
-    and >= ``least`` (0 or 1)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise DomainError(f"{name} must be a {('nonnegative', 'positive')[least]} integer, got {value}")
 
 
 def _median_dlog_dtheta(k: int, t: np.ndarray) -> np.ndarray:
@@ -351,7 +345,7 @@ class Bernoulli(Family):
     charts = (CHART_P, CHART_LOG_ODDS)
 
     def __post_init__(self):
-        _check_size("n", self.n, 1)
+        check_int("n", self.n, 1)
         if self.chart not in self.charts:
             raise DomainError(f"unknown chart {self.chart!r}")
 
@@ -463,7 +457,7 @@ class NormalLocation(Family):
     def __post_init__(self):
         if not 0 < self.sigma < math.inf:
             raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
-        _check_size("n", self.n, 1)
+        check_int("n", self.n, 1)
 
     def check_sample(self, y: Sample) -> None:
         if not np.isfinite(y):
@@ -510,7 +504,7 @@ class CauchyLocation(Family):
     n: int
 
     def __post_init__(self):
-        _check_size("n", self.n, 1)
+        check_int("n", self.n, 1)
 
     def check_sample(self, y: Sample) -> None:
         self._observations(y)
@@ -557,8 +551,8 @@ class CauchyLocation(Family):
         """``block`` on ``mc_draws`` samples (an integer >= 2, for the
         standard error) from Philox key (mc_seed, 0), in the order drawn:
         once per chunk of up to 2**14 sorted rows (m, n)."""
-        rng = np.random.Generator(np.random.Philox(key=[check_seed(mc_seed, "mc_seed"), 0]))
-        mc_draws = _check_mc_draws(mc_draws)
+        rng = np.random.Generator(np.random.Philox(key=[check_int("mc_seed", mc_seed, 0, SEED_END), 0]))
+        mc_draws = check_int("mc_draws", mc_draws, 2)
         vals = None
         for c in range(0, mc_draws, _MC_CHUNK):
             # chunks read the stream in order, so they draw what one call would
@@ -599,7 +593,7 @@ class CauchyMedian(Family):
     k: int
 
     def __post_init__(self):
-        _check_size("k", self.k, 0)
+        check_int("k", self.k, 0)
 
     @property
     def n(self) -> int:
@@ -659,20 +653,21 @@ class BivariateNormalSlice(Family):
     n: int
 
     def __post_init__(self):
-        _check_size("n", self.n, 1)
+        check_int("n", self.n, 1)
 
     def check_sample(self, y: Sample) -> None:
-        z1, z2 = y
-        if not (np.isfinite(z1) and np.isfinite(z2)):
-            raise DomainError("non-finite sample")
+        if np.shape(y) != (2,) or not np.isfinite(y).all():
+            raise DomainError(f"expected a finite pair (z1, z2), got {y!r}")
 
     def loglik(self, theta: float, y: Sample) -> float:
         self.check_param(theta)
+        self.check_sample(y)
         z1, z2 = y
         return -self.n * ((z1 - theta) ** 2 + z2 * z2) / 2.0
 
     def score(self, theta: float, y: Sample) -> float:
         self.check_param(theta)
+        self.check_sample(y)
         z1, _ = y
         return self.n * (z1 - theta)
 

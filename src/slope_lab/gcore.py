@@ -54,7 +54,8 @@ from typing import Callable, ClassVar, Optional, Sequence
 import numpy as np
 
 from .errors import BiasError, DivergentIntegralError, DomainError, OrientationError, ZeroVarianceError
-from .families import DEFAULT_MC_DRAWS, Bernoulli, Family, _Pass, _SCORE, median_fisher_info, median_variance
+from .families import (DEFAULT_MC_DRAWS, Bernoulli, Family, _Pass, _SCORE, check_int, median_fisher_info,
+                       median_variance)
 
 _FD_STEP = 1e-5
 
@@ -412,6 +413,7 @@ def slope_report(g: GenEstimator, grid: Sequence[float], **kw) -> SlopeReport:
 
 def default_grid(f: Family, points: int = 41) -> np.ndarray:
     """Default evaluation grid: the inner 96% of a bounded domain (p in [0.02, 0.98]) or [-4, 4]."""
+    points = check_int("points", points, 0)
     lo, hi = f.param_domain()
     if math.isfinite(lo) and math.isfinite(hi):
         return np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), points)
@@ -448,8 +450,8 @@ class CauchyTableRow:
 
 
 def cauchy_table_row(n: int) -> CauchyTableRow:
-    if n < 1 or n % 2 == 0 or n > 31:
-        raise DomainError(f"n must be an odd integer in [1, 31], got {n}")
+    if check_int("n", n, 1, 32) % 2 == 0:
+        raise DomainError(f"n must be odd, got {n}")
     k = (n - 1) // 2
     lam_full = n / 2.0
     lam_med_score = median_fisher_info(k)

@@ -42,7 +42,7 @@ from .cauchy import (
     cauchy_sorted_draws,
 )
 from .errors import DivergentIntegralError, DomainError, SimulationError
-from .families import check_seed, median_variance
+from .families import SEED_END, check_int, median_variance
 
 METHODS = ("wald_expected", "wald_observed", "lrt")
 # The paper's interval-width multipliers for n = 15, which readjust applies.
@@ -71,11 +71,11 @@ class SimConfig:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n}")
-        if self.reps < 1:
-            raise DomainError(f"reps must be >= 1, got {self.reps}")
-        check_seed(self.seed)
+        check_int("n", self.n, 1)
+        check_int("reps", self.reps, 1)
+        check_int("seed", self.seed, 0, SEED_END)
+        if not math.isfinite(self.theta_true):
+            raise DomainError(f"theta_true must be finite, got {self.theta_true}")
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha={self.alpha} outside (0, 1)")
 
@@ -165,16 +165,22 @@ def _interval_columns(table: np.ndarray, cfg: SimConfig, adjustments: Dict[str, 
         table["kl_" + sfx] = cauchy_kl_length(hi - lo)
 
 
+def _coverage(hits, count):
+    """The coverage error 1 - hits / count of ``count`` intervals of which ``hits``
+    cover, and its binomial standard error; elementwise over arrays of groups."""
+    e = 1.0 - hits / count
+    return e, np.sqrt(np.maximum(e * (1.0 - e), 0.0) / count)
+
+
 def _aggregate(table: np.ndarray) -> Dict[str, Dict[str, float]]:
     """The four SimSummary dicts over the rows not failed: coverage error,
     its binomial standard error, mean KL length and mean width."""
     ok = ~table["failed"]
-    n_ok = int(ok.sum())
     mean = {c: {m: float(table[c + "_" + sfx][ok].mean()) for m, sfx in _METHOD_SUFFIX.items()}
-            for c in ("hit", "kl", "width")}
-    err = {m: 1.0 - hit for m, hit in mean["hit"].items()}
-    se = {m: math.sqrt(max(e * (1.0 - e), 0.0) / n_ok) for m, e in err.items()}
-    return {"coverage_error": err, "coverage_se": se, "mean_kl_length": mean["kl"], "mean_width": mean["width"]}
+            for c in ("kl", "width")}
+    err, se = _coverage(np.array([table["hit_" + sfx][ok].sum() for sfx in _METHOD_SUFFIX.values()]), ok.sum())
+    return {"coverage_error": dict(zip(METHODS, err.tolist())), "coverage_se": dict(zip(METHODS, se.tolist())),
+            "mean_kl_length": mean["kl"], "mean_width": mean["width"]}
 
 
 _LO32 = np.uint64(0xFFFFFFFF)
@@ -277,10 +283,8 @@ def threads_from_env() -> int:
     try:
         workers = int(raw)
     except ValueError:
-        raise DomainError(f"SLOPE_LAB_THREADS must be a positive integer, got {raw!r}") from None
-    if workers < 1:
-        raise DomainError(f"SLOPE_LAB_THREADS must be a positive integer, got {raw!r}")
-    return workers
+        workers = raw  # not a number: check_int rejects the text itself
+    return check_int("SLOPE_LAB_THREADS", workers, 1)
 
 
 def run_coverage(cfg: SimConfig, workers: Optional[int] = None) -> SimSummary:
@@ -348,8 +352,7 @@ class ObsInfoBins:
 
 
 def bin_by_obs_info(summary: SimSummary, bins: int) -> ObsInfoBins:
-    if bins < 1:
-        raise DomainError(f"bins must be >= 1, got {bins}")
+    bins = check_int("bins", bins, 1)
     table = summary.replicates[~summary.replicates["failed"]]
     if bins > table.shape[0]:
         raise DomainError(f"bins={bins} exceeds the {table.shape[0]} usable replicates")
@@ -360,11 +363,9 @@ def bin_by_obs_info(summary: SimSummary, bins: int) -> ObsInfoBins:
     edges_hi = np.array([table["i_obs"][s[-1]] for s in splits])
     counts = np.array([s.size for s in splits])
     err, se = {}, {}
-    for method in METHODS:
-        sfx = _METHOD_SUFFIX[method]
-        e = np.array([1.0 - table["hit_" + sfx][s].mean() for s in splits])
-        err[method] = e
-        se[method] = np.sqrt(np.maximum(e * (1.0 - e), 0.0) / counts)
+    for method, sfx in _METHOD_SUFFIX.items():
+        hits = np.array([table["hit_" + sfx][s].sum() for s in splits])
+        err[method], se[method] = _coverage(hits, counts)
     return ObsInfoBins(edges_lo, edges_hi, counts, err, se)
 
 

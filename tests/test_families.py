@@ -39,6 +39,13 @@ class TestLoglik:
         with pytest.raises(sl.DomainError):
             sl.CauchyLocation(3).loglik(0.0, np.array([2.0, 1.0, 3.0]))  # unsorted
 
+    @pytest.mark.parametrize("y", [(math.nan, 1.0), (1.0, math.inf), (1.0,), (1.0, 2.0, 3.0), 1.0], ids=repr)
+    def test_bivariate_sample_is_a_finite_pair(self, y):
+        f = sl.BivariateNormalSlice(4)
+        for call in (f.check_sample, lambda y: f.loglik(0.0, y), lambda y: f.score(0.0, y)):
+            with pytest.raises(sl.DomainError, match="pair"):
+                call(y)
+
 
 class TestScore:
     def test_bernoulli_score_zero_at_mle(self):
@@ -186,6 +193,37 @@ class TestMcDraws:
     def test_two_draws_give_a_standard_error(self, draws):
         value, se = sl.expect(sl.CauchyLocation(5), 0.0, lambda x: float(x[2]), mc_draws=draws, return_se=True)
         assert math.isfinite(value) and math.isfinite(se) and se > 0
+
+
+def _summary():
+    return sl.run_coverage(sl.SimConfig(n=5, reps=40, seed=0))
+
+
+class TestIntegerRule:
+    """Every size, count and seed: an int or numpy integer, never a bool or
+    a float, or a DomainError; one helper, families.check_int, decides."""
+
+    ENTRIES = {
+        "SimConfig.n": (lambda v: sl.SimConfig(n=v), 15),
+        "SimConfig.reps": (lambda v: sl.SimConfig(reps=v), 20),
+        "SimConfig.seed": (lambda v: sl.SimConfig(seed=v), 3),
+        "expect.mc_seed": (lambda v: sl.expect(sl.CauchyLocation(5), 0.0, lambda x: float(x[2]),
+                                               mc_draws=64, mc_seed=v, return_se=True), 3),
+        "bin_by_obs_info.bins": (lambda v: sl.bin_by_obs_info(_summary(), v).counts.tolist(), 4),
+        "default_grid.points": (lambda v: sl.default_grid(sl.Bernoulli(3), v).tolist(), 5),
+        "cauchy_table_row.n": (lambda v: sl.cauchy_table_row(v), 5),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3.0), True, np.True_, "3"], ids=repr)
+    def test_a_bool_or_float_is_a_domain_error(self, entry, value):
+        with pytest.raises(sl.DomainError, match=r"must be (a positive|a nonnegative|an) integer"):
+            self.ENTRIES[entry][0](value)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_a_numpy_integer_is_accepted(self, entry):
+        make, good = self.ENTRIES[entry]
+        assert make(np.int64(good)) == make(good)
 
 
 @contextlib.contextmanager

@@ -3,8 +3,8 @@ Cauchy module standing on numpy and ``errors`` alone; the family
 contract: an override keeps its base method's signature, and no family
 overrides the one expectation engine, ``Family.expect``; and the estimator
 roles: chosen by type, with no field naming them and no test of which
-estimator the moment code holds; and the Cauchy sums, whose order one
-helper decides."""
+estimator the moment code holds; the Cauchy sums, whose order one helper
+decides; and the one helper that decides what counts as an integer."""
 
 import ast
 import dataclasses
@@ -108,20 +108,16 @@ def test_estimator_roles_are_types_not_fields():
     assert found == []
 
 
-def _sums_over_axis_0(tree):
-    """(function, line) of each sum over axis 0 in ``tree``, such as
-    ``u.sum(axis=0)``, ``np.sum(u, 0)`` or ``np.add.reduce(u, 0)``, in the
-    innermost function around it."""
+def _calls(tree, match):
+    """(function, line) of each call in ``tree`` that ``match`` accepts, in
+    the innermost function around it."""
     found = []
 
     def visit(node, fn):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             fn = node.name
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("sum", "reduce", "accumulate")):
-            axis = [k.value for k in node.keywords if k.arg == "axis"] + node.args[:2]
-            if any(isinstance(a, ast.Constant) and a.value == 0 for a in axis):
-                found.append((fn, node.lineno))
+        if isinstance(node, ast.Call) and match(node):
+            found.append((fn, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, fn)
 
@@ -129,8 +125,35 @@ def _sums_over_axis_0(tree):
     return found
 
 
+def _sums_over_axis_0(call):
+    """A sum over axis 0, such as ``u.sum(axis=0)``, ``np.sum(u, 0)`` or
+    ``np.add.reduce(u, 0)``."""
+    if not (isinstance(call.func, ast.Attribute) and call.func.attr in ("sum", "reduce", "accumulate")):
+        return False
+    axis = [k.value for k in call.keywords if k.arg == "axis"] + call.args[:2]
+    return any(isinstance(a, ast.Constant) and a.value == 0 for a in axis)
+
+
 def test_cauchy_sums_observations_in_one_place():
     # every sum over the observations adds them in one order, chosen by
     # one helper, so a row's bits never depend on the shape of its array
-    sums = _sums_over_axis_0(_tree("cauchy.py"))
+    sums = _calls(_tree("cauchy.py"), _sums_over_axis_0)
     assert {fn for fn, _ in sums} == {"_sum_obs"}, sums
+
+
+def _tests_an_integer_type(call):
+    """An ``isinstance`` or ``issubclass`` against ``bool``, ``int``,
+    ``np.integer`` or ``np.bool_``."""
+    if not (isinstance(call.func, ast.Name) and call.func.id in ("isinstance", "issubclass") and len(call.args) == 2):
+        return False
+    names = {n.id for n in ast.walk(call.args[1]) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(call.args[1]) if isinstance(n, ast.Attribute)}
+    return bool(names & {"bool", "int", "integer", "bool_"})
+
+
+def test_one_rule_decides_what_counts_as_an_integer():
+    # every size, count and seed goes through families.check_int, so a bool
+    # or a float is rejected, and a numpy integer accepted, alike everywhere
+    found = [(path.name, fn, line) for path in sorted(SRC.glob("*.py"))
+             for fn, line in _calls(_tree(path.name), _tests_an_integer_type)]
+    assert {(name, fn) for name, fn, _ in found} == {("families.py", "check_int")}, found
