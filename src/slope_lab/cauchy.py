@@ -24,7 +24,8 @@ cell holds a better maximum, or a stationary point above the LRT level
 not bisected: a finite MLE is the global maximizer
 (ties to the smaller theta), a sample it cannot certify is reported as
 failed, and the LRT level set is reported as its hull, flagged when it
-is a union of intervals.  The scalar ``cauchy_mle`` and the Cauchy
+is a union of intervals, whose ends ``cauchy_level_set_ends`` finds; both
+bisect with ``_bisect``.  The scalar ``cauchy_mle`` and the Cauchy
 ``lrt_interval`` are that kernel on a batch of one.
 """
 
@@ -112,7 +113,7 @@ _CELL = 0.2
 # to past x_i + 1 + _CELL, so rounding in floor() cannot leave a window
 # edge bare.
 _WINDOW_POINTS = 14
-_BISECTIONS = 64
+_BISECTIONS = 64  # halvings of a score bracket, stopped early at adjacent floats
 _MAX_HALVINGS = 40
 # Open cells a sample may have at once: rounding hides the score's sign on
 # a flat stretch, which multiplies them (elsewhere at most 49, at n = 2).
@@ -127,6 +128,9 @@ _REACH = 1.0 + 2.0 * _CELL
 _SKIPPED = np.iinfo(np.int64).max  # start of a skipped window, sorted last
 _FLOAT_MAX = np.finfo(float).max
 _END_DOUBLINGS = 1030  # a hull end's step 0.5 * 2^k reaches _FLOAT_MAX at k = 1025
+# Halvings of a hull end's bracket of width d: d 2^-55 is at most half an ulp
+# of d/2, so an end at least d/2 from 0 reaches adjacent floats.
+_END_BISECTIONS = 55
 # Elements (n times the points) of an evaluation's offsets at once: 1 MiB
 # per float temporary, 8,738 points at n = 15.
 _CHUNK_ELEMENTS = 1 << 17
@@ -194,9 +198,9 @@ def cauchy_level_set_batch(x, drop: float, counters: Optional[MleCounters] = Non
       step h = 0.2 (11 points per window, shared where windows overlap);
       a cell that skips lattice points spans a gap, which may hold
       skipped windows.  Every cell whose end scores go from + to - is
-      bisected, all at once, down to adjacent floats, to a maximum; then
-      so is every cell whose end scores go from - to +, to a minimum,
-      unless l at an end is not above the floor defined next.
+      bisected, all at once, by 64 halvings or until all are at adjacent
+      floats, to a maximum; then so is every cell with scores from - to +,
+      to a minimum, unless l at an end is not above the floor defined next.
     * A gap cell is then closed.  It meets no window laid on the lattice,
       which would put a lattice point in it every 0.2, so off skipped
       windows l is convex there: no maximum, and at most one minimum,
@@ -270,7 +274,10 @@ def cauchy_level_set_batch(x, drop: float, counters: Optional[MleCounters] = Non
             k = np.nonzero(new)[0]
             rows = cells["row"][k]
             xr = xt.take(rows, axis=1)
-            r = _bisect_score(xr, cells["a"][k], cells["b"][k], sign)
+            work = np.empty_like(xr)
+            side = np.greater if sign > 0.0 else np.less  # sign * s > 0 at a, not at b
+            r = _bisect(lambda mid: side(cauchy_score(np.subtract(xr, mid, out=work)), 0.0),
+                        cells["a"][k], cells["b"][k], _BISECTIONS)
             t = np.subtract(xr, r, out=xr)
             # within this radius of a root l'' keeps its sign
             radius = np.maximum(sign * cauchy_obs_info(t), 0.0) / (_L3 * n)
@@ -313,12 +320,12 @@ def cauchy_level_set_batch(x, drop: float, counters: Optional[MleCounters] = Non
 def cauchy_level_set_ends(x, outer: np.ndarray, target: np.ndarray):
     """Ends (lo, hi) of the hull of {theta : l(theta) > target} per row:
     past its outermost maxima ``outer``, l > target on one interval, so
-    a step of 0.5, doubled while inside, brackets each for 55 bisections.
-    An end whose set reaches past the largest float is -inf or +inf;
-    no end is a point inside the set.  Both ends go through one loop, on
-    ``x`` stacked twice: lo from outer[0] downward in the first half, hi
-    from outer[1] upward in the second.  Each row's steps are those of
-    its own end alone."""
+    a step of 0.5, doubled while inside, brackets each for ``_bisect``: 55
+    halvings, or until all are at adjacent floats.  An end whose set
+    reaches past the largest float is -inf or +inf; no end is a point
+    inside the set.  Both ends go through one loop, on ``x`` stacked twice:
+    lo from outer[0] downward in the first half, hi from outer[1] upward in
+    the second.  Each row's steps are those of its own end alone."""
     m = x.shape[0]
     xt = np.ascontiguousarray(np.concatenate([x, x]).T)
     work = np.empty_like(xt)
@@ -335,17 +342,8 @@ def cauchy_level_set_ends(x, outer: np.ndarray, target: np.ndarray):
                 break
             d = np.where(inside, np.minimum(d, 0.5 * _FLOAT_MAX) * 2.0, d)
             far = start + sgn * d
-        # a halved bracket's midpoint is one sum, which cannot overflow near
-        # +-_FLOAT_MAX, and halving a normal float is exact: 0.5 (lo + hi)
-        lo_h, hi_h = 0.5 * start, 0.5 * far
-        for _ in range(55):
-            mid = lo_h + hi_h
-            keep = _loglik_rows(xt, mid, work) > target
-            mid *= 0.5
-            lo_h = np.where(keep, mid, lo_h)
-            hi_h = np.where(keep, hi_h, mid)
-    # rows still inside at +-_FLOAT_MAX
-    ends = np.where(inside, sgn * np.inf, lo_h + hi_h)
+        ends = _bisect(lambda mid: _loglik_rows(xt, mid, work) > target, start, far, _END_BISECTIONS)
+    ends[inside] = sgn[inside] * np.inf  # rows still inside at +-_FLOAT_MAX
     return ends[:m], ends[m:]
 
 
@@ -444,21 +442,22 @@ def _at_points(xt: np.ndarray, row: np.ndarray, theta: np.ndarray, *fns) -> list
     return out
 
 
-def _bisect_score(xt: np.ndarray, lo: np.ndarray, hi: np.ndarray, sign: float) -> np.ndarray:
-    """Shrink brackets sign * s(lo) > 0 >= sign * s(hi), one per column of
-    ``xt``, to adjacent floats; returns their midpoints."""
-    t = np.empty_like(xt)
-    side = np.greater if sign > 0.0 else np.less  # sign * s > 0
-    for i in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        # at adjacent floats mid is lo or hi, whose score keeps its side: a
-        # step past them changes nothing, so every fourth step looks for them
-        if i % 4 == 0 and not ((lo < mid) & (mid < hi)).any():
+def _bisect(inside, a: np.ndarray, b: np.ndarray, steps: int) -> np.ndarray:
+    """Midpoints of brackets, ``inside`` true at ``a`` and false at ``b`` (in
+    either order), after ``steps`` halvings.  Kept halved, a midpoint is one
+    sum, which cannot overflow; halving a normal float is exact, so it is
+    0.5 (a + b) bit for bit.  At adjacent floats the midpoint is an end, which
+    no step moves, so every fourth step stops once every midpoint is one."""
+    a, b = 0.5 * a, 0.5 * b
+    for i in range(steps):
+        mid = a + b
+        half = 0.5 * mid
+        if i % 4 == 0 and not np.count_nonzero((half != a) & (half != b)):
             break
-        pos = side(cauchy_score(np.subtract(xt, mid, out=t)), 0.0)
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-    return 0.5 * (lo + hi)
+        keep = inside(mid)
+        a = np.where(keep, half, a)
+        b = np.where(keep, b, half)
+    return a + b
 
 
 def _closed_by_score(h: np.ndarray, sa: np.ndarray, sb: np.ndarray, n: int) -> np.ndarray:

@@ -38,12 +38,11 @@ from .families import Bernoulli, reparam
 from .gcore import (
     bernoulli_efficiency_curves,
     cauchy_table_row,
-    check_identity,
     default_grid,
     lambda_efficiency,
     lift_point_estimator,
     score_estimator,
-    squared_slope,
+    slope_report,
 )
 from .mc import (
     BATCH,
@@ -246,27 +245,14 @@ def cmd_check(args: argparse.Namespace, run: _Run) -> int:
         "lift_y_times_ym1": lift_point_estimator(f, lambda y: float(y * (y - 1))),
         "lift_y_squared": lift_point_estimator(f, lambda y: float(y * y)),
     }
-    for name, g in estimators.items():
-        record(f"identity_{name}", max(check_identity(g, th) for th in grid), 1e-8)
-    record(
-        "fisher_bound",
-        max(
-            max(squared_slope(g, th) - f.fisher_info(th) * (1.0 + 1e-8) for th in grid)
-            for g in estimators.values()
-        ),
-        1e-8,
-    )
-    f_lo = Bernoulli(10, chart="log_odds")
-    g_p = lift_point_estimator(f, lambda y: float(y * y))
-    g_lo = lift_point_estimator(f_lo, lambda y: float(y * y))
-    record(
-        "chart_invariance_eff",
-        max(
-            abs(lambda_efficiency(g_p, p) - lambda_efficiency(g_lo, reparam(f, "p", "log_odds", p)))
-            for p in grid
-        ),
-        1e-8,
-    )
+    reports = {name: slope_report(g, grid) for name, g in estimators.items()}
+    for name, report in reports.items():
+        record(f"identity_{name}", report.identity_residual.max(), 1e-8)
+    bound = np.array([f.fisher_info(th) for th in grid]) * (1.0 + 1e-8)
+    record("fisher_bound", max((report.lam - bound).max() for report in reports.values()), 1e-8)
+    g_lo = lift_point_estimator(Bernoulli(10, chart="log_odds"), lambda y: float(y * y))
+    eff_lo = np.array([lambda_efficiency(g_lo, reparam(f, "p", "log_odds", p)) for p in grid])
+    record("chart_invariance_eff", np.abs(reports["lift_y_squared"].eff_lambda - eff_lo).max(), 1e-8)
     if args.out:
         run.write(csv_table("slope_lab.check.v1", ["property", "worst", "tol", "ok"], zip(*results)))
     return EXIT_OK if not failures else EXIT_PROPERTY

@@ -31,8 +31,9 @@ value per node, or several such columns.  ``_Pass``, the one moment
 engine and the only reader of ``weights``, reduces them: the weighted sum
 (the binomial sum, the Gauss-Hermite rule), or under equal weights (Monte
 Carlo) the plain mean and its standard error; where there are no nodes,
-quadrature times ``density``.  ``Family.expect``, which no family
-overrides, is a pass of one quantity, and ``gcore``'s slopes of several.
+quadrature times ``density``; it checks theta, ``mc_draws`` and ``mc_seed``
+before it calls ``values``, whether or not the family draws.  ``expect``
+(never overridden) is a pass of one quantity, ``gcore``'s slopes of several.
 ``scores(theta, ys)`` gives the score at every sample of a block; the base
 calls ``score`` per sample, and a family with a vectorised score
 (``CauchyLocation``, per Monte Carlo chunk) overrides it.  ``mle`` and
@@ -40,8 +41,8 @@ calls ``score`` per sample, and a family with a vectorised score
 difference of the score), ``sup_loglik`` (l at the MLE) and
 ``reference_info`` (the Fisher information) have base defaults, and so
 have ``lrt_hull(y, drop)`` and ``kl_ball(lo, hi)``, by ``_bisect``
-(``CauchyLocation``'s from ``cauchy``); an override keeps its base signature.
-A size, like every count and seed in the package, goes through ``check_int``.
+(``CauchyLocation``'s from ``cauchy``); an override keeps its base signature
+and checks its arguments.  Sizes, counts and seeds go through ``check_int``.
 """
 
 from __future__ import annotations
@@ -130,8 +131,11 @@ def median_density(k: int, z: float, theta: float) -> float:
     The factorial ratio (2k+1)!/(k!)^2 is computed through log-gamma so
     large k does not overflow.
     """
-    if k < 0 or k != int(k):
-        raise DomainError(f"k must be a nonnegative integer, got {k}")
+    return _median_density(check_int("k", k, 0), z, theta)
+
+
+def _median_density(k: int, z, theta: float):
+    """``median_density`` of a checked k, as ``CauchyMedian`` reads it at every point."""
     t = np.asarray(z, dtype=float) - theta
     log_c = _median_log_constant(k)
     bracket = 0.25 - np.arctan(t) ** 2 / math.pi**2
@@ -179,6 +183,8 @@ class _Pass:
 
     def __init__(self, f: Family, theta: float, quantities: dict, kw: dict):
         f.check_param(theta)
+        kw = {**kw, "mc_seed": check_int("mc_seed", kw.get("mc_seed", 0), 0, SEED_END),
+              "mc_draws": check_int("mc_draws", kw.get("mc_draws", DEFAULT_MC_DRAWS), 2)}
         self.f, self.theta = f, theta
         score = lambda y: f.score(theta, y)
         self.quantities = {k: score if fn is _SCORE else fn for k, fn in quantities.items()}
@@ -272,7 +278,7 @@ class Family:
         ``block`` takes a sequence of samples and returns one value per
         sample, or several such columns; they come back as an array (nodes,)
         or (k, nodes).  A sampling family calls it once per chunk of draws.
-        The caller checks theta.
+        The caller checks theta, ``mc_draws`` and ``mc_seed``.
         """
         return None
 
@@ -412,6 +418,7 @@ class Bernoulli(Family):
         return self.pmf(theta)
 
     def mle(self, y: Sample) -> float:
+        self.check_sample(y)
         p_hat = y / self.n
         if self.chart == CHART_P:
             return float(p_hat)
@@ -421,6 +428,7 @@ class Bernoulli(Family):
 
     def sup_loglik(self, y: Sample, mle: float) -> float:
         """sup over the closed [0, 1], with the 0 log 0 = 0 convention."""
+        self.check_sample(y)
         p_hat = y / self.n
         sup = 0.0
         if 0 < y:
@@ -487,9 +495,12 @@ class NormalLocation(Family):
         return np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
 
     def mle(self, y: Sample) -> float:
+        self.check_sample(y)
         return float(y)
 
     def observed_info(self, theta_hat: float, y: Sample) -> float:
+        self.check_param(theta_hat)
+        self.check_sample(y)
         return self.n / self.sigma**2
 
     def kl(self, theta1: float, theta2: float) -> float:
@@ -548,11 +559,10 @@ class CauchyLocation(Family):
         return self.score(theta, ys)
 
     def values(self, theta, block, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> np.ndarray:
-        """``block`` on ``mc_draws`` samples (an integer >= 2, for the
-        standard error) from Philox key (mc_seed, 0), in the order drawn:
-        once per chunk of up to 2**14 sorted rows (m, n)."""
-        rng = np.random.Generator(np.random.Philox(key=[check_int("mc_seed", mc_seed, 0, SEED_END), 0]))
-        mc_draws = check_int("mc_draws", mc_draws, 2)
+        """``block`` on ``mc_draws`` samples from Philox key (mc_seed, 0), in
+        the order drawn: once per chunk of up to 2**14 sorted rows (m, n).  The
+        caller checks theta and both arguments (``mc_draws`` >= 2, for the SE)."""
+        rng = np.random.Generator(np.random.Philox(key=[mc_seed, 0]))
         vals = None
         for c in range(0, mc_draws, _MC_CHUNK):
             # chunks read the stream in order, so they draw what one call would
@@ -575,6 +585,7 @@ class CauchyLocation(Family):
         return float(lo[0]), float(hi[0]), bool(disconnected[0])
 
     def observed_info(self, theta_hat: float, y: Sample) -> float:
+        self.check_param(theta_hat)
         return float(cauchy_obs_info(cauchy_offsets(self._observations(y), theta_hat)))
 
     def kl(self, theta1: float, theta2: float) -> float:
@@ -605,12 +616,12 @@ class CauchyMedian(Family):
             raise DomainError(f"z={y} is not finite")
 
     def density(self, theta: float, y) -> np.ndarray:
-        return median_density(self.k, y, theta)
+        return _median_density(self.k, y, theta)
 
     def loglik(self, theta: float, y: Sample) -> float:
         self.check_param(theta)
         self.check_sample(y)
-        return float(np.log(median_density(self.k, y, theta)))
+        return float(np.log(_median_density(self.k, y, theta)))
 
     def score(self, theta: float, y: Sample) -> float:
         self.check_param(theta)
@@ -626,6 +637,7 @@ class CauchyMedian(Family):
         return float(cauchy_sorted_draws(rng.random(self.n), theta)[self.k])
 
     def mle(self, y: Sample) -> float:
+        self.check_sample(y)
         return float(y)
 
     def kl(self, theta1: float, theta2: float) -> float:

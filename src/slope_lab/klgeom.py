@@ -41,7 +41,7 @@ class KlBall:
     radius: float
 
     def __post_init__(self):
-        if self.radius < 0:
+        if not self.radius >= 0:
             raise DomainError(f"radius must be nonnegative, got {self.radius}")
 
     def contains(self, theta: float) -> bool:

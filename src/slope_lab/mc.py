@@ -371,6 +371,7 @@ def bin_by_obs_info(summary: SimSummary, bins: int) -> ObsInfoBins:
 
 def median_sd(n: int) -> float:
     """SD of the median of n unit Cauchy draws; a DomainError for n < 5, where it diverges."""
+    n = check_int("n", n, 1)
     try:
         return math.sqrt(median_variance((n - 1) // 2))
     except DivergentIntegralError as exc:

@@ -393,6 +393,16 @@ class TestCheck:
     def test_unsupported_family(self):
         assert run(["check", "--family", "normal"]) == cli.EXIT_USAGE
 
+    def test_one_moment_pass_per_estimator_and_theta(self, monkeypatch):
+        # a slope report per estimator takes every quantity at theta from one
+        # set of moments: 11 passes per theta, 15 when taken quantity by quantity
+        passes = []
+        init = slope_lab.families._Pass.__init__
+        monkeypatch.setattr(slope_lab.families._Pass, "__init__",
+                            lambda self, *a, **kw: passes.append(1) or init(self, *a, **kw))
+        assert run(["check", "--grid", "5"]) == cli.EXIT_OK
+        assert len(passes) == 55
+
 
 class TestConfigAndUsage:
     def test_config_file_merging(self, tmp_path):

@@ -199,6 +199,37 @@ def _summary():
     return sl.run_coverage(sl.SimConfig(n=5, reps=40, seed=0))
 
 
+class TestInputsAreChecked:
+    """Each method checks what it is given: the engine the Monte Carlo
+    arguments of every family, whether or not it draws, and each family
+    method its sample and parameter, as ``CauchyLocation`` does."""
+
+    CASES = {
+        "expect-bernoulli-mc": lambda: sl.expect(sl.Bernoulli(3), 0.5, lambda y: 1.0, mc_draws=2.5, mc_seed=True),
+        "expect-normal-mc": lambda: sl.expect(sl.NormalLocation(1.0, 3), 0.5, lambda y: 1.0,
+                                              mc_draws=-1, mc_seed="x"),
+        "variance-median-mc": lambda: sl.variance(sl.CauchyMedian(3), 0.5, lambda z: z, mc_draws=-1),
+        "median_density-bool": lambda: families.median_density(True, 0.0, 0.0),
+        "median_sd-float": lambda: sl.mc.median_sd(7.5),
+        "bernoulli-mle-above-n": lambda: sl.Bernoulli(10).mle(11),
+        "bernoulli-mle-fraction": lambda: sl.Bernoulli(10).mle(2.5),
+        "family_mle-above-n": lambda: sl.family_mle(sl.Bernoulli(10), 11),
+        "log-odds-mle-above-n": lambda: sl.Bernoulli(10, chart="log_odds").mle(11),
+        "bernoulli-sup_loglik-above-n": lambda: sl.Bernoulli(10).sup_loglik(11, 1.1),
+        "normal-mle-nan": lambda: sl.NormalLocation(1.0, 3).mle(math.nan),
+        "median-mle-inf": lambda: sl.CauchyMedian(3).mle(math.inf),
+        "normal-observed_info-nan": lambda: sl.NormalLocation(1.0, 3).observed_info(math.nan, 0.0),
+        "observed_info-normal-nan": lambda: sl.observed_info(sl.NormalLocation(1.0, 3), math.nan, 0.0),
+        "cauchy-observed_info-nan": lambda: sl.CauchyLocation(3).observed_info(math.nan, np.array([0.0, 1.0, 2.0])),
+        "kl_ball-radius-nan": lambda: sl.KlBall(sl.NormalLocation(1.0, 3), 0.0, math.nan),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bad_input_is_a_domain_error(self, case):
+        with pytest.raises(sl.DomainError):
+            self.CASES[case]()
+
+
 class TestIntegerRule:
     """Every size, count and seed: an int or numpy integer, never a bool or
     a float, or a DomainError; one helper, families.check_int, decides."""

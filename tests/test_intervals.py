@@ -118,6 +118,31 @@ def test_scalar_cauchy_path_is_the_kernel_on_a_batch_of_one():
     assert disconnected >= 1
 
 
+class TestKernelBits:
+    """The kernel's own bits, by ``float.hex``: theta_hat and both ends of the
+    1.96 LRT interval.  The other kernel tests compare its paths with each
+    other, which share one bisection, so only pins show a move in it."""
+
+    PINS = {
+        (0.25,): ("0x1.0000000000000p-2", "-0x1.14f74f5d81636p+1", "0x1.54f74f5d81636p+1", False),
+        (-1.5, 0.75): ("-0x1.c7e0f66afed08p-1", "-0x1.6181aa39289c8p+1", "0x1.0181aa39289c8p+1", False),
+        (-4.0, -0.5, 0.3, 2.2, 9.0): (
+            "0x1.e79d763e00a8ep-4", "-0x1.57b8334c5840ap+0", "0x1.1d807f56f1d0ep+1", False),
+        (-3.1, -2.9, 0.1, 5.0, 5.2, 5.3, 40.0): (
+            "0x1.4152c953d1a6ep+2", "0x1.e6eeeb9f57082p+1", "0x1.7a866cf3dd0f6p+2", False),
+        (-6.0, 6.0): ("-0x1.7aa10d193c22cp+2", "-0x1.ffdcbc8c2fa90p+2", "0x1.ffdcbc8c2fa90p+2", True),
+        (-0.0031, -0.0002, 0.0007, 0.0044): (
+            "0x1.d7dad6cbda3e8p-12", "-0x1.91bfc6afebbdep-1", "0x1.9235bd9754afcp-1", False),
+        (-12.5, -1.25, -0.8, -0.1, 0.05, 0.4, 0.9, 1.7, 3.3, 250.0): (
+            "0x1.72a23b334da8cp-3", "-0x1.78dc13c29962cp-1", "0x1.2539db647c996p+0", False),
+    }
+
+    @pytest.mark.parametrize("x", PINS, ids=lambda x: f"n{len(x)}_{x[0]:g}")
+    def test_mle_and_lrt_ends(self, x):
+        iv = sl.lrt_interval(sl.lrt_estimate(sl.CauchyLocation(len(x)), np.array(x)), 1.96)
+        assert (sl.cauchy_mle(x).hex(), iv.lo.hex(), iv.hi.hex(), iv.disconnected) == self.PINS[x]
+
+
 def test_flat_stationary_point_level_set_is_not_certified():
     # the same x = (-1, 1) at the LRT drop: the flat stretch multiplies the
     # open cells past their cap, so the interval is refused, not guessed
