@@ -12,9 +12,11 @@ it at once, and write the JSON run manifest last.  The manifest lists
 the outputs in the order written, so a rerun with identical flags and
 seed can be verified byte-for-byte.
 
-Exit codes: 0 ok, 1 property failure, 2 numerical failure, 3 usage: a
-flag argparse rejects, reported by argparse, or, each on one ``usage
-error:`` line, a flag value no run can use, a config file that cannot be
+Exit codes: 0 ok; 1 a property ``check`` finds false; 2 a numerical
+failure (an ``errors`` RuntimeError or ArithmeticError), on one
+``numerical failure:`` line; 3 usage: a flag argparse rejects, reported
+by argparse, or, each on one ``usage error:`` line, a flag value no run
+can use (an integer flag by ``check_int``), a config file that cannot be
 read, or an output path that cannot be created or written.
 """
 
@@ -33,9 +35,10 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .errors import DomainError, QuadratureError, SlopeLabError
-from .families import Bernoulli, reparam
+from .errors import DomainError, SlopeLabError
+from .families import Bernoulli, check_int, reparam
 from .gcore import (
+    BERNOULLI_STATISTICS,
     bernoulli_efficiency_curves,
     cauchy_table_row,
     default_grid,
@@ -130,10 +133,13 @@ class _Run:
         self.manifest.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _require_positive(args: argparse.Namespace, *flags: str) -> None:
-    for flag in flags:
-        if getattr(args, flag) < 1:
-            raise _UsageError(f"--{flag} must be positive, got {getattr(args, flag)}")
+def _int_flag(args: argparse.Namespace, flag: str, below: int | None = None) -> int:
+    """The value of ``--flag`` by the one integer rule, ``check_int``, in
+    [1, below): a usage error naming the flag otherwise."""
+    try:
+        return check_int("--" + flag.replace("_", "-"), getattr(args, flag), 1, below)
+    except DomainError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +148,8 @@ def _require_positive(args: argparse.Namespace, *flags: str) -> None:
 
 
 def cmd_table1(args: argparse.Namespace, run: _Run) -> int:
-    ns = range(1, args.n_max + 1, 2)
-    if not ns or ns[-1] > 31:
-        raise _UsageError(f"--n-max must lie in [1, 31] (the rows are the odd n up to it), got {args.n_max}")
-    rows = [astuple(cauchy_table_row(n)) for n in ns]
+    n_max = _int_flag(args, "n_max", 33)  # the rows are the odd n up to it, the last n = 31
+    rows = [astuple(cauchy_table_row(n)) for n in range(1, n_max + 1, 2)]
     header = [
         "n",
         "lambda_median",
@@ -162,17 +166,16 @@ def cmd_table1(args: argparse.Namespace, run: _Run) -> int:
 
 
 def cmd_bernoulli_eff(args: argparse.Namespace, run: _Run) -> int:
-    _require_positive(args, "n", "grid")
-    grid = np.linspace(0.02, 0.98, args.grid)
-    columns = bernoulli_efficiency_curves(args.n, grid)
-    run.write(csv_table("slope_lab.bernoulli_eff.v1", ["p", "eff_y", "eff_y_times_ym1", "eff_y_squared"], columns))
+    n = _int_flag(args, "n")
+    columns = bernoulli_efficiency_curves(n, default_grid(Bernoulli(n), _int_flag(args, "grid")))
+    header = ["p"] + [f"eff_{name}" for name in BERNOULLI_STATISTICS]
+    run.write(csv_table("slope_lab.bernoulli_eff.v1", header, columns))
     return EXIT_OK
 
 
 def cmd_curves(args: argparse.Namespace, run: _Run) -> int:
-    _require_positive(args, "n", "grid")
-    f = Bernoulli(args.n, chart=args.param_chart)
-    grid = default_grid(f, args.grid)
+    f = Bernoulli(_int_flag(args, "n"), chart=args.param_chart)
+    grid = default_grid(f, _int_flag(args, "grid"))
     s = score_estimator(f)
     rows = []
     for th in grid:
@@ -187,11 +190,10 @@ def cmd_cauchy_sim(args: argparse.Namespace, run: _Run) -> int:
     try:
         workers = threads_from_env()
         cfg = SimConfig(n=args.n, reps=args.reps, seed=args.seed)
-        median_sd(args.n)  # the Q-Q file's median column needs it finite
+        median_sd(args.n)  # the Q-Q file's median column needs it: an odd n >= 5
     except DomainError as exc:
         raise _UsageError(str(exc)) from None
-    if not 1 <= args.bins <= args.reps:
-        raise _UsageError(f"--bins must lie in [1, --reps={args.reps}], got {args.bins}")
+    _int_flag(args, "bins", args.reps + 1)
     summary = run_coverage(cfg, workers=workers)
     summary = readjust(summary, PAPER_ADJUSTMENTS) if args.adjusted else summary
     run.telemetry = {
@@ -226,9 +228,8 @@ def cmd_cauchy_sim(args: argparse.Namespace, run: _Run) -> int:
 
 
 def cmd_check(args: argparse.Namespace, run: _Run) -> int:
-    _require_positive(args, "grid")
     f = Bernoulli(10)
-    grid = default_grid(f, args.grid)
+    grid = default_grid(f, _int_flag(args, "grid"))
     failures = []
     results = []
 
@@ -239,18 +240,14 @@ def cmd_check(args: argparse.Namespace, run: _Run) -> int:
         if not ok:
             failures.append(name)
 
-    estimators = {
-        "score": score_estimator(f),
-        "lift_y": lift_point_estimator(f, lambda y: float(y)),
-        "lift_y_times_ym1": lift_point_estimator(f, lambda y: float(y * (y - 1))),
-        "lift_y_squared": lift_point_estimator(f, lambda y: float(y * y)),
-    }
+    estimators = {"score": score_estimator(f)}
+    estimators.update({f"lift_{name}": lift_point_estimator(f, u) for name, u in BERNOULLI_STATISTICS.items()})
     reports = {name: slope_report(g, grid) for name, g in estimators.items()}
     for name, report in reports.items():
         record(f"identity_{name}", report.identity_residual.max(), 1e-8)
     bound = np.array([f.fisher_info(th) for th in grid]) * (1.0 + 1e-8)
     record("fisher_bound", max((report.lam - bound).max() for report in reports.values()), 1e-8)
-    g_lo = lift_point_estimator(Bernoulli(10, chart="log_odds"), lambda y: float(y * y))
+    g_lo = lift_point_estimator(Bernoulli(10, chart="log_odds"), BERNOULLI_STATISTICS["y_squared"])
     eff_lo = np.array([lambda_efficiency(g_lo, reparam(f, "p", "log_odds", p)) for p in grid])
     record("chart_invariance_eff", np.abs(reports["lift_y_squared"].eff_lambda - eff_lo).max(), 1e-8)
     if args.out:
@@ -343,12 +340,11 @@ def main(argv=None) -> int:
     except (_UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except QuadratureError as exc:
+    except SlopeLabError as exc:
+        if not isinstance(exc, (RuntimeError, ArithmeticError)):
+            raise  # a value the command passed without checking it first: a bug, shown in full
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except SlopeLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY
 
 
 if __name__ == "__main__":

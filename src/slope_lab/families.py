@@ -241,7 +241,7 @@ class Family:
 
     def check_param(self, theta: float) -> None:
         lo, hi = self.param_domain()
-        if not (lo < theta < hi) or not np.isfinite(theta):
+        if not lo < theta < hi:  # false for NaN, and for +-inf even on an unbounded domain
             raise DomainError(f"parameter {theta} outside open domain ({lo}, {hi})")
 
     def check_sample(self, y: Sample) -> None:
@@ -284,7 +284,7 @@ class Family:
 
     def scores(self, theta: float, ys) -> np.ndarray:
         """The score at each sample of the block ``ys``, by ``score``."""
-        return np.array([self.score(theta, y) for y in ys], dtype=float)
+        return _per_row(lambda y: self.score(theta, y))(ys)
 
     def weights(self, theta: float):
         """The weights of the nodes of ``values`` at theta, summing to 1, or
@@ -648,8 +648,8 @@ class CauchyMedian(Family):
         )
 
     def reference_info(self, theta: float) -> float:
-        """n/2: the information of the full sample the median reduces."""
-        return self.n / 2.0
+        """The information of the full sample the median reduces: ``CauchyLocation``'s."""
+        return CauchyLocation(self.n).fisher_info(theta)
 
 
 @dataclass(frozen=True)

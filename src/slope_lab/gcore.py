@@ -54,8 +54,8 @@ from typing import Callable, ClassVar, Optional, Sequence
 import numpy as np
 
 from .errors import BiasError, DivergentIntegralError, DomainError, OrientationError, ZeroVarianceError
-from .families import (DEFAULT_MC_DRAWS, Bernoulli, Family, _Pass, _SCORE, check_int, median_fisher_info,
-                       median_variance)
+from .families import (DEFAULT_MC_DRAWS, Bernoulli, CauchyMedian, Family, _Pass, _SCORE, check_int,
+                       median_fisher_info, median_variance)
 
 _FD_STEP = 1e-5
 
@@ -453,7 +453,7 @@ def cauchy_table_row(n: int) -> CauchyTableRow:
     if check_int("n", n, 1, 32) % 2 == 0:
         raise DomainError(f"n must be odd, got {n}")
     k = (n - 1) // 2
-    lam_full = n / 2.0
+    lam_full = CauchyMedian(k).reference_info(0.0)
     lam_med_score = median_fisher_info(k)
     diverges = False
     try:
@@ -476,19 +476,20 @@ def cauchy_table_row(n: int) -> CauchyTableRow:
     )
 
 
-def bernoulli_efficiency_curves(n: int = 10, grid: Optional[Sequence[float]] = None):
-    """Lambda-efficiency of u1=y, u2=y(y-1), u3=y^2 over a p grid.
+# The paper's statistics of the binomial count y, by name, in the order of its curves and ``check``'s lifts.
+BERNOULLI_STATISTICS = {"y": lambda y: float(y), "y_times_ym1": lambda y: float(y * (y - 1)),
+                        "y_squared": lambda y: float(y * y)}
 
-    Everything is an exact binomial sum, so the output is fully
-    deterministic.  Returns (p_grid, eff_y, eff_yy1, eff_y2).
-    """
+
+def bernoulli_efficiency_curves(n: int = 10, grid: Optional[Sequence[float]] = None):
+    """Lambda-efficiency of each of BERNOULLI_STATISTICS over a p grid, by
+    default ``default_grid`` of 97 points.  Everything is an exact binomial
+    sum, so the output is fully deterministic.  Returns (p_grid, eff_y,
+    eff_y_times_ym1, eff_y_squared)."""
     f = Bernoulli(n)
-    if grid is None:
-        grid = np.linspace(0.02, 0.98, 97)
-    grid = np.asarray(grid, dtype=float)
-    stats = [lambda y: float(y), lambda y: float(y * (y - 1)), lambda y: float(y * y)]
-    effs = np.empty((3, grid.size))
-    for j, u in enumerate(stats):
+    grid = default_grid(f, 97) if grid is None else np.asarray(grid, dtype=float)
+    effs = np.empty((len(BERNOULLI_STATISTICS), grid.size))
+    for j, u in enumerate(BERNOULLI_STATISTICS.values()):
         est = lift_point_estimator(f, u)
         effs[j] = [lambda_efficiency(est, p) for p in grid]
-    return grid, effs[0], effs[1], effs[2]
+    return grid, *effs

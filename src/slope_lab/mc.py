@@ -7,10 +7,10 @@ seed, at any ``reps`` and worker count.  Replicates are processed in
 vectorized batches: the Philox draw, one certified pass of ``cauchy``
 for the MLE and LRT level set, the observed information, and the LRT
 hull's ends are all done on whole batches.  With one thread,
-``cauchy-sim --raw`` runs about 35,000 replicates/s end to end at the
-benchmark's reference speed (``bench/`` workload ``coverage``).  Of a
-one-thread ``run_coverage`` on 100,000 replicates, a little over half
-goes to the MLE pass and about 36% to the LRT hull's ends.
+``cauchy-sim --raw --reps 100000`` takes 2.9-3.3 s end to end, import
+included, about 33,000 replicates/s, on a 2-core Intel Xeon VM (Python
+3.11, numpy 2.4).  Of a one-thread ``run_coverage`` on 100,000
+replicates, 53-58% goes to the MLE pass and 35-40% to the LRT hull's ends.
 
 The per-replicate table records everything the downstream projections
 need (coverage flags, KL lengths, observed information, and the raw
@@ -42,7 +42,7 @@ from .cauchy import (
     cauchy_sorted_draws,
 )
 from .errors import DivergentIntegralError, DomainError, SimulationError
-from .families import SEED_END, check_int, median_variance
+from .families import SEED_END, CauchyLocation, check_int, median_variance
 
 METHODS = ("wald_expected", "wald_observed", "lrt")
 # The paper's interval-width multipliers for n = 15, which readjust applies.
@@ -155,7 +155,8 @@ def _interval_columns(table: np.ndarray, cfg: SimConfig, adjustments: Dict[str, 
     table's i_obs, and the LRT's if its ends ``lrt`` are given."""
     theta_hat, i_obs = table["theta_hat"], np.maximum(table["i_obs"], 1e-300)
     ends = {} if lrt is None else {"lrt": lrt}
-    for method, info in (("wald_expected", cfg.n / 2.0), ("wald_observed", i_obs)):
+    expected = CauchyLocation(cfg.n).fisher_info(cfg.theta_true)
+    for method, info in (("wald_expected", expected), ("wald_observed", i_obs)):
         half = adjustments[method] * cfg.z / np.sqrt(info)
         ends[method] = (theta_hat - half, theta_hat + half)
     for method, (lo, hi) in ends.items():
@@ -296,8 +297,7 @@ def run_coverage(cfg: SimConfig, workers: Optional[int] = None) -> SimSummary:
     also carries the seconds spent in each of STAGES and the MLE and
     failure counters, summed over batches.
     """
-    if workers is None:
-        workers = threads_from_env()
+    workers = threads_from_env() if workers is None else check_int("workers", workers, 1)
     starts = list(range(0, cfg.reps, BATCH))
     table = np.zeros(cfg.reps, dtype=_REPLICATE_DTYPE)
 
@@ -306,11 +306,8 @@ def run_coverage(cfg: SimConfig, workers: Optional[int] = None) -> SimSummary:
         table[start : start + count], seconds, counters = _run_batch(cfg, start, count)
         return seconds, counters
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, starts))
-    else:
-        results = [work(s) for s in starts]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(work, starts))
     stage_seconds = {k: sum(r[0][k] for r in results) for k in STAGES}
     counters = {k: sum(r[1][k] for r in results) for k in results[0][1]}
 
@@ -370,8 +367,10 @@ def bin_by_obs_info(summary: SimSummary, bins: int) -> ObsInfoBins:
 
 
 def median_sd(n: int) -> float:
-    """SD of the median of n unit Cauchy draws; a DomainError for n < 5, where it diverges."""
-    n = check_int("n", n, 1)
+    """SD of the median of an odd n of unit Cauchy draws; a DomainError for an
+    even n, where no one draw is the median, and for n < 5, where it diverges."""
+    if check_int("n", n, 1) % 2 == 0:
+        raise DomainError(f"the median of n={n} Cauchy draws is no one draw; an odd n is needed")
     try:
         return math.sqrt(median_variance((n - 1) // 2))
     except DivergentIntegralError as exc:
@@ -384,8 +383,8 @@ def qq_data(summary: SimSummary, statistic: str) -> np.ndarray:
 
     Statistics: the signed root of the LRT estimate at the true value,
     the standardized score at the true value, or the standardized
-    sample median.  ``summary.config``'s ``n`` and ``theta_true``
-    standardize the columns; nothing is simulated.
+    sample median (odd n only, by ``median_sd``).  ``summary.config``'s
+    ``n`` and ``theta_true`` standardize the columns; nothing is simulated.
     """
     if statistic not in QQ_STATISTICS:
         raise DomainError(f"unknown statistic {statistic!r}")
@@ -396,7 +395,7 @@ def qq_data(summary: SimSummary, statistic: str) -> np.ndarray:
             np.maximum(-table["lrt_at_true"], 0.0)
         )
     elif statistic == "standardized_score_at_true":
-        vals = table["score_at_true"] / math.sqrt(cfg.n / 2.0)
+        vals = table["score_at_true"] / math.sqrt(CauchyLocation(cfg.n).fisher_info(cfg.theta_true))
     else:
         vals = (table["median"] - cfg.theta_true) / median_sd(cfg.n)
     vals = np.sort(vals)

@@ -4,7 +4,8 @@ One test per published claim or structural guarantee, at full scale:
 the Cauchy median comparison table, the 100,000-replicate coverage
 experiment (raw and adjusted), the binned-coverage property, Bernoulli
 exactness, the differentiation-identity and invariance batteries, the
-interval coincidences, the MLE oracle, and the Q-Q ordering.
+interval coincidences, the MLE oracle, and the Q-Q ordering.  The tests
+on the 100,000-replicate experiment and the oracle are marked ``slow``.
 """
 
 import math
@@ -70,12 +71,14 @@ def test_cauchy_median_table():
     assert time.monotonic() - t0 < 60.0
 
 
+@pytest.mark.slow
 def test_raw_coverage_errors(raw_summary):
     for method, target in RAW_TARGETS.items():
         err = raw_summary.coverage_error[method]
         assert err == pytest.approx(target, abs=0.003), method
 
 
+@pytest.mark.slow
 def test_adjusted_coverage_equalizes_at_nominal(adjusted_summary, raw_summary):
     # The published width adjustments widen the two Wald intervals until
     # their coverage error matches the LRT's own raw error at n = 15, not
@@ -89,6 +92,7 @@ def test_adjusted_coverage_equalizes_at_nominal(adjusted_summary, raw_summary):
     assert adjusted_summary.coverage_error["lrt"] == raw_summary.coverage_error["lrt"]
 
 
+@pytest.mark.slow
 def test_adjusted_mean_kl_lengths(adjusted_summary):
     for method, target in KL_TARGETS.items():
         assert adjusted_summary.mean_kl_length[method] == pytest.approx(
@@ -96,6 +100,7 @@ def test_adjusted_mean_kl_lengths(adjusted_summary):
         ), method
 
 
+@pytest.mark.slow
 def test_coverage_binned_by_observed_info(raw_summary):
     bins = sl.bin_by_obs_info(raw_summary, 20)
     e = bins.coverage_error["wald_expected"]
@@ -206,6 +211,7 @@ def test_interval_equalities():
         assert iv.hi == pytest.approx(hi, abs=1e-8)
 
 
+@pytest.mark.slow
 def test_cauchy_mle_oracle():
     samples = _draw_batch(123, 0, 1000, 15, 0.0)
     offsets = np.arange(1_000_000, dtype=float)
@@ -220,6 +226,7 @@ def test_cauchy_mle_oracle():
         assert ll_solver >= float(ll.max()) - 1e-8, f"replicate {r}"
 
 
+@pytest.mark.slow
 def test_qq_ordering(raw_summary):
     gaps = {}
     for stat in ("signed_root_lrt", "median_standardized"):

@@ -208,9 +208,10 @@ class TestBadInput:
         assert "seed" in assert_usage_error(code, capsys)
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 16])
     def test_sample_too_small_for_median_qq(self, n, tmp_path, capsys):
-        # the median Q-Q column needs a finite median variance: n >= 5
+        # the median Q-Q column needs a finite median variance, n >= 5, of
+        # one middle observation, an odd n
         out = tmp_path / "out"
         out.mkdir()
         code = run(["cauchy-sim", "--n", str(n), "--reps", "20", "--bins", "2", "--out-prefix", str(out / "s")])
@@ -234,6 +235,63 @@ class TestBadInput:
     def test_sizes_outside_range_write_nothing(self, argv, tmp_path, capsys):
         code = run([*argv, "--out", str(tmp_path / "out.csv")])
         assert argv[-2] in assert_usage_error(code, capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_n_max_past_the_last_row_keeps_the_rows_up_to_it(self, tmp_path):
+        # --n-max lies in [1, 33): 32 asks for the odd n up to 31, every row
+        out = tmp_path / "t.csv"
+        assert run(["table1", "--n-max", "32", "--out", str(out)]) == cli.EXIT_OK
+        assert [r[0] for r in read_csv(out)[2]] == [str(n) for n in range(1, 32, 2)]
+
+    def test_bins_lie_in_1_to_reps(self, tmp_path, capsys):
+        code = run(["cauchy-sim", "--reps", "50", "--bins", "51", "--out-prefix", str(tmp_path / "a")])
+        assert "--bins" in assert_usage_error(code, capsys)
+        assert list(tmp_path.iterdir()) == []
+        assert run(["cauchy-sim", "--reps", "50", "--bins", "50", "--out-prefix", str(tmp_path / "b")]) == cli.EXIT_OK
+
+
+class TestExitCodes:
+    """1 for a property that ``check`` finds false, 2 for a numerical
+    failure of the library, each with one line on stderr or stdout."""
+
+    def test_failed_property_exits_1_and_is_recorded(self, tmp_path, monkeypatch, capsys):
+        # the log-odds side of the chart invariance, moved off the p chart's
+        monkeypatch.setattr(cli, "lambda_efficiency", lambda g, theta: 2.0)
+        out = tmp_path / "k.csv"
+        assert run(["check", "--grid", "5", "--out", str(out)]) == cli.EXIT_PROPERTY
+        text = capsys.readouterr().out
+        assert "FAIL chart_invariance_eff" in text and text.count("FAIL") == 1
+        rows = {r[0]: r[-1] for r in read_csv(out)[2]}
+        assert rows.pop("chart_invariance_eff") == "0"
+        assert set(rows.values()) == {"1"}
+
+    def test_too_many_failed_replicates_exit_2(self, tmp_path, monkeypatch, capsys):
+        run_batch = slope_lab.mc._run_batch
+
+        def failing(cfg, start, count):
+            out, seconds, counters = run_batch(cfg, start, count)
+            out["failed"] = True
+            return out, seconds, counters
+
+        monkeypatch.setattr(slope_lab.mc, "_run_batch", failing)
+        code = run(["cauchy-sim", "--reps", "20", "--bins", "2", "--out-prefix", str(tmp_path / "s")])
+        assert code == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "20 replicate failures" in err
+        assert len(err.strip().splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("error", [e for e in vars(slope_lab.errors).values()
+                                       if isinstance(e, type) and issubclass(e, slope_lab.SlopeLabError)
+                                       and issubclass(e, (RuntimeError, ArithmeticError))],
+                             ids=lambda e: e.__name__)
+    def test_every_numerical_failure_exits_2(self, error, tmp_path, monkeypatch, capsys):
+        def fail(n):
+            raise error("no result")
+
+        monkeypatch.setattr(cli, "cauchy_table_row", fail)
+        assert run(["table1", "--out", str(tmp_path / "t.csv")]) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == "numerical failure: no result\n"
         assert list(tmp_path.iterdir()) == []
 
 

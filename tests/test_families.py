@@ -39,6 +39,21 @@ class TestLoglik:
         with pytest.raises(sl.DomainError):
             sl.CauchyLocation(3).loglik(0.0, np.array([2.0, 1.0, 3.0]))  # unsorted
 
+    @pytest.mark.parametrize("theta", [-2.5, 0.0, 1.5, 5.0])
+    def test_bernoulli_log_odds_is_the_p_chart_at_expit(self, theta):
+        f, fp = sl.Bernoulli(10, chart="log_odds"), sl.Bernoulli(10)
+        p = 1.0 / (1.0 + math.exp(-theta))
+        for y in (0, 3, 10):
+            assert f.loglik(theta, y) == pytest.approx(fp.loglik(p, y), rel=1e-12)
+
+    def test_bivariate_slice_loglik(self):
+        f = sl.BivariateNormalSlice(4)
+        y = (0.3, -0.5)
+        assert f.loglik(0.1, y) == pytest.approx(-4.0 * (0.2**2 + 0.5**2) / 2.0, rel=1e-12)
+        # its theta-derivative is the score, which z2 does not enter
+        h = 1e-6
+        assert (f.loglik(0.1 + h, y) - f.loglik(0.1 - h, y)) / (2 * h) == pytest.approx(f.score(0.1, y), rel=1e-8)
+
     @pytest.mark.parametrize("y", [(math.nan, 1.0), (1.0, math.inf), (1.0,), (1.0, 2.0, 3.0), 1.0], ids=repr)
     def test_bivariate_sample_is_a_finite_pair(self, y):
         f = sl.BivariateNormalSlice(4)
@@ -364,6 +379,21 @@ class TestDensitiesNormalize:
         assert total == pytest.approx(1.0, abs=1e-8)
 
 
+class TestQuadratureFailures:
+    def test_nan_integrand_does_not_converge(self):
+        with pytest.raises(sl.QuadratureError, match="did not converge"):
+            integrate_real_line(lambda t: math.nan)
+
+    def test_infinite_value(self):
+        with pytest.raises(sl.QuadratureError, match="non-finite"):
+            integrate_real_line(lambda t: math.inf)
+
+    def test_error_estimate_above_tolerance(self, monkeypatch):
+        monkeypatch.setattr(integrate, "quad", lambda *a, **k: (1.0, 1e-3))
+        with pytest.raises(sl.QuadratureError, match="error estimate"):
+            integrate_real_line(lambda t: 1.0)
+
+
 class TestSampler:
     def test_bernoulli_support(self):
         f = sl.Bernoulli(10)
@@ -396,6 +426,31 @@ class TestSampler:
         vals = x[:, 2] * x[:, 0]
         want = (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(draws)))
         assert sl.CauchyLocation(5).expect(0.2, lambda y: y[2] * y[0], mc_draws=draws, mc_seed=3) == want
+
+    def test_normal_mean_draws_xbar(self):
+        f = sl.NormalLocation(2.0, 4)  # xbar has SD 1
+        rng = RNG(5)
+        draws = np.array([f.sample(0.7, rng) for _ in range(4000)])
+        f.check_sample(draws[0])
+        # each bound is about five standard errors
+        assert draws.mean() == pytest.approx(0.7, abs=0.08)
+        assert draws.std() == pytest.approx(1.0, abs=0.06)
+
+    def test_cauchy_median_draws_the_middle_observation(self):
+        for k, theta, seed in [(0, 0.0, 1), (2, -1.5, 2), (7, 3.0, 3)]:
+            z = sl.CauchyMedian(k).sample(theta, RNG(seed))
+            assert z == sl.CauchyLocation(2 * k + 1).sample(theta, RNG(seed))[k]
+        rng = RNG(4)
+        draws = np.array([sl.CauchyMedian(2).sample(1.0, rng) for _ in range(4000)])
+        assert np.median(draws) == pytest.approx(1.0, abs=0.06)
+
+    def test_bivariate_slice_draws_a_pair(self):
+        f = sl.BivariateNormalSlice(4)  # each coordinate has SD 1/2
+        rng = RNG(6)
+        draws = np.array([f.sample(-0.4, rng) for _ in range(4000)])
+        f.check_sample(tuple(draws[0]))
+        assert draws.mean(axis=0) == pytest.approx([-0.4, 0.0], abs=0.04)
+        assert draws.std(axis=0) == pytest.approx([0.5, 0.5], abs=0.03)
 
     def test_empirical_median_matches_location(self):
         rng = RNG(11)
@@ -581,6 +636,16 @@ class Coin(sl.Family):
         return np.array([1.0 - theta, theta])
 
 
+class Flat(sl.Family):
+    """A likelihood that never falls: no level below its sup is reached."""
+
+    def mle(self, y):
+        return 0.0
+
+    def loglik(self, theta, y):
+        return 0.0
+
+
 class TestNewFamily:
     """A new family needs no edit elsewhere in the package."""
 
@@ -604,6 +669,10 @@ class TestNewFamily:
         assert sl.check_identity(g, 0.3) < 1e-8
         with pytest.raises(sl.DomainError):
             sl.variance(f, 1.0, lambda y: float(y))
+
+    def test_lrt_hull_needs_a_likelihood_that_falls(self):
+        with pytest.raises(sl.BracketError, match="60 doublings"):
+            Flat().lrt_hull(0.0, 1.92)
 
     def test_likelihood_ratio_and_kl_need_their_methods(self):
         f = Logistic()

@@ -291,6 +291,13 @@ class TestSquaredSlopeAndEfficiency:
             for p in P_GRID:
                 assert sl.squared_slope(g, p) <= BERN.fisher_info(p) * (1 + 1e-8)
 
+    def test_constant_estimator_has_no_slope(self):
+        # V(g) = 0: no squared slope, score correlation or efficiency exists
+        g = sl.GenEstimator(BERN, lambda y, th: 0.0)
+        for quantity in (sl.squared_slope, sl.score_correlation2, sl.lambda_efficiency):
+            with pytest.raises(sl.ZeroVarianceError, match="not positive"):
+                quantity(g, 0.3)
+
     def test_v_efficiency_matches_lambda_efficiency_for_unbiased(self):
         # y/n is unbiased for p: Eff^V = Eff^Lambda (equality case)
         u = lambda y: y / 10.0

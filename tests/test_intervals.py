@@ -253,7 +253,22 @@ class TestObservedInfo:
             sl.observed_info(f, 10.0, np.array([-0.5, 0.5]))
 
 
+class Wavy(sl.Family):
+    """Unit information and the score y - theta + 5 sin(theta), which rises
+    near theta = 0, inside the first search bracket [-50, 50]."""
+
+    def score(self, theta, y):
+        return y - theta + 5.0 * math.sin(theta)
+
+    def fisher_info(self, theta):
+        return 1.0
+
+
 class TestScoreInterval:
+    def test_rising_standardized_score_is_refused(self):
+        with pytest.raises(sl.NonMonotoneError):
+            sl.score_interval(Wavy(), 0.0, Z95)
+
     def test_normal_closed_form(self):
         # sbar = sqrt(n)(xbar - theta)/sigma, so the interval is
         # xbar +/- k sigma/sqrt(n)

@@ -157,3 +157,13 @@ def test_one_rule_decides_what_counts_as_an_integer():
     found = [(path.name, fn, line) for path in sorted(SRC.glob("*.py"))
              for fn, line in _calls(_tree(path.name), _tests_an_integer_type)]
     assert {(name, fn) for name, fn, _ in found} == {("families.py", "check_int")}, found
+
+
+def test_each_paper_decision_is_written_once():
+    # the Bernoulli statistics (gcore.BERNOULLI_STATISTICS), the p grid's
+    # 2% margins (gcore.default_grid) and the Cauchy information n/2
+    # (CauchyLocation.fisher_info), each read by every module that needs it
+    text = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    for written, home, times in [("y * (y - 1)", "gcore.py", 1), ("0.02 *", "gcore.py", 2),
+                                 ("n / 2.0", "families.py", 1)]:
+        assert {name: t.count(written) for name, t in text.items() if written in t} == {home: times}, written

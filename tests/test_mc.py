@@ -604,6 +604,24 @@ class TestRunCoverage:
             assert adj.coverage_error[m] < raw.coverage_error[m]
         assert adj.coverage_error["lrt"] == raw.coverage_error["lrt"]
 
+    @pytest.mark.parametrize("failed, raises", [(1, False), (2, True)])
+    def test_failures_past_one_in_ten_thousand_abort(self, failed, raises, monkeypatch):
+        run_batch = sl.mc._run_batch
+
+        def failing(cfg, start, count):
+            out, seconds, counters = run_batch(cfg, start, count)
+            if start == 0:
+                out["failed"][:failed] = True
+            return out, seconds, counters
+
+        monkeypatch.setattr(sl.mc, "_run_batch", failing)
+        cfg = sl.SimConfig(reps=10_000, seed=0)
+        if raises:
+            with pytest.raises(sl.SimulationError, match="2 replicate failures out of 10000"):
+                sl.run_coverage(cfg)
+        else:
+            assert sl.run_coverage(cfg).n_failures == 1
+
     def test_reps_one(self):
         s = sl.run_coverage(sl.SimConfig(reps=1, seed=0))
         assert s.replicates.shape == (1,)
@@ -679,7 +697,7 @@ class TestQq:
         with pytest.raises(sl.DomainError):
             sl.qq_data(small_summary, "nope")
 
-    @pytest.mark.parametrize("n", [1, 3, 4])
+    @pytest.mark.parametrize("n", [1, 3, 4, 6, 16])  # an even n has no one middle observation
     def test_median_needs_n_at_least_5_before_simulating(self, n, small_summary):
         summary = dataclasses.replace(small_summary, config=dataclasses.replace(CFG_SMALL, n=n))
         with pytest.raises(sl.DomainError, match=f"n={n}"):
