@@ -27,6 +27,19 @@ failed, and the LRT level set is reported as its hull, flagged when it
 is a union of intervals, whose ends ``cauchy_level_set_ends`` finds; both
 bisect with ``_bisect``.  The scalar ``cauchy_mle`` and the Cauchy
 ``lrt_interval`` are that kernel on a batch of one.
+
+The ends' steps decide l(theta) > t mostly without logs, by the product
+P = prod (1 + t_i^2) against E = e^-t, yet exactly as the log sum decides
+them.  The product decides only where P lies outside E (1 +- delta),
+delta = (4n + 12 + (n + 4) |t|) 2^-52.  That band covers the product's
+2n - 1 roundings, exp and log1p each within 4 ulps (the tests hold numpy
+to that), the thresholds' two roundings and the log sum's n - 1
+additions; so outside it the log sum, rounded as it is, lies on the
+product's side of t.  The log sum decides inside the band, where P or E
+overflows, in every step after one that found more than a sixteenth of
+its columns in the band, and in batches of fewer than 32 rows.  So every
+end is the log sum's bit for bit, and a row's ends are its own in any
+batch.
 """
 
 from __future__ import annotations
@@ -127,6 +140,10 @@ _SKIP_MARGIN = 1e-9
 _REACH = 1.0 + 2.0 * _CELL
 _SKIPPED = np.iinfo(np.int64).max  # start of a skipped window, sorted last
 _FLOAT_MAX = np.finfo(float).max
+_FLOAT_TINY = np.finfo(float).tiny  # the smallest normal float
+# Columns (twice the rows) from which the hull's ends decide by products
+# (``_EndTest``); a narrower batch's set-up costs more than its logs.
+_PRODUCT_COLUMNS = 64
 _END_DOUBLINGS = 1030  # a hull end's step 0.5 * 2^k reaches _FLOAT_MAX at k = 1025
 # Halvings of a hull end's bracket of width d: d 2^-55 is at most half an ulp
 # of d/2, so an end at least d/2 from 0 reaches adjacent floats.
@@ -144,13 +161,16 @@ _L3 = 1.5 + math.sqrt(2.0)
 
 @dataclass
 class MleCounters:
-    """Work and outcomes of ``cauchy_level_set_batch``, summed over calls."""
+    """Work and outcomes of ``cauchy_level_set_batch`` and
+    ``cauchy_level_set_ends``, summed over calls."""
 
     brackets: int = 0  # score sign changes bisected, to maxima and to minima
     halved: int = 0  # cells split because no test closed them
     capped: int = 0  # samples with a cell open after _MAX_HALVINGS rounds, or too many open
     windows_skipped: int = 0  # outermost unit windows whose likelihood bound cannot reach the level set
     lattice_points: int = 0  # lattice points scored before any halving
+    end_decisions: int = 0  # l(theta) > target decided for a hull end, one per column and step
+    end_log_decisions: int = 0  # of those, the ones the log sum took, not the product
 
 
 def cauchy_level_set_batch(x, drop: float, counters: Optional[MleCounters] = None):
@@ -317,7 +337,7 @@ def cauchy_level_set_batch(x, drop: float, counters: Optional[MleCounters] = Non
     return theta_hat, target, outer, disconnected
 
 
-def cauchy_level_set_ends(x, outer: np.ndarray, target: np.ndarray):
+def cauchy_level_set_ends(x, outer: np.ndarray, target: np.ndarray, counters: Optional[MleCounters] = None):
     """Ends (lo, hi) of the hull of {theta : l(theta) > target} per row:
     past its outermost maxima ``outer``, l > target on one interval, so
     a step of 0.5, doubled while inside, brackets each for ``_bisect``: 55
@@ -325,26 +345,115 @@ def cauchy_level_set_ends(x, outer: np.ndarray, target: np.ndarray):
     reaches past the largest float is -inf or +inf; no end is a point
     inside the set.  Both ends go through one loop, on ``x`` stacked twice:
     lo from outer[0] downward in the first half, hi from outer[1] upward in
-    the second.  Each row's steps are those of its own end alone."""
+    the second.  Each row's steps are those of its own end alone.
+
+    Every step decides l(theta) > target per column by ``_EndTest``, as
+    the log sum l = -sum log(1 + t_i^2) of ``_loglik_rows`` decides it, bit
+    for bit, though mostly from the product P = prod (1 + t_i^2) against
+    E = exp(-target), which needs no log.  With delta = (4n + 12 +
+    (n + 4) |target|) 2^-52 per column, the product decides inside where
+    P < E (1 - delta) and outside where P > E (1 + delta).  In units of
+    2^-52, one ulp at 1, the band covers, with room to spare:
+
+    * the product's 2n - 1 roundings, of each 1 + t_i^2 and of n - 1
+      products, in any order: n - 1/2 (Higham, 2002, Lemma 3.1);
+    * exp within 4 ulps: 4, and the roundings of the two thresholds: 1;
+    * the log sum: each log1p within 4 ulps and n - 1 additions in any
+      order, off by at most ((n - 1)/2 + 4) |l| in all (Higham, 2002,
+      section 4.2, as all its terms share one sign), with
+      |l| <= |target| + |l - target|.
+
+    The t_i and t_i^2 are the same floats in both, so a product outside
+    the band puts l - target, and with it the log sum's rounded value, on
+    the product's side of 0.  The log sum decides where the product falls
+    inside the band; where P or E overflows (E must be a finite normal
+    float, and delta below 2^-20); and for every column of each step after
+    one that found more than a sixteenth of its columns in the band.  That
+    share doubles with each halving near the end of a bisection, and a
+    column's log sum taken alone costs about twice its share of a whole
+    pass.  A batch of fewer than 64 columns (32 rows) takes the log sum
+    alone, as the set-up would cost more than the logs it spares.  So
+    every decision, and every end, is the log sum's, whatever the batch;
+    the tests hold numpy's exp and log1p to the 4 ulps assumed.
+    ``counters``, if given, adds the decisions taken and those the log
+    sum took."""
     m = x.shape[0]
     xt = np.ascontiguousarray(np.concatenate([x, x]).T)
-    work = np.empty_like(xt)
     start = np.concatenate(outer)
     target = np.concatenate([target, target])
+    narrow = xt.shape[1] < _PRODUCT_COLUMNS
+    if narrow:  # the log sum alone, with no set-up
+        work = np.empty_like(xt)
+        steps = 0
+
+        def inside_at(mid):
+            nonlocal steps
+            steps += 1
+            return _loglik_rows(xt, mid, work) > target
+    else:
+        inside_at = _EndTest(xt, target)
     sgn = np.repeat([-1.0, 1.0], m)
     d = np.full(2 * m, 0.5)
     far = start + sgn * d
     # past |theta| near 1e154 t^2 overflows, which ``_loglik_rows`` mends
     with np.errstate(over="raise"):
         for _ in range(_END_DOUBLINGS):
-            inside = _loglik_rows(xt, far, work) > target
+            inside = inside_at(far)
             if not inside.any():
                 break
             d = np.where(inside, np.minimum(d, 0.5 * _FLOAT_MAX) * 2.0, d)
             far = start + sgn * d
-        ends = _bisect(lambda mid: _loglik_rows(xt, mid, work) > target, start, far, _END_BISECTIONS)
+        ends = _bisect(inside_at, start, far, _END_BISECTIONS)
     ends[inside] = sgn[inside] * np.inf  # rows still inside at +-_FLOAT_MAX
+    if counters is not None:
+        taken = (steps * xt.shape[1],) * 2 if narrow else (inside_at.decisions, inside_at.log_decisions)
+        counters.end_decisions += taken[0]
+        counters.end_log_decisions += taken[1]
     return ends[:m], ends[m:]
+
+
+class _EndTest:
+    """l(theta[k]) > target[k] for each column k of ``xt``, called under
+    errstate(over="raise"): decided by the product where it certifies the
+    log sum's decision, else by the log sum, as ``cauchy_level_set_ends``
+    states.  ``decisions`` and ``log_decisions`` count the column
+    decisions taken, and those the log sum took.  The product is not a
+    sum: ``np.prod`` may multiply in any order, which cannot reach a
+    decision, as the band covers its rounding in every order."""
+
+    def __init__(self, xt: np.ndarray, target: np.ndarray):
+        self.xt, self.target = xt, target
+        self.work = np.empty_like(xt)
+        self.decisions = self.log_decisions = 0
+        n = xt.shape[0]
+        with np.errstate(over="ignore"):
+            e = np.exp(-target)
+            delta = (4 * n + 12 + (n + 4) * np.abs(target)) * 2.0**-52
+            certain = (e >= _FLOAT_TINY) & (e <= _FLOAT_MAX) & (delta < 2.0**-20)
+            # the band's ends; None once the log sum decides every column
+            self.lo = np.where(certain, e * (1.0 - delta), 0.0)
+            self.hi = np.where(certain, e * (1.0 + delta), np.inf)
+
+    def __call__(self, theta: np.ndarray) -> np.ndarray:
+        self.decisions += theta.size
+        if self.lo is not None:
+            with np.errstate(over="ignore"):
+                u = np.subtract(self.xt, theta, out=self.work)
+                np.multiply(u, u, out=u)
+                u += 1.0
+                p = np.prod(u, axis=0)
+            inside = p < self.lo
+            # the band, a NaN and an overflowed product go to the log sum
+            k = np.flatnonzero(~(inside | ((p > self.hi) & (p <= _FLOAT_MAX))))
+            if k.size:
+                self.log_decisions += k.size
+                xk = self.xt.take(k, axis=1)
+                inside[k] = _loglik_rows(xk, theta[k], np.empty_like(xk)) > self.target[k]
+            if 16 * k.size > theta.size:
+                self.lo = self.hi = None  # the bisection is closing in: logs from here on
+            return inside
+        self.log_decisions += theta.size
+        return _loglik_rows(self.xt, theta, self.work) > self.target
 
 
 def _loglik_rows(xt: np.ndarray, theta: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -405,17 +514,27 @@ def _lattice(x: np.ndarray, skipped: np.ndarray):
     sorted, skipped ones last; as every window lays as many indices, the
     ends come sorted too, so a window lays only its indices past the end
     of the window before it."""
-    first = np.floor((x - 1.0) / _CELL).astype(np.int64) - 1
+    first = np.subtract(x, 1.0)
+    first /= _CELL
+    first = np.floor(first, out=first).astype(np.int64)
+    first -= 1
     first[skipped] = _SKIPPED
     first.sort(axis=1)
-    end = first + _WINDOW_POINTS * (first != _SKIPPED)  # a skipped window ends where it starts
-    start = first.copy()
-    np.maximum(first[:, 1:], end[:, :-1], out=start[:, 1:])
-    count = end - start
+    end = first.copy()
+    np.add(end, _WINDOW_POINTS, out=end, where=first != _SKIPPED)  # a skipped window ends where it starts
+    # first becomes each window's start, then its count of lattice points
+    np.maximum(first[:, 1:], end[:, :-1], out=first[:, 1:])
+    count = np.subtract(end, first, out=first)
     row = np.repeat(np.arange(x.shape[0]), count.sum(axis=1))
-    count = count.ravel()
-    offset = np.repeat(start.ravel() - (np.cumsum(count) - count), count)
-    return row, offset + np.arange(offset.size)
+    laid = np.flatnonzero(count)
+    count = count.ravel()[laid]
+    offset = end.ravel()[laid]
+    del end
+    offset -= np.cumsum(count)  # a window's start less the points laid before it
+    j = np.repeat(offset, count)
+    del offset, count
+    j += np.arange(j.size)
+    return row, j
 
 
 def _chunks(size: int, n: int) -> list:

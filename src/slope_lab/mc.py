@@ -7,10 +7,10 @@ seed, at any ``reps`` and worker count.  Replicates are processed in
 vectorized batches: the Philox draw, one certified pass of ``cauchy``
 for the MLE and LRT level set, the observed information, and the LRT
 hull's ends are all done on whole batches.  With one thread,
-``cauchy-sim --raw --reps 100000`` takes 2.9-3.3 s end to end, import
+``cauchy-sim --raw --reps 100000`` takes 2.7-3.2 s end to end, import
 included, about 33,000 replicates/s, on a 2-core Intel Xeon VM (Python
 3.11, numpy 2.4).  Of a one-thread ``run_coverage`` on 100,000
-replicates, 53-58% goes to the MLE pass and 35-40% to the LRT hull's ends.
+replicates, 56-60% goes to the MLE pass and 33-36% to the LRT hull's ends.
 
 The per-replicate table records everything the downstream projections
 need (coverage flags, KL lengths, observed information, and the raw
@@ -236,7 +236,7 @@ def _draw_batch(seed: int, start: int, count: int, n: int, theta: float) -> np.n
 
 def _run_batch(cfg: SimConfig, start: int, count: int):
     """One batch of replicates, with its seconds per STAGES entry and its
-    MLE and failure counters."""
+    MLE, hull-end and failure counters."""
     marks = [time.perf_counter()]
     x = _draw_batch(cfg.seed, start, count, cfg.n, cfg.theta_true)
     marks.append(time.perf_counter())
@@ -251,19 +251,21 @@ def _run_batch(cfg: SimConfig, start: int, count: int):
     out["i_obs"] = i_obs
     finite = np.isfinite(theta_hat)
     out["failed"] = ~finite | (i_obs <= 0.0)
+    marks.append(time.perf_counter())
+    lrt = cauchy_level_set_ends(x, outer, target, mle)
+    marks.append(time.perf_counter())
     counters = {
         "brackets": mle.brackets,
         "cells_halved": mle.halved,
         "windows_skipped": mle.windows_skipped,
         "lattice_points": mle.lattice_points,
+        "end_decisions": mle.end_decisions,
+        "end_log_decisions": mle.end_log_decisions,
         "failed_cap": mle.capped,
         "failed_nonfinite": int((~finite).sum()) - mle.capped,
         "failed_info": int((finite & (i_obs <= 0.0)).sum()),
         "lrt_disconnected": int(disconnected.sum()),
     }
-    marks.append(time.perf_counter())
-    lrt = cauchy_level_set_ends(x, outer, target)
-    marks.append(time.perf_counter())
     _interval_columns(out, cfg, RAW_ADJUSTMENTS, lrt)
     at_true = cauchy_offsets(x, np.full(count, cfg.theta_true))
     out["lrt_at_true"] = 2.0 * (cauchy_loglik(at_true) - cauchy_loglik(t_hat))

@@ -1,7 +1,9 @@
 """Monte Carlo coverage engine: determinism, projections, edge cases."""
 
 import dataclasses
+import decimal
 import io
+import json
 import math
 from unittest import mock
 
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import slope_lab as sl
-from slope_lab import cauchy
+from slope_lab import cauchy, cli
 from slope_lab.cauchy import cauchy_level_set_batch, cauchy_level_set_ends
 from slope_lab.mc import _draw_batch, _run_batch
 
@@ -554,6 +556,121 @@ class TestRowBitsAreItsOwn:
         for reps in range(9, 8 * 12, 8):
             last = sl.run_coverage(dataclasses.replace(cfg, reps=reps)).replicates[-1]
             assert last.tobytes() == every[reps - 1].tobytes(), reps
+
+
+def _decide(xt, theta, target):
+    """The hull ends' test of l(theta) > target on the columns of ``xt``,
+    with the log sum's own decisions beside it."""
+    test = cauchy._EndTest(xt, target)
+    with np.errstate(over="raise"):
+        got = test(theta)
+        want = cauchy._loglik_rows(xt, theta, np.empty_like(xt)) > target
+    return got, want, test
+
+
+def _ulps(got, exact):
+    """Distance of the float ``got`` from the Decimal ``exact``, in ulps of ``exact``."""
+    return abs(decimal.Decimal(float(got)) - exact) / decimal.Decimal(math.ulp(float(exact)))
+
+
+class TestCertifiedEndDecisions:
+    """The hull ends decide l(theta) > target mostly by the product
+    prod (1 + t_i^2) against e^-target, but only outside a band that covers
+    its rounding and the log sum's: every decision is the log sum's."""
+
+    @staticmethod
+    def _columns(n, targets_per_sample):
+        """(xt, theta, l) for four seed-0 samples at two points each near
+        their middle, where e^-l is finite up to n = 201, every column
+        repeated ``targets_per_sample`` times."""
+        x = _draw_batch(0, 0, 4, n, 0.0)
+        theta = np.concatenate([x[:, n // 2] + 0.7, x[:, n // 2] - 0.4])
+        xt = np.ascontiguousarray(np.repeat(np.concatenate([x, x]), targets_per_sample, axis=0).T)
+        theta = np.repeat(theta, targets_per_sample)
+        with np.errstate(over="raise"):
+            l = cauchy._loglik_rows(xt, theta, np.empty_like(xt))
+        return xt, theta, l
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 201])
+    def test_decisions_at_a_few_ulps_from_the_log_sum(self, n):
+        k = np.arange(-64, 65)
+        xt, theta, l = self._columns(n, k.size)
+        target = l + np.tile(k, 8) * np.abs(np.spacing(l))
+        got, want, test = _decide(xt, theta, target)
+        assert got.tobytes() == want.tobytes()
+        assert test.log_decisions > 0  # the nearest columns fall in the band
+        # the decisions change side within the columns swept
+        assert 0 < want.sum() < want.size
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 201])
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_decisions_across_each_band_edge(self, n, side):
+        # the product decides below lo = e^-t (1 - delta), t below l - delta,
+        # and above hi = e^-t (1 + delta), t above l + delta
+        j = np.arange(-24, 25)
+        xt, theta, l = self._columns(n, j.size)
+        delta = (4 * n + 12 + (n + 4) * np.abs(l)) * 2.0**-52
+        target = l + side * delta + np.tile(j, 8) * 2.0**-52 * (1.0 + np.abs(l))
+        got, want, test = _decide(xt, theta, target)
+        assert got.tobytes() == want.tobytes()
+        # the sweep crosses the edge: the product took some of its columns
+        assert 0 < test.log_decisions < l.size
+
+    def test_overflowed_product_or_exp_takes_the_log_sum(self):
+        # t ~ 3e10: the product of 15 factors 1 + t^2 overflows, though
+        # e^-target does not at target -705; e^-target overflows at -710
+        x = _draw_batch(0, 0, 32, 15, 0.0)
+        xt = np.ascontiguousarray(np.concatenate([x, x]).T)
+        theta = np.where(np.arange(64) < 4, 3e10, x[:, 7].repeat(2) + 0.5)
+        with np.errstate(over="raise"):
+            l = cauchy._loglik_rows(xt, theta, np.empty_like(xt))
+        target = l + np.where(np.arange(64) % 2, 1.0, -1.0)
+        target[:4] = -705.0
+        target[4:8] = -710.0
+        got, want, test = _decide(xt, theta, target)
+        assert got.tobytes() == want.tobytes()
+        assert test.log_decisions == 8
+        assert (l[:4] < -709.8).all() and not want[:4].any()
+
+    @pytest.mark.parametrize("n", [1, 15])
+    def test_overflow_rows_give_the_log_sums_ends(self, n):
+        # each row run alone is a batch of two columns, which the log sum
+        # alone decides; in the batch, e^-target overflows for the rows at
+        # target -715, and products overflow past the ends of those at -705
+        x = _draw_batch(3, 0, 40, n, 0.0)
+        _, target, outer, _ = cauchy_level_set_batch(x, 1.92)
+        target[::20] = -715.0
+        target[1::20] = -705.0
+        counters = cauchy.MleCounters()
+        lo, hi = cauchy_level_set_ends(x, outer, target, counters)
+        assert 0 < counters.end_log_decisions < counters.end_decisions
+        for r in range(len(x)):
+            alone = cauchy.MleCounters()
+            ends = cauchy_level_set_ends(x[r : r + 1], outer[:, r : r + 1], target[r : r + 1], alone)
+            assert (ends[0][0], ends[1][0]) == (lo[r], hi[r]), r
+            assert alone.end_log_decisions == alone.end_decisions > 0
+        if n == 1:  # near these ends t^2 overflows, which the log sum mends
+            assert (hi[::20] > 1e150).all() and np.isfinite(hi[::20]).all()
+
+    def test_numpy_exp_and_log1p_within_the_ulps_the_band_assumes(self):
+        # 4 ulps each, against 40-digit decimal values, over the arguments
+        # the band meets: -target where e^-target is a finite normal float,
+        # and t^2 over the floats
+        rng = np.random.default_rng(0)
+        context = decimal.Context(prec=40)
+        a = np.concatenate([rng.uniform(-708.39, 709.78, 6000), rng.standard_cauchy(4000) * 1e-3])
+        worst_exp = max(_ulps(g, context.exp(decimal.Decimal(float(v)))) for g, v in zip(np.exp(a), a))
+        s = np.concatenate([10.0 ** rng.uniform(-300.0, 300.0, 6000), rng.uniform(0.0, 4.0, 4000)])
+        exact = decimal.Context(prec=1100)  # 1 + s, exactly, for s down to 1e-300
+        worst_log1p = max(_ulps(g, context.ln(exact.add(1, decimal.Decimal(float(v)))))
+                          for g, v in zip(np.log1p(s), s))
+        assert worst_exp <= 4 and worst_log1p <= 4, (worst_exp, worst_log1p)
+
+    def test_the_manifest_reports_the_end_decisions(self, tmp_path):
+        assert cli.main(["cauchy-sim", "--reps", "300", "--raw", "--out-prefix", str(tmp_path / "sim")]) == 0
+        c = json.loads((tmp_path / "sim_manifest.json").read_text())["telemetry"]["counters"]
+        assert 0 < c["end_log_decisions"] < c["end_decisions"]
+        assert c["end_decisions"] >= 2 * 300 * 55  # every column at each step, 55 halvings and a doubling
 
 
 class TestRunCoverage:
