@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import gammaln
+import scipy
 
 from .cauchy import (cauchy_kl_length, cauchy_level_set_ends, cauchy_loglik, cauchy_mle, cauchy_obs_info,
                      cauchy_offsets, cauchy_score, cauchy_sorted_draws, certified_level_set)
@@ -150,7 +150,7 @@ def _median_density(k: int, z, theta: float):
 @functools.cache
 def _median_log_constant(k: int) -> float:
     """log((2k+1)! / (k!)^2 / pi), the constant of ``median_density``."""
-    return gammaln(2 * k + 2) - 2.0 * gammaln(k + 1) - math.log(math.pi)
+    return scipy.special.gammaln(2 * k + 2) - 2.0 * scipy.special.gammaln(k + 1) - math.log(math.pi)
 
 
 def _per_row(fn: Callable) -> Callable:
@@ -706,7 +706,7 @@ class BivariateNormalSlice(Family):
 def _log_binomials(n: int) -> np.ndarray:
     """log C(n, y) for y = 0..n, the constant part of ``Bernoulli.pmf``."""
     ys = np.arange(n + 1)
-    out = gammaln(n + 1) - gammaln(ys + 1) - gammaln(n - ys + 1)
+    out = scipy.special.gammaln(n + 1) - scipy.special.gammaln(ys + 1) - scipy.special.gammaln(n - ys + 1)
     out.flags.writeable = False  # cached: every caller gets this array
     return out
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import betaincinv
+import scipy
 
 from .cauchy import cauchy_mle  # noqa: F401  (re-exported: part of this module's API)
 from .errors import CurvatureError, DomainError, NonexistenceError, NonMonotoneError
@@ -237,6 +237,6 @@ def exact_bernoulli_interval(n: int, y: int, alpha: float) -> Interval:
     Bernoulli(n).check_sample(y)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha={alpha} outside (0, 1)")
-    lo = 0.0 if y == 0 else float(betaincinv(y, n - y + 1, alpha / 2.0))
-    hi = 1.0 if y == n else float(betaincinv(y + 1, n - y, 1.0 - alpha / 2.0))
+    lo = 0.0 if y == 0 else float(scipy.special.betaincinv(y, n - y + 1, alpha / 2.0))
+    hi = 1.0 if y == n else float(scipy.special.betaincinv(y + 1, n - y, 1.0 - alpha / 2.0))
     return Interval(lo=lo, hi=hi, method=METHOD_EXACT_BERNOULLI, level_k=alpha)

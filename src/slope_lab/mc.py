@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.special import ndtri
+import scipy
 
 from .cauchy import (
     MleCounters,
@@ -81,7 +81,7 @@ class SimConfig:
 
     @property
     def z(self) -> float:
-        return float(ndtri(1.0 - self.alpha / 2.0))
+        return float(scipy.special.ndtri(1.0 - self.alpha / 2.0))
 
 
 @dataclass
@@ -149,15 +149,16 @@ _REPLICATE_DTYPE = np.dtype(
 _METHOD_SUFFIX = {"wald_expected": "we", "wald_observed": "wo", "lrt": "lrt"}
 
 
-def _interval_columns(table: np.ndarray, cfg: SimConfig, adjustments: Dict[str, float], lrt=None) -> None:
+def _interval_columns(table: np.ndarray, cfg: SimConfig, z: float, adjustments: Dict[str, float],
+                      lrt=None) -> None:
     """Write the Wald methods' hit, width and KL-length columns, theta_hat +/-
-    adjustment * z / sqrt(info) with the expected information n/2 or the
-    table's i_obs, and the LRT's if its ends ``lrt`` are given."""
+    adjustment * z / sqrt(info) with z = ``cfg.z`` and the expected information
+    n/2 or the table's i_obs, and the LRT's if its ends ``lrt`` are given."""
     theta_hat, i_obs = table["theta_hat"], np.maximum(table["i_obs"], 1e-300)
     ends = {} if lrt is None else {"lrt": lrt}
     expected = CauchyLocation(cfg.n).fisher_info(cfg.theta_true)
     for method, info in (("wald_expected", expected), ("wald_observed", i_obs)):
-        half = adjustments[method] * cfg.z / np.sqrt(info)
+        half = adjustments[method] * z / np.sqrt(info)
         ends[method] = (theta_hat - half, theta_hat + half)
     for method, (lo, hi) in ends.items():
         sfx = _METHOD_SUFFIX[method]
@@ -234,16 +235,16 @@ def _draw_batch(seed: int, start: int, count: int, n: int, theta: float) -> np.n
     return cauchy_sorted_draws(u, theta)
 
 
-def _run_batch(cfg: SimConfig, start: int, count: int):
-    """One batch of replicates, with its seconds per STAGES entry and its
-    MLE, hull-end and failure counters."""
+def _run_batch(cfg: SimConfig, z: float, start: int, count: int):
+    """One batch of replicates at the normal quantile z = ``cfg.z``, with its
+    seconds per STAGES entry and its MLE, hull-end and failure counters."""
     marks = [time.perf_counter()]
     x = _draw_batch(cfg.seed, start, count, cfg.n, cfg.theta_true)
     marks.append(time.perf_counter())
     out = np.zeros(count, dtype=_REPLICATE_DTYPE)
     out["rep"] = np.arange(start, start + count)
     mle = MleCounters()
-    theta_hat, target, outer, disconnected = cauchy_level_set_batch(x, cfg.z * cfg.z / 2.0, mle)
+    theta_hat, target, outer, disconnected = cauchy_level_set_batch(x, z * z / 2.0, mle)
     out["theta_hat"] = theta_hat
     marks.append(time.perf_counter())
     t_hat = cauchy_offsets(x, theta_hat)
@@ -266,7 +267,7 @@ def _run_batch(cfg: SimConfig, start: int, count: int):
         "failed_info": int((finite & (i_obs <= 0.0)).sum()),
         "lrt_disconnected": int(disconnected.sum()),
     }
-    _interval_columns(out, cfg, RAW_ADJUSTMENTS, lrt)
+    _interval_columns(out, cfg, z, RAW_ADJUSTMENTS, lrt)
     at_true = cauchy_offsets(x, np.full(count, cfg.theta_true))
     out["lrt_at_true"] = 2.0 * (cauchy_loglik(at_true) - cauchy_loglik(t_hat))
     out["score_at_true"] = cauchy_score(at_true)
@@ -302,10 +303,11 @@ def run_coverage(cfg: SimConfig, workers: Optional[int] = None) -> SimSummary:
     workers = threads_from_env() if workers is None else check_int("workers", workers, 1)
     starts = list(range(0, cfg.reps, BATCH))
     table = np.zeros(cfg.reps, dtype=_REPLICATE_DTYPE)
+    z = cfg.z  # here, so the pool threads never make scipy.special's first load
 
     def work(start: int):
         count = min(BATCH, cfg.reps - start)
-        table[start : start + count], seconds, counters = _run_batch(cfg, start, count)
+        table[start : start + count], seconds, counters = _run_batch(cfg, z, start, count)
         return seconds, counters
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -334,7 +336,7 @@ def readjust(summary: SimSummary, adjustments: Dict[str, float]) -> SimSummary:
         raise DomainError(f"adjustments {dict(adjustments)}: each of {METHODS} needs a positive, "
                           "finite multiplier, and the lrt one must be 1")
     table = summary.replicates.copy()
-    _interval_columns(table, summary.config, adj)
+    _interval_columns(table, summary.config, summary.config.z, adj)
     return replace(summary, replicates=table, stage_seconds=dict(summary.stage_seconds),
                    counters=dict(summary.counters), adjustments=adj, **_aggregate(table))
 
@@ -402,7 +404,7 @@ def qq_data(summary: SimSummary, statistic: str) -> np.ndarray:
         vals = (table["median"] - cfg.theta_true) / median_sd(cfg.n)
     vals = np.sort(vals)
     m = vals.size
-    q = ndtri((np.arange(1, m + 1) - 0.5) / m)
+    q = scipy.special.ndtri((np.arange(1, m + 1) - 0.5) / m)
     return np.column_stack([q, vals])
 
 

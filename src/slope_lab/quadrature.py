@@ -8,6 +8,9 @@ explicit failure signalling instead of silent inaccuracy.  Nothing here
 decides whether an integral converges: a caller integrates only what it
 knows to be finite, with an integrand that is bounded after the
 substitution (``families.median_variance`` states its rule).
+
+Only ``scipy`` is imported here; ``scipy.integrate`` loads at the first
+integral, so a process that integrates nothing never pays for its import.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import warnings
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
+import scipy
 
 from .errors import QuadratureError
 
@@ -38,12 +41,12 @@ def integrate_real_line(f: Callable[[float], float]) -> float:
         return f(np.tan(u)) / (c * c)
 
     with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
+        warnings.simplefilter("error", scipy.integrate.IntegrationWarning)
         try:
-            value, err = integrate.quad(
+            value, err = scipy.integrate.quad(
                 g, -_HALF_PI, _HALF_PI, epsabs=ABS_TOL, epsrel=REL_TOL, limit=LIMIT
             )
-        except integrate.IntegrationWarning as exc:
+        except scipy.integrate.IntegrationWarning as exc:
             raise QuadratureError(f"adaptive quadrature did not converge: {exc}") from exc
     if not np.isfinite(value):
         raise QuadratureError("quadrature returned a non-finite value")

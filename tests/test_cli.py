@@ -268,8 +268,8 @@ class TestExitCodes:
     def test_too_many_failed_replicates_exit_2(self, tmp_path, monkeypatch, capsys):
         run_batch = slope_lab.mc._run_batch
 
-        def failing(cfg, start, count):
-            out, seconds, counters = run_batch(cfg, start, count)
+        def failing(cfg, z, start, count):
+            out, seconds, counters = run_batch(cfg, z, start, count)
             out["failed"] = True
             return out, seconds, counters
 
@@ -506,3 +506,44 @@ def test_import_leaves_scipy_stats_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+_SCIPY_LOAD_STEPS = """
+import sys
+import numpy as np
+import slope_lab as sl
+from slope_lab import cli
+
+def loaded(step):
+    print(step, *(m in sys.modules for m in ("scipy.special", "scipy.integrate")))
+
+loaded("import")
+f = sl.CauchyLocation(15)
+x = np.sort(np.random.default_rng(0).standard_cauchy(15))
+th = sl.cauchy_mle(x)
+ivs = [sl.wald_interval(th, f.fisher_info(0.0), 1.96),
+       sl.wald_interval(th, sl.observed_info(f, th, x), 1.96, method="wald_observed"),
+       sl.lrt_interval(sl.lrt_estimate(f, x), 1.96)]
+[sl.kl_length(f, iv) for iv in ivs]
+loaded("scalar")
+median = sl.lift_point_estimator(f, lambda y: y[7], mean_fn=lambda th: th, mean_deriv=lambda th: 1.0)
+sl.slope_report(median, [0.0, 0.5], mc_draws=200, mc_seed=0)
+sl.check_identity(sl.score_estimator(f), 0.5, mc_draws=200, mc_seed=0)
+loaded("monte_carlo")
+cli.main(["bernoulli-eff", "--n", "10", "--grid", "5", "--out", sys.argv[1]])
+loaded("bernoulli-eff")
+"""
+
+
+def test_cauchy_paths_leave_special_and_integrate_unloaded(tmp_path):
+    # scipy's submodules load on first use, most of the package's import
+    # time: the Cauchy scalar and Monte Carlo paths need neither, and
+    # bernoulli-eff needs scipy.special (log binomials) but no quadrature
+    src = str(Path(slope_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _SCIPY_LOAD_STEPS, str(tmp_path / "e.csv")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    steps = dict(line.split(" ", 1) for line in done.stdout.splitlines())
+    assert steps == {"import": "False False", "scalar": "False False", "monte_carlo": "False False",
+                     "bernoulli-eff": "True False"}

@@ -1,5 +1,5 @@
-"""The package's import graph: imports only at module level, and the
-Cauchy module standing on numpy and ``errors`` alone; the family
+"""The package's import graph: imports only at module level, scipy
+imported bare, and the Cauchy module standing on numpy and ``errors`` alone; the family
 contract: an override keeps its base method's signature, and no family
 overrides the one expectation engine, ``Family.expect``; and the estimator
 roles: chosen by type, with no field naming them and no test of which
@@ -167,3 +167,23 @@ def test_each_paper_decision_is_written_once():
     for written, home, times in [("y * (y - 1)", "gcore.py", 1), ("0.02 *", "gcore.py", 2),
                                  ("n / 2.0", "families.py", 1)]:
         assert {name: t.count(written) for name, t in text.items() if written in t} == {home: times}, written
+
+
+def _names_scipy(node):
+    names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+    return any(name.split(".")[0] == "scipy" for name in names)
+
+
+def test_scipy_is_imported_bare():
+    # scipy loads a submodule at its first attribute access, so a bare
+    # ``import scipy`` at module level keeps scipy.special and
+    # scipy.integrate out of every process that never calls them;
+    # ``from scipy.x import`` or ``import scipy.x`` loads them with the package
+    bare = ast.dump(ast.parse("import scipy").body[0])
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path.name)
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) and _names_scipy(node)
+                  and not (ast.dump(node) == bare and node in tree.body)]
+    assert found == []

@@ -142,7 +142,8 @@ class TestBatchMle:
         assert counters.capped == needs_halving.sum()
         with pytest.raises(sl.CertificateError):
             sl.cauchy_mle(x[np.argmax(needs_halving)])
-        out, _, reasons = _run_batch(sl.SimConfig(reps=200, seed=0), 0, 200)
+        cfg = sl.SimConfig(reps=200, seed=0)
+        out, _, reasons = _run_batch(cfg, cfg.z, 0, 200)
         assert reasons["failed_cap"] == out["failed"].sum() == lrt_needs_halving.sum()
         assert np.isnan(out["theta_hat"][lrt_needs_halving]).all()
 
@@ -214,7 +215,7 @@ class TestLrtRoots:
         oracle = _grid_disconnected(x, theta_hat, self.z)
         got, want = np.nonzero(disconnected)[0] + start, np.nonzero(oracle)[0] + start
         assert got.tolist() == want.tolist() == [13057, 13645]
-        _, _, counters = _run_batch(sl.SimConfig(seed=0), start, count)
+        _, _, counters = _run_batch(sl.SimConfig(seed=0), self.z, start, count)
         assert counters["lrt_disconnected"] == oracle.sum()
 
 
@@ -725,8 +726,8 @@ class TestRunCoverage:
     def test_failures_past_one_in_ten_thousand_abort(self, failed, raises, monkeypatch):
         run_batch = sl.mc._run_batch
 
-        def failing(cfg, start, count):
-            out, seconds, counters = run_batch(cfg, start, count)
+        def failing(cfg, z, start, count):
+            out, seconds, counters = run_batch(cfg, z, start, count)
             if start == 0:
                 out["failed"][:failed] = True
             return out, seconds, counters
