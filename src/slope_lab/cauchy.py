@@ -28,18 +28,10 @@ is a union of intervals, whose ends ``cauchy_level_set_ends`` finds; both
 bisect with ``_bisect``.  The scalar ``cauchy_mle`` and the Cauchy
 ``lrt_interval`` are that kernel on a batch of one.
 
-The ends' steps decide l(theta) > t mostly without logs, by the product
-P = prod (1 + t_i^2) against E = e^-t, yet exactly as the log sum decides
-them.  The product decides only where P lies outside E (1 +- delta),
-delta = (4n + 12 + (n + 4) |t|) 2^-52.  That band covers the product's
-2n - 1 roundings, exp and log1p each within 4 ulps (the tests hold numpy
-to that), the thresholds' two roundings and the log sum's n - 1
-additions; so outside it the log sum, rounded as it is, lies on the
-product's side of t.  The log sum decides inside the band, where P or E
-overflows, in every step after one that found more than a sixteenth of
-its columns in the band, and in batches of fewer than 32 rows.  So every
-end is the log sum's bit for bit, and a row's ends are its own in any
-batch.
+The ends' steps decide l(theta) > t mostly by a product of the
+1 + t_i^2, without logs, yet each as the log sum decides it, so every end
+is the log sum's bit for bit and a row's ends are its own in any batch;
+``cauchy_level_set_ends`` gives the argument.
 """
 
 from __future__ import annotations
@@ -141,8 +133,8 @@ _REACH = 1.0 + 2.0 * _CELL
 _SKIPPED = np.iinfo(np.int64).max  # start of a skipped window, sorted last
 _FLOAT_MAX = np.finfo(float).max
 _FLOAT_TINY = np.finfo(float).tiny  # the smallest normal float
-# Columns (twice the rows) from which the hull's ends decide by products
-# (``_EndTest``); a narrower batch's set-up costs more than its logs.
+# Columns (twice the rows) from which ``_EndTest`` decides by products; a
+# narrower batch starts in its log state (``cauchy_level_set_ends``).
 _PRODUCT_COLUMNS = 64
 _END_DOUBLINGS = 1030  # a hull end's step 0.5 * 2^k reaches _FLOAT_MAX at k = 1025
 # Halvings of a hull end's bracket of width d: d 2^-55 is at most half an ulp
@@ -347,10 +339,10 @@ def cauchy_level_set_ends(x, outer: np.ndarray, target: np.ndarray, counters: Op
     lo from outer[0] downward in the first half, hi from outer[1] upward in
     the second.  Each row's steps are those of its own end alone.
 
-    Every step decides l(theta) > target per column by ``_EndTest``, as
-    the log sum l = -sum log(1 + t_i^2) of ``_loglik_rows`` decides it, bit
-    for bit, though mostly from the product P = prod (1 + t_i^2) against
-    E = exp(-target), which needs no log.  With delta = (4n + 12 +
+    Every step decides l(theta) > target per column by one ``_EndTest``,
+    as the log sum l = -sum log(1 + t_i^2) of ``_loglik_rows`` decides it,
+    bit for bit, though mostly from the product P = prod (1 + t_i^2)
+    against E = exp(-target), which needs no log.  With delta = (4n + 12 +
     (n + 4) |target|) 2^-52 per column, the product decides inside where
     P < E (1 - delta) and outside where P > E (1 + delta).  In units of
     2^-52, one ulp at 1, the band covers, with room to spare:
@@ -366,32 +358,22 @@ def cauchy_level_set_ends(x, outer: np.ndarray, target: np.ndarray, counters: Op
     The t_i and t_i^2 are the same floats in both, so a product outside
     the band puts l - target, and with it the log sum's rounded value, on
     the product's side of 0.  The log sum decides where the product falls
-    inside the band; where P or E overflows (E must be a finite normal
-    float, and delta below 2^-20); and for every column of each step after
-    one that found more than a sixteenth of its columns in the band.  That
-    share doubles with each halving near the end of a bisection, and a
-    column's log sum taken alone costs about twice its share of a whole
-    pass.  A batch of fewer than 64 columns (32 rows) takes the log sum
-    alone, as the set-up would cost more than the logs it spares.  So
-    every decision, and every end, is the log sum's, whatever the batch;
-    the tests hold numpy's exp and log1p to the 4 ulps assumed.
-    ``counters``, if given, adds the decisions taken and those the log
-    sum took."""
+    inside the band, and where P or E overflows (E must be a finite normal
+    float, and delta below 2^-20).  After a step that found more than a
+    sixteenth of its columns in the band the test is in its log state: the
+    log sum decides every column of every later step.  That share doubles
+    with each halving near the end of a bisection, and a column's log sum
+    taken alone costs about twice its share of a whole pass.  A batch of
+    fewer than 64 columns (32 rows) starts in the log state, as the
+    product's set-up would cost more than the logs it spares.  So every
+    decision, and every end, is the log sum's, whatever the batch; the
+    tests hold numpy's exp and log1p to the 4 ulps assumed.  ``counters``,
+    if given, adds the decisions taken and those the log sum took."""
     m = x.shape[0]
     xt = np.ascontiguousarray(np.concatenate([x, x]).T)
     start = np.concatenate(outer)
-    target = np.concatenate([target, target])
-    narrow = xt.shape[1] < _PRODUCT_COLUMNS
-    if narrow:  # the log sum alone, with no set-up
-        work = np.empty_like(xt)
-        steps = 0
-
-        def inside_at(mid):
-            nonlocal steps
-            steps += 1
-            return _loglik_rows(xt, mid, work) > target
-    else:
-        inside_at = _EndTest(xt, target)
+    test = _EndTest(xt, np.concatenate([target, target]))
+    inside_at = test.__call__  # a bound method: a cheaper call than the object's
     sgn = np.repeat([-1.0, 1.0], m)
     d = np.full(2 * m, 0.5)
     far = start + sgn * d
@@ -406,54 +388,65 @@ def cauchy_level_set_ends(x, outer: np.ndarray, target: np.ndarray, counters: Op
         ends = _bisect(inside_at, start, far, _END_BISECTIONS)
     ends[inside] = sgn[inside] * np.inf  # rows still inside at +-_FLOAT_MAX
     if counters is not None:
-        taken = (steps * xt.shape[1],) * 2 if narrow else (inside_at.decisions, inside_at.log_decisions)
-        counters.end_decisions += taken[0]
-        counters.end_log_decisions += taken[1]
+        counters.end_decisions += test.decisions
+        counters.end_log_decisions += test.log_decisions
     return ends[:m], ends[m:]
 
 
 class _EndTest:
     """l(theta[k]) > target[k] for each column k of ``xt``, called under
-    errstate(over="raise"): decided by the product where it certifies the
-    log sum's decision, else by the log sum, as ``cauchy_level_set_ends``
-    states.  ``decisions`` and ``log_decisions`` count the column
-    decisions taken, and those the log sum took.  The product is not a
-    sum: ``np.prod`` may multiply in any order, which cannot reach a
-    decision, as the band covers its rounding in every order."""
+    errstate(over="raise"), as ``cauchy_level_set_ends`` states: by the
+    product where it certifies the log sum's decision, else by the log sum,
+    and by the log sum alone in the log state, where a batch of fewer than
+    _PRODUCT_COLUMNS columns starts.  It counts its steps and the column
+    decisions the product took, so the log state adds one count per step.
+    The product is not a sum: ``np.prod`` may multiply in any order, which
+    cannot reach a decision, as the band covers its rounding in every
+    order."""
 
     def __init__(self, xt: np.ndarray, target: np.ndarray):
         self.xt, self.target = xt, target
         self.work = np.empty_like(xt)
-        self.decisions = self.log_decisions = 0
-        n = xt.shape[0]
-        with np.errstate(over="ignore"):
-            e = np.exp(-target)
-            delta = (4 * n + 12 + (n + 4) * np.abs(target)) * 2.0**-52
-            certain = (e >= _FLOAT_TINY) & (e <= _FLOAT_MAX) & (delta < 2.0**-20)
-            # the band's ends; None once the log sum decides every column
-            self.lo = np.where(certain, e * (1.0 - delta), 0.0)
-            self.hi = np.where(certain, e * (1.0 + delta), np.inf)
+        self.steps = self.by_product = 0
+        self.lo = self.hi = None  # the band's ends; None in the log state
+        if xt.shape[1] >= _PRODUCT_COLUMNS:
+            n = xt.shape[0]
+            with np.errstate(over="ignore"):
+                e = np.exp(-target)
+                delta = (4 * n + 12 + (n + 4) * np.abs(target)) * 2.0**-52
+                certain = (e >= _FLOAT_TINY) & (e <= _FLOAT_MAX) & (delta < 2.0**-20)
+                self.lo = np.where(certain, e * (1.0 - delta), 0.0)
+                self.hi = np.where(certain, e * (1.0 + delta), np.inf)
+
+    @property
+    def decisions(self) -> int:
+        """The column decisions taken, one per column and step."""
+        return self.steps * self.xt.shape[1]
+
+    @property
+    def log_decisions(self) -> int:
+        """Of ``decisions``, those the log sum took."""
+        return self.decisions - self.by_product
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
-        self.decisions += theta.size
-        if self.lo is not None:
-            with np.errstate(over="ignore"):
-                u = np.subtract(self.xt, theta, out=self.work)
-                np.multiply(u, u, out=u)
-                u += 1.0
-                p = np.prod(u, axis=0)
-            inside = p < self.lo
-            # the band, a NaN and an overflowed product go to the log sum
-            k = np.flatnonzero(~(inside | ((p > self.hi) & (p <= _FLOAT_MAX))))
-            if k.size:
-                self.log_decisions += k.size
-                xk = self.xt.take(k, axis=1)
-                inside[k] = _loglik_rows(xk, theta[k], np.empty_like(xk)) > self.target[k]
-            if 16 * k.size > theta.size:
-                self.lo = self.hi = None  # the bisection is closing in: logs from here on
-            return inside
-        self.log_decisions += theta.size
-        return _loglik_rows(self.xt, theta, self.work) > self.target
+        self.steps += 1
+        if self.lo is None:
+            return _loglik_rows(self.xt, theta, self.work) > self.target
+        with np.errstate(over="ignore"):
+            u = np.subtract(self.xt, theta, out=self.work)
+            np.multiply(u, u, out=u)
+            u += 1.0
+            p = np.prod(u, axis=0)
+        inside = p < self.lo
+        # the band, a NaN and an overflowed product go to the log sum
+        k = np.flatnonzero(~(inside | ((p > self.hi) & (p <= _FLOAT_MAX))))
+        self.by_product += theta.size - k.size
+        if k.size:
+            xk = self.xt.take(k, axis=1)
+            inside[k] = _loglik_rows(xk, theta[k], np.empty_like(xk)) > self.target[k]
+        if 16 * k.size > theta.size:
+            self.lo = self.hi = None  # the bisection is closing in: logs from here on
+        return inside
 
 
 def _loglik_rows(xt: np.ndarray, theta: np.ndarray, work: np.ndarray) -> np.ndarray:

@@ -18,9 +18,12 @@ that the squared slope separates estimators that bias and variance
 cannot: a one-parameter slice of the zero-correlation bivariate normal
 where the parameter moves only the first coordinate.
 
-Log-likelihoods drop additive constants that do not depend on the
-parameter (k(n,y) = 0 convention); scores, information, and slope
-quantities are invariant to this choice.
+The log-likelihoods of ``Bernoulli``, ``NormalLocation`` and
+``BivariateNormalSlice`` drop additive constants that do not depend on
+the parameter (k(n,y) = 0 convention: the log binomial coefficient, the
+normal's log normalizer); ``CauchyLocation``'s keeps its -n log(pi), and
+``CauchyMedian``'s is the full log density of the median.  Scores,
+information, and slope quantities are invariant to this choice.
 
 A new family is one new class here, with ``check_sample``, ``loglik``,
 ``score``, ``fisher_info``, ``sample``, and the nodes of its expectations:
@@ -64,6 +67,7 @@ Sample = Union[int, float, np.ndarray, tuple]
 DEFAULT_MC_DRAWS = 10**6
 _MC_CHUNK = 1 << 14  # Monte Carlo samples drawn and held at once
 _THETA_TOL = 1e-10
+_FD_STEP = 1e-5  # a central difference at theta steps _FD_STEP * (1 + |theta|)
 _MAX_DOUBLINGS = 60
 
 CHART_P = "p"
@@ -120,9 +124,18 @@ def reparam(family: "Family", from_chart: str, to_chart: str, value: float) -> f
     if from_chart == CHART_P:
         if not 0.0 < value < 1.0:
             raise DomainError(f"p={value} outside (0, 1)")
-        return math.log(value / (1.0 - value))
-    # log_odds -> p
-    return 1.0 / (1.0 + math.exp(-value))
+        return _logit(value)
+    return _logistic(value)
+
+
+def _logit(p: float) -> float:
+    """The log odds log(p / (1 - p)) of p in (0, 1): Bernoulli's chart map."""
+    return math.log(p / (1.0 - p))
+
+
+def _logistic(theta: float) -> float:
+    """The p = 1 / (1 + e^-theta) of log odds theta, the inverse of ``_logit``."""
+    return 1.0 / (1.0 + math.exp(-theta))
 
 
 def median_density(k: int, z: float, theta: float) -> float:
@@ -296,7 +309,7 @@ class Family:
 
     def observed_info(self, theta_hat: float, y: Sample) -> float:
         """-l''(theta_hat; y), by a central difference of the score."""
-        h = 1e-5 * (1.0 + abs(theta_hat))
+        h = _FD_STEP * (1.0 + abs(theta_hat))
         return -(self.score(theta_hat + h, y) - self.score(theta_hat - h, y)) / (2.0 * h)
 
     def sup_loglik(self, y: Sample, mle: float) -> float:
@@ -366,7 +379,7 @@ class Bernoulli(Family):
     def _p(self, theta: float) -> float:
         if self.chart == CHART_P:
             return theta
-        return 1.0 / (1.0 + math.exp(-theta))
+        return _logistic(theta)
 
     def check_sample(self, y: Sample) -> None:
         if not 0 <= y <= self.n or y != int(y):  # the range first: int() of NaN or inf raises
@@ -424,7 +437,7 @@ class Bernoulli(Family):
             return float(p_hat)
         if y in (0, self.n):
             return math.copysign(math.inf, y - self.n / 2)
-        return math.log(p_hat / (1.0 - p_hat))
+        return _logit(p_hat)
 
     def sup_loglik(self, y: Sample, mle: float) -> float:
         """sup over the closed [0, 1], with the 0 log 0 = 0 convention."""
@@ -725,19 +738,22 @@ def _gauss_hermite() -> tuple:
 
 # The median information and variance are pure functions of k and each
 # costs an adaptive quadrature, so each k is integrated once per process.
+# Each checks k first, and is cached by k's type as well as its value, so a
+# float or a bool equal to a good k is refused, never answered from the cache.
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def median_fisher_info(k: int) -> float:
     """Fisher information of the median law, by quadrature."""
+    k = check_int("k", k, 0)
 
     def integrand(t: float) -> float:
-        return _median_dlog_dtheta(k, np.asarray(t)) ** 2 * median_density(k, t, 0.0)
+        return _median_dlog_dtheta(k, np.asarray(t)) ** 2 * _median_density(k, t, 0.0)
 
     return integrate_real_line(integrand)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def median_variance(k: int) -> float:
     """Variance of the median law, by quadrature; finite iff k >= 2.
 
@@ -749,12 +765,13 @@ def median_variance(k: int) -> float:
     rule, without integrating.  For k >= 2, z^2 f_med(z) (1 + z^2) is
     bounded, so the integrand after the tangent substitution is too.
     """
+    k = check_int("k", k, 0)
     if k in (0, 1):
         raise DivergentIntegralError(
             f"the median of {2 * k + 1} Cauchy draws has no variance: its tails fall as |z|^-{k + 2}"
         )
 
     def integrand(t: float) -> float:
-        return t * t * median_density(k, t, 0.0)
+        return t * t * _median_density(k, t, 0.0)
 
     return integrate_real_line(integrand)

@@ -54,10 +54,8 @@ from typing import Callable, ClassVar, Optional, Sequence
 import numpy as np
 
 from .errors import BiasError, DivergentIntegralError, DomainError, OrientationError, ZeroVarianceError
-from .families import (DEFAULT_MC_DRAWS, Bernoulli, CauchyMedian, Family, _Pass, _SCORE, check_int,
+from .families import (DEFAULT_MC_DRAWS, Bernoulli, CauchyMedian, Family, _FD_STEP, _Pass, _SCORE, check_int,
                        median_fisher_info, median_variance)
-
-_FD_STEP = 1e-5
 
 
 def expect(

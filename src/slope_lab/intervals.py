@@ -76,8 +76,8 @@ def observed_info(f: Family, theta_hat: float, y) -> float:
 
 
 def _score_bracket(f: Family, width_doublings: int):
-    """Successive search brackets: theta_hat +/- 50/sqrt(I), doubled, or
-    the shrinking interior of a bounded chart domain."""
+    """Successive search brackets: 0 +/- 50/sqrt(I(0)), doubled, or the
+    shrinking interior of a bounded chart domain."""
     lo_dom, hi_dom = f.param_domain()
     if math.isfinite(lo_dom) and math.isfinite(hi_dom):
         margin = 0.01 * (hi_dom - lo_dom) / 2.0**width_doublings
@@ -171,10 +171,7 @@ def lrt_interval(L: LrtEstimate, z: float, adjustment: float = 1.0) -> Interval:
     """Connected hull of {theta : S(theta) > -(adjustment*z)^2}: the
     outermost roots of S = -z^2, from the family's ``lrt_hull``, with
     ``disconnected`` set when the level set is a union of intervals."""
-    z_eff = _positive_level(z, adjustment)
-    drop = z_eff * z_eff / 2.0
-    if drop == math.inf:
-        raise DomainError(f"level adjustment * z = {z_eff} gives an infinite drop z^2 / 2")
+    drop = lrt_drop(_positive_level(z, adjustment))
     lo, hi, disconnected = L.family.lrt_hull(L.sample, drop)
     return Interval(
         lo=lo,
@@ -184,6 +181,16 @@ def lrt_interval(L: LrtEstimate, z: float, adjustment: float = 1.0) -> Interval:
         adjustment=adjustment,
         disconnected=disconnected,
     )
+
+
+def lrt_drop(z: float) -> float:
+    """The drop z^2 / 2 in l of the LRT level S = -z^2, z the adjusted
+    quantile, a DomainError where it is infinite; the coverage batch reads
+    it too."""
+    drop = z * z / 2.0
+    if drop == math.inf:
+        raise DomainError(f"level adjustment * z = {z} gives an infinite drop z^2 / 2")
+    return drop
 
 
 def _positive_level(z: float, adjustment: float) -> float:
@@ -211,14 +218,21 @@ def wald_interval(
         raise DomainError(f"theta_hat must be finite, got {theta_hat}")
     if not 0 < info < math.inf:
         raise DomainError(f"information must be positive and finite, got {info}")
-    half = _positive_level(z, adjustment) / math.sqrt(info)
+    lo, hi = wald_ends(theta_hat, info, _positive_level(z, adjustment))
     return Interval(
-        lo=theta_hat - half,
-        hi=theta_hat + half,
+        lo=float(lo),
+        hi=float(hi),
         method=method,
         level_k=z,
         adjustment=adjustment,
     )
+
+
+def wald_ends(theta_hat, info, z_eff):
+    """theta_hat -/+ z_eff / sqrt(info), elementwise: the Wald ends of one
+    sample or, in the coverage batch, of every replicate."""
+    half = z_eff / np.sqrt(info)
+    return theta_hat - half, theta_hat + half
 
 
 def exact_bernoulli_interval(n: int, y: int, alpha: float) -> Interval:

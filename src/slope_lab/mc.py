@@ -43,14 +43,15 @@ from .cauchy import (
 )
 from .errors import DivergentIntegralError, DomainError, SimulationError
 from .families import SEED_END, CauchyLocation, check_int, median_variance
+from .intervals import METHOD_LRT, METHOD_WALD_EXPECTED, METHOD_WALD_OBSERVED, lrt_drop, wald_ends
 
-METHODS = ("wald_expected", "wald_observed", "lrt")
+METHODS = (METHOD_WALD_EXPECTED, METHOD_WALD_OBSERVED, METHOD_LRT)
 # The paper's interval-width multipliers for n = 15, which readjust applies.
 # The two Wald multipliers bring each Wald coverage error to the LRT's raw
 # error (about 5.6%), not to the nominal alpha; the LRT is left as it is.
 # Interval lengths are compared only at this common coverage.
-PAPER_ADJUSTMENTS = {"wald_expected": 1.08555, "wald_observed": 1.05518, "lrt": 1.0}
-RAW_ADJUSTMENTS = {"wald_expected": 1.0, "wald_observed": 1.0, "lrt": 1.0}
+PAPER_ADJUSTMENTS = dict(zip(METHODS, (1.08555, 1.05518, 1.0)))
+RAW_ADJUSTMENTS = dict.fromkeys(METHODS, 1.0)
 
 BATCH = 4096  # replicates per batch; a batch's arrays are (BATCH, n)
 _FAILURE_ABORT_FRACTION = 1e-4
@@ -146,20 +147,19 @@ _REPLICATE_DTYPE = np.dtype(
     ]
 )
 
-_METHOD_SUFFIX = {"wald_expected": "we", "wald_observed": "wo", "lrt": "lrt"}
+_METHOD_SUFFIX = dict(zip(METHODS, ("we", "wo", "lrt")))
 
 
 def _interval_columns(table: np.ndarray, cfg: SimConfig, z: float, adjustments: Dict[str, float],
                       lrt=None) -> None:
-    """Write the Wald methods' hit, width and KL-length columns, theta_hat +/-
-    adjustment * z / sqrt(info) with z = ``cfg.z`` and the expected information
-    n/2 or the table's i_obs, and the LRT's if its ends ``lrt`` are given."""
+    """Write the Wald methods' hit, width and KL-length columns, ``wald_ends``
+    at adjustment * z with z = ``cfg.z`` and the expected information n/2 or
+    the table's i_obs, and the LRT's if its ends ``lrt`` are given."""
     theta_hat, i_obs = table["theta_hat"], np.maximum(table["i_obs"], 1e-300)
-    ends = {} if lrt is None else {"lrt": lrt}
+    ends = {} if lrt is None else {METHOD_LRT: lrt}
     expected = CauchyLocation(cfg.n).fisher_info(cfg.theta_true)
-    for method, info in (("wald_expected", expected), ("wald_observed", i_obs)):
-        half = adjustments[method] * z / np.sqrt(info)
-        ends[method] = (theta_hat - half, theta_hat + half)
+    for method, info in ((METHOD_WALD_EXPECTED, expected), (METHOD_WALD_OBSERVED, i_obs)):
+        ends[method] = wald_ends(theta_hat, info, adjustments[method] * z)
     for method, (lo, hi) in ends.items():
         sfx = _METHOD_SUFFIX[method]
         table["hit_" + sfx] = (lo < cfg.theta_true) & (cfg.theta_true < hi)
@@ -244,7 +244,7 @@ def _run_batch(cfg: SimConfig, z: float, start: int, count: int):
     out = np.zeros(count, dtype=_REPLICATE_DTYPE)
     out["rep"] = np.arange(start, start + count)
     mle = MleCounters()
-    theta_hat, target, outer, disconnected = cauchy_level_set_batch(x, z * z / 2.0, mle)
+    theta_hat, target, outer, disconnected = cauchy_level_set_batch(x, lrt_drop(z), mle)
     out["theta_hat"] = theta_hat
     marks.append(time.perf_counter())
     t_hat = cauchy_offsets(x, theta_hat)
@@ -332,7 +332,7 @@ def readjust(summary: SimSummary, adjustments: Dict[str, float]) -> SimSummary:
     """
     adj = {m: float(adjustments.get(m, 1.0)) for m in METHODS}
     valid = set(adjustments) <= set(METHODS) and all(0.0 < a < math.inf for a in adj.values())
-    if not valid or adj["lrt"] != 1.0:
+    if not valid or adj[METHOD_LRT] != 1.0:
         raise DomainError(f"adjustments {dict(adjustments)}: each of {METHODS} needs a positive, "
                           "finite multiplier, and the lrt one must be 1")
     table = summary.replicates.copy()

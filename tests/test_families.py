@@ -258,6 +258,8 @@ class TestIntegerRule:
         "bin_by_obs_info.bins": (lambda v: sl.bin_by_obs_info(_summary(), v).counts.tolist(), 4),
         "default_grid.points": (lambda v: sl.default_grid(sl.Bernoulli(3), v).tolist(), 5),
         "cauchy_table_row.n": (lambda v: sl.cauchy_table_row(v), 5),
+        "median_fisher_info.k": (sl.median_fisher_info, 3),
+        "median_variance.k": (sl.median_variance, 2),
     }
 
     @pytest.mark.parametrize("entry", ENTRIES)
@@ -270,6 +272,15 @@ class TestIntegerRule:
     def test_a_numpy_integer_is_accepted(self, entry):
         make, good = self.ENTRIES[entry]
         assert make(np.int64(good)) == make(good)
+
+    @pytest.mark.parametrize("entry", ["median_fisher_info.k", "median_variance.k"])
+    def test_a_cached_law_is_not_given_for_a_float(self, entry):
+        # each k is integrated once and cached; a float equal to a k
+        # already cached is refused all the same
+        make, good = self.ENTRIES[entry]
+        make(np.int64(good))
+        with pytest.raises(sl.DomainError, match="must be a nonnegative integer"):
+            make(float(good))
 
 
 @contextlib.contextmanager

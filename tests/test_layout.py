@@ -141,6 +141,15 @@ def test_cauchy_sums_observations_in_one_place():
     assert {fn for fn, _ in sums} == {"_sum_obs"}, sums
 
 
+def test_only_the_end_test_takes_the_hull_ends_log_sums():
+    # the hull's ends decide every step through one _EndTest, a batch of
+    # one as well, so no other function in cauchy takes their log sums
+    tree = _tree("cauchy.py")
+    end_test = next(c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "_EndTest")
+    log_sums = lambda node: _calls(node, lambda c: isinstance(c.func, ast.Name) and c.func.id == "_loglik_rows")
+    assert log_sums(end_test) and log_sums(tree) == log_sums(end_test), log_sums(tree)
+
+
 def _tests_an_integer_type(call):
     """An ``isinstance`` or ``issubclass`` against ``bool``, ``int``,
     ``np.integer`` or ``np.bool_``."""
@@ -161,11 +170,17 @@ def test_one_rule_decides_what_counts_as_an_integer():
 
 def test_each_paper_decision_is_written_once():
     # the Bernoulli statistics (gcore.BERNOULLI_STATISTICS), the p grid's
-    # 2% margins (gcore.default_grid) and the Cauchy information n/2
-    # (CauchyLocation.fisher_info), each read by every module that needs it
+    # 2% margins (gcore.default_grid), the Cauchy information n/2
+    # (CauchyLocation.fisher_info), the Wald method names, the Wald ends
+    # (intervals.wald_ends), the LRT level z^2/2 (intervals.lrt_drop), the
+    # finite-difference step (families._FD_STEP) and the logistic map
+    # (families._logistic), each read by every module that needs it
     text = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     for written, home, times in [("y * (y - 1)", "gcore.py", 1), ("0.02 *", "gcore.py", 2),
-                                 ("n / 2.0", "families.py", 1)]:
+                                 ("n / 2.0", "families.py", 1), ('"wald_expected"', "intervals.py", 1),
+                                 ('"wald_observed"', "intervals.py", 1), ("/ np.sqrt(", "intervals.py", 1),
+                                 ("z * z / 2.0", "intervals.py", 1), ("1e-5", "families.py", 1),
+                                 ("1.0 / (1.0 + math.exp(-", "families.py", 1)]:
         assert {name: t.count(written) for name, t in text.items() if written in t} == {home: times}, written
 
 
