@@ -90,7 +90,7 @@ def cauchy_obs_info(t: np.ndarray) -> np.ndarray:
     Each term lies in [-1/4, 2], so -l'' lies in [-n/4, 2n].
     """
     u = t * t
-    return _sum_obs(2.0 * (1.0 - u) / (u + 1.0) ** 2)
+    return _sum_obs(2.0 * (1.0 - u) / np.square(u + 1.0))
 
 
 def cauchy_kl_length(width) -> np.ndarray:

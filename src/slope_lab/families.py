@@ -4,7 +4,8 @@ Four concrete families are provided:
 
 * ``Bernoulli(n)`` -- n coin flips reduced to the success count
   ``y in {0..n}``; parameterized either by the success probability
-  (chart ``"p"``) or by the log odds (chart ``"log_odds"``).
+  (chart ``"p"``) or by the log odds (chart ``"log_odds"``); its domain,
+  MLE and KL divergence read the chart only through ``_p`` and ``_theta``.
 * ``NormalLocation(sigma, n)`` -- normal mean with known sigma, sample
   reduced to the sufficient mean ``xbar``.
 * ``CauchyLocation(n)`` -- standard Cauchy shifted by theta; no
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -109,28 +110,28 @@ def _bisect(keep: Callable, a: float, b: float) -> float:
 
 
 def reparam(family: "Family", from_chart: str, to_chart: str, value: float) -> float:
-    """Map a parameter value between admissible charts of ``family``.
+    """Map a parameter value, checked in the open domain of ``from_chart``,
+    between admissible charts of ``family``.
 
     For Bernoulli this is the log-odds bijection p -> log(p/(1-p)) and
-    its inverse; all other families admit only the identity chart.
+    its inverse, through ``Bernoulli._p`` and ``_theta``; all other
+    families admit only the identity chart.
     """
     charts = family.charts
     if from_chart not in charts or to_chart not in charts:
         raise DomainError(
             f"charts ({from_chart!r}, {to_chart!r}) not admissible for {family}"
         )
+    at = lambda chart: family if chart == family.chart else replace(family, chart=chart)
+    at(from_chart).check_param(value)
     if from_chart == to_chart:
         return value
-    if from_chart == CHART_P:
-        if not 0.0 < value < 1.0:
-            raise DomainError(f"p={value} outside (0, 1)")
-        return _logit(value)
-    return _logistic(value)
+    return at(to_chart)._theta(at(from_chart)._p(value))
 
 
 def _logit(p: float) -> float:
-    """The log odds log(p / (1 - p)) of p in (0, 1): Bernoulli's chart map."""
-    return math.log(p / (1.0 - p))
+    """The log odds log(p / (1 - p)) of p in [0, 1], -inf at 0 and +inf at 1: Bernoulli's chart map."""
+    return math.copysign(math.inf, p - 0.5) if p in (0.0, 1.0) else math.log(p / (1.0 - p))
 
 
 def _logistic(theta: float) -> float:
@@ -151,7 +152,7 @@ def _median_density(k: int, z, theta: float):
     """``median_density`` of a checked k, as ``CauchyMedian`` reads it at every point."""
     t = np.asarray(z, dtype=float) - theta
     log_c = _median_log_constant(k)
-    bracket = 0.25 - np.arctan(t) ** 2 / math.pi**2
+    bracket = _median_angle(t)[1]
     with np.errstate(divide="ignore"):
         log_f = log_c + k * np.log(bracket) - np.log1p(t * t)
     out = np.exp(log_f)
@@ -172,10 +173,8 @@ def _per_row(fn: Callable) -> Callable:
 
 
 def _square(v):
-    """v ** 2 as Python's float ** takes it, by the C library's pow: on a
-    column by float_power, since numpy's ** 2 squares, which rounds
-    differently about once in 1,200."""
-    return np.float_power(v, 2) if isinstance(v, np.ndarray) else v**2
+    """v * v, the one square: a correctly rounded product, on a float and a column alike."""
+    return v * v
 
 
 _SCORE = object()  # marks the family's score among a _Pass's quantities
@@ -232,11 +231,16 @@ class _Pass:
         return m, self.mean((lambda v: _square(v - m)) if g is None else (lambda v: _square(g(v) - m)), name)
 
 
+def _median_angle(t):
+    """(arctan t, 1/4 - arctan(t)^2 / pi^2): the median law's angle, and F (1 - F) for the Cauchy cdf F."""
+    a = np.arctan(t)
+    return a, 0.25 - a * a / (math.pi * math.pi)
+
+
 def _median_dlog_dtheta(k: int, t: np.ndarray) -> np.ndarray:
     """d/dtheta log f_med(z; theta) expressed in t = z - theta."""
-    a = np.arctan(t)
-    bracket = 0.25 - a * a / math.pi**2
-    return (2.0 * k * a / (math.pi**2 * bracket) + 2.0 * t) / (1.0 + t * t)
+    a, bracket = _median_angle(t)
+    return (2.0 * k * a / (math.pi * math.pi * bracket) + 2.0 * t) / (1.0 + t * t)
 
 
 class Family:
@@ -367,19 +371,20 @@ class Bernoulli(Family):
         check_int("n", self.n, 1)
         if self.chart not in self.charts:
             raise DomainError(f"unknown chart {self.chart!r}")
+        object.__setattr__(self, "_domain", (self._theta(0.0), self._theta(1.0)))  # the images of p = 0, 1
 
     def param_domain(self) -> tuple:
-        if self.chart == CHART_P:
-            return (0.0, 1.0)
-        return (-math.inf, math.inf)
+        return self._domain
 
     def support(self) -> np.ndarray:
         return np.arange(self.n + 1)
 
     def _p(self, theta: float) -> float:
-        if self.chart == CHART_P:
-            return theta
-        return _logistic(theta)
+        """The success probability at theta; it and its inverse ``_theta`` alone read the chart."""
+        return theta if self.chart == CHART_P else _logistic(theta)
+
+    def _theta(self, p: float) -> float:
+        return p if self.chart == CHART_P else _logit(p)
 
     def check_sample(self, y: Sample) -> None:
         if not 0 <= y <= self.n or y != int(y):  # the range first: int() of NaN or inf raises
@@ -432,12 +437,7 @@ class Bernoulli(Family):
 
     def mle(self, y: Sample) -> float:
         self.check_sample(y)
-        p_hat = y / self.n
-        if self.chart == CHART_P:
-            return float(p_hat)
-        if y in (0, self.n):
-            return math.copysign(math.inf, y - self.n / 2)
-        return _logit(p_hat)
+        return float(self._theta(y / self.n))
 
     def sup_loglik(self, y: Sample, mle: float) -> float:
         """sup over the closed [0, 1], with the 0 log 0 = 0 convention."""
@@ -462,9 +462,9 @@ class Bernoulli(Family):
         return (-math.inf, edge, False) if mle < 0 else (-edge, math.inf, False)
 
     def kl(self, theta1: float, theta2: float) -> float:
-        if self.chart != CHART_P:
-            raise DomainError("Bernoulli KL divergence is defined in the p chart")
-        p1, p2 = theta1, theta2
+        p1, p2 = self._p(theta1), self._p(theta2)
+        if not (0.0 < p1 < 1.0 and 0.0 < p2 < 1.0):
+            raise DomainError(f"parameters ({theta1}, {theta2}) give p = ({p1}, {p2}), not both in (0, 1)")
         return self.n * (p1 * math.log(p1 / p2) + (1.0 - p1) * math.log((1.0 - p1) / (1.0 - p2)))
 
 
@@ -487,16 +487,16 @@ class NormalLocation(Family):
     def loglik(self, theta: float, y: Sample) -> float:
         self.check_param(theta)
         self.check_sample(y)
-        return -self.n * (y - theta) ** 2 / (2.0 * self.sigma**2)
+        return -self.n * _square(y - theta) / (2.0 * _square(self.sigma))
 
     def score(self, theta: float, y: Sample) -> float:
         self.check_param(theta)
         self.check_sample(y)
-        return self.n * (y - theta) / self.sigma**2
+        return self.n * (y - theta) / _square(self.sigma)
 
     def fisher_info(self, theta: float) -> float:
         self.check_param(theta)
-        return self.n / self.sigma**2
+        return self.n / _square(self.sigma)
 
     def sample(self, theta: float, rng: np.random.Generator) -> float:
         self.check_param(theta)
@@ -514,11 +514,11 @@ class NormalLocation(Family):
     def observed_info(self, theta_hat: float, y: Sample) -> float:
         self.check_param(theta_hat)
         self.check_sample(y)
-        return self.n / self.sigma**2
+        return self.n / _square(self.sigma)
 
     def kl(self, theta1: float, theta2: float) -> float:
         d = theta1 - theta2
-        return self.n * d * d / (2.0 * self.sigma**2)
+        return self.n * d * d / (2.0 * _square(self.sigma))
 
 
 @dataclass(frozen=True)
@@ -602,9 +602,8 @@ class CauchyLocation(Family):
         return float(cauchy_obs_info(cauchy_offsets(self._observations(y), theta_hat)))
 
     def kl(self, theta1: float, theta2: float) -> float:
-        """Single-observation divergence log(d^2 + 4) - log 4, d the gap."""
-        d = theta1 - theta2
-        return math.log(d * d + 4.0) - math.log(4.0)
+        """Single-observation divergence log(d^2 + 4) - log 4, d the gap: ``cauchy_kl_length`` of width 2d."""
+        return float(cauchy_kl_length(2.0 * (theta1 - theta2)))
 
     def kl_ball(self, lo: float, hi: float) -> tuple:
         return 0.5 * (lo + hi), float(cauchy_kl_length(hi - lo))
@@ -688,7 +687,7 @@ class BivariateNormalSlice(Family):
         self.check_param(theta)
         self.check_sample(y)
         z1, z2 = y
-        return -self.n * ((z1 - theta) ** 2 + z2 * z2) / 2.0
+        return -self.n * (_square(z1 - theta) + z2 * z2) / 2.0
 
     def score(self, theta: float, y: Sample) -> float:
         self.check_param(theta)
@@ -748,7 +747,7 @@ def median_fisher_info(k: int) -> float:
     k = check_int("k", k, 0)
 
     def integrand(t: float) -> float:
-        return _median_dlog_dtheta(k, np.asarray(t)) ** 2 * _median_density(k, t, 0.0)
+        return _square(_median_dlog_dtheta(k, np.asarray(t))) * _median_density(k, t, 0.0)
 
     return integrate_real_line(integrand)
 

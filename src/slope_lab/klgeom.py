@@ -8,11 +8,11 @@ Each family computes its own divergence (``Family.kl``) and smallest
 covering ball (``Family.kl_ball``; the Cauchy one in closed form, from
 ``cauchy``).  The normal location divergence is n d^2 / (2 sigma^2) for
 a parameter gap d, the Bernoulli one the n-weighted binary relative
-entropy, the Cauchy one log(d^2 + 4) - log 4.  For all three, the
-divergence is increasing in |d|, so the farthest model from a candidate
-center is always an interval endpoint; the cover check therefore needs
-only the two endpoints.  This monotonicity is asserted by a grid test
-in the suite, not assumed silently.
+entropy in either chart, the Cauchy one log(d^2 + 4) - log 4.  For all
+three, D(theta || c) grows as theta moves away from c either way, so the
+farthest model from a candidate center is always an interval endpoint;
+the cover check needs only the two endpoints, a monotonicity asserted by
+a grid test in the suite, not assumed silently.
 """
 
 from __future__ import annotations
@@ -61,10 +61,10 @@ def _ball(f: Family, iv) -> tuple:
     lo, hi = (iv.lo, iv.hi) if isinstance(iv, Interval) else map(float, iv)
     if lo > hi:
         raise DomainError(f"interval bounds out of order: ({lo}, {hi})")
-    if lo == hi:
-        return lo, 0.0
     f.check_param(lo)
     f.check_param(hi)
+    if lo == hi:
+        return lo, 0.0
     return f.kl_ball(lo, hi)
 
 

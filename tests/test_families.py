@@ -342,6 +342,14 @@ class TestMedianDensity:
     def test_large_k_no_overflow(self):
         assert np.isfinite(sl.median_density(120, 0.3, 0.0))
 
+    @pytest.mark.parametrize("k", [0, 3, 7, 15])
+    def test_an_array_is_its_points_bit_for_bit(self, k):
+        # every square is one product, so a point's density does not depend
+        # on whether it comes alone or in an array
+        z = 3.0 * np.random.default_rng(1).standard_cauchy(20_000)
+        alone = np.array([sl.median_density(k, float(v), 0.0) for v in z])
+        assert np.count_nonzero(sl.median_density(k, z, 0.0) != alone) == 0
+
     @pytest.mark.parametrize("k", [0, 1])
     def test_variance_diverges_small_k(self, k):
         with pytest.raises(sl.DivergentIntegralError):
@@ -492,6 +500,12 @@ class TestReparam:
     def test_bad_chart_rejected(self):
         with pytest.raises(sl.DomainError):
             sl.reparam(sl.NormalLocation(1.0, 2), "p", "theta", 0.5)
+
+    @pytest.mark.parametrize("charts, value", [(("log_odds", "p"), math.nan), (("log_odds", "p"), math.inf),
+                                               (("p", "p"), 2.0)], ids=repr)
+    def test_the_value_is_checked_in_its_own_chart(self, charts, value):
+        with pytest.raises(sl.DomainError):
+            sl.reparam(sl.Bernoulli(10), *charts, value)
 
 
 _CAUCHY_Y = np.array([-1.3, -0.2, 0.1, 0.4, 2.0])

@@ -581,7 +581,7 @@ class TestMonteCarloBlocks:
 class TestNodeEngines:
     """The slope quantities on the binomial sum and the Gauss-Hermite rule,
     against explicit per-moment expectations written from the definitions:
-    one weighted sum per moment, with Python's ``** 2``."""
+    one weighted sum per moment, each square one product, as in the engine."""
 
     P_OF = {"p": lambda th: th, "log_odds": lambda th: 1.0 / (1.0 + math.exp(-th))}
     GRID = {"p": [0.05, 0.3, 0.62, 0.9], "log_odds": [-2.5, -0.4, 0.8, 3.0]}
@@ -613,11 +613,11 @@ class TestNodeEngines:
     @staticmethod
     def definitions(f, E, kind, parts, th, ys):
         """``everything`` from explicit per-moment expectations ``E(phi, th)``."""
-        score = lambda y: f.score(th, y)
+        score, sq = (lambda y: f.score(th, y)), (lambda v: v * v)
         info, h = f.fisher_info(th), 1e-5 * (1.0 + abs(th))
         if kind == "score":
             m = E(score, th)
-            var = E(lambda y: (score(y) - m) ** 2, th)
+            var = E(lambda y: sq(score(y) - m), th)
             cov = E(lambda y: score(y) * score(y), th)
             lam, rho2, residual, g = info, 1.0, abs(info - cov), score
         elif kind.startswith("lift"):
@@ -627,7 +627,7 @@ class TestNodeEngines:
             ups_th = ups(th)
             g = lambda y: u(y) - ups_th
             m = E(g, th)
-            var = E(lambda y: (g(y) - m) ** 2, th)
+            var = E(lambda y: sq(g(y) - m), th)
             cov = E(lambda y: g(y) * score(y), th)
             slope = -dups  # h' = -dups at every y
             fd = (ups(th - h) - ups(th + h)) / (2.0 * h)
@@ -636,7 +636,7 @@ class TestNodeEngines:
             ev, dg = parts
             g = lambda y, t=th: ev(y, t)
             m = E(g, th)
-            var = E(lambda y: (g(y) - m) ** 2, th)
+            var = E(lambda y: sq(g(y) - m), th)
             cov = E(lambda y: g(y) * score(y), th)
             fd = E(lambda y: (g(y, th + h) - g(y, th - h)) / (2.0 * h), th)
             slope = fd if dg is None else E(lambda y: dg(y, th), th)
@@ -657,7 +657,7 @@ class TestNodeEngines:
         u = lambda y: y / 10.0
         for th in self.GRID[chart]:
             m = E(u, th)
-            v = E(lambda y: (u(y) - m) ** 2, th)
+            v = E(lambda y: (u(y) - m) * (u(y) - m), th)
             assert sl.v_efficiency(f, u, th, tol=math.inf).hex() == (1.0 / (f.fisher_info(th) * v)).hex()
 
     def test_bivariate_slice_equals_the_nested_rule(self):

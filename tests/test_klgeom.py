@@ -66,6 +66,31 @@ class TestDivergence:
             sl.kl_divergence(f, 0.0, 2.0)
         )
 
+    def test_cauchy_divergence_is_the_length_formula_bit_for_bit(self):
+        # one formula, cauchy.cauchy_kl_length: D at gap d is the KL length of
+        # (-d, d), where libm's log and numpy's would differ in the last bit
+        f = sl.CauchyLocation(15)
+        gaps = np.abs(3.0 * np.random.default_rng(1).standard_cauchy(100_000))
+        differ = [d for d in gaps if f.kl(0.0, d) != sl.kl_length(f, (-d, d))]
+        assert differ == []
+
+    def test_bernoulli_log_odds_divergence_is_the_p_charts(self):
+        fp, fo = sl.Bernoulli(10), sl.Bernoulli(10, chart="log_odds")
+        ps = [0.001, 0.05, 0.2, 0.45, 0.5, 0.73, 0.999]
+        for p1 in ps:
+            for p2 in ps:
+                want = sl.kl_divergence(fp, p1, p2)
+                got = sl.kl_divergence(fo, sl.reparam(fp, "p", "log_odds", p1), sl.reparam(fp, "p", "log_odds", p2))
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_bernoulli_log_odds_divergence_needs_p_inside_0_1(self):
+        # e^-40 vanishes beside 1, so p rounds to 1 at theta = 40: the
+        # divergence is refused there, not taken through log(0)
+        fo = sl.Bernoulli(10, chart="log_odds")
+        for args in [(40.0, 0.0), (0.0, 40.0)]:
+            with pytest.raises(sl.DomainError):
+                sl.kl_divergence(fo, *args)
+
 
 class TestKlBall:
     def test_contains(self):
@@ -135,6 +160,22 @@ class TestKlLength:
 
     def test_degenerate_is_zero(self):
         assert sl.kl_length(sl.CauchyLocation(15), (1.0, 1.0)) == 0.0
+
+    @pytest.mark.parametrize("f, pair", [(sl.Bernoulli(10), (2.0, 2.0)), (sl.CauchyLocation(5), (math.inf, math.inf))],
+                             ids=["bernoulli-p-2", "cauchy-inf"])
+    def test_a_degenerate_pair_checks_its_ends(self, f, pair):
+        with pytest.raises(sl.DomainError):
+            sl.kl_length(f, pair)
+        with pytest.raises(sl.DomainError):
+            sl.kl_length_center(f, pair)
+
+    def test_bernoulli_log_odds_length_is_the_p_charts(self):
+        # the KL length does not change under reparameterization; it is bisected
+        # in each chart, so the two agree to the bisection's tolerance
+        fp, fo = sl.Bernoulli(10), sl.Bernoulli(10, chart="log_odds")
+        for lo, hi in [(0.2, 0.45), (0.01, 0.3), (0.5, 0.97), (0.05, 0.95)]:
+            ends = tuple(sl.reparam(fp, "p", "log_odds", p) for p in (lo, hi))
+            assert sl.kl_length(fo, ends) == pytest.approx(sl.kl_length(fp, (lo, hi)), rel=1e-9)
 
     def test_accepts_interval_object(self):
         f = sl.CauchyLocation(15)

@@ -4,7 +4,8 @@ contract: an override keeps its base method's signature, and no family
 overrides the one expectation engine, ``Family.expect``; and the estimator
 roles: chosen by type, with no field naming them and no test of which
 estimator the moment code holds; the Cauchy sums, whose order one helper
-decides; and the one helper that decides what counts as an integer."""
+decides; the one helper that decides what counts as an integer; and every
+square in the package taken as one product."""
 
 import ast
 import dataclasses
@@ -173,15 +174,35 @@ def test_each_paper_decision_is_written_once():
     # 2% margins (gcore.default_grid), the Cauchy information n/2
     # (CauchyLocation.fisher_info), the Wald method names, the Wald ends
     # (intervals.wald_ends), the LRT level z^2/2 (intervals.lrt_drop), the
-    # finite-difference step (families._FD_STEP) and the logistic map
-    # (families._logistic), each read by every module that needs it
+    # finite-difference step (families._FD_STEP), the logistic map
+    # (families._logistic), the median law's angle (families._median_angle)
+    # and the Cauchy divergence (cauchy.cauchy_kl_length), each read by every
+    # module that needs it
     text = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     for written, home, times in [("y * (y - 1)", "gcore.py", 1), ("0.02 *", "gcore.py", 2),
                                  ("n / 2.0", "families.py", 1), ('"wald_expected"', "intervals.py", 1),
                                  ('"wald_observed"', "intervals.py", 1), ("/ np.sqrt(", "intervals.py", 1),
                                  ("z * z / 2.0", "intervals.py", 1), ("1e-5", "families.py", 1),
-                                 ("1.0 / (1.0 + math.exp(-", "families.py", 1)]:
+                                 ("1.0 / (1.0 + math.exp(-", "families.py", 1), ("np.arctan(", "families.py", 1),
+                                 ("math.log(4.0)", "cauchy.py", 1)]:
         assert {name: t.count(written) for name, t in text.items() if written in t} == {home: times}, written
+
+
+def _squares_by_pow(node):
+    """``v ** 2`` or a ``float_power`` call: a square not taken as one product."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return isinstance(node.right, ast.Constant) and node.right.value == 2
+    return isinstance(node, ast.Call) and "float_power" in {
+        getattr(node.func, "attr", None), getattr(node.func, "id", None)}
+
+
+def test_every_square_is_one_product():
+    # a product is correctly rounded and pow need not be, and numpy's scalar
+    # ** 2 calls pow where its array ** 2 multiplies: a square taken as one
+    # product gives a value the same bits alone and in an array
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(_tree(path.name)) if _squares_by_pow(node)]
+    assert found == []
 
 
 def _names_scipy(node):
