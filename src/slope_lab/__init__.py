@@ -38,10 +38,8 @@ from .gcore import (
     check_identity,
     default_grid,
     effective_n,
-    expect,
     lambda_efficiency,
     lift_point_estimator,
-    reference_info,
     score_correlation2,
     score_estimator,
     slope_report,
@@ -55,7 +53,6 @@ from .intervals import (
     LrtEstimate,
     cauchy_mle,
     exact_bernoulli_interval,
-    family_mle,
     lrt_estimate,
     lrt_interval,
     observed_info,

@@ -28,16 +28,19 @@ information, and slope quantities are invariant to this choice.
 
 A new family is one new class here, with ``check_sample``, ``loglik``,
 ``score``, ``fisher_info``, ``sample``, and the nodes of its expectations:
-``values(theta, block, ...)`` and ``weights`` for a finite-node or sampling
-family, or ``density`` for a continuous one.  ``values`` calls ``block`` on
-the family's nodes, a sequence of samples, and returns what it gives: one
-value per node, or several such columns.  ``_Pass``, the one moment
-engine and the only reader of ``weights``, reduces them: the weighted sum
-(the binomial sum, the Gauss-Hermite rule), or under equal weights (Monte
-Carlo) the plain mean and its standard error; where there are no nodes,
-quadrature times ``density``; it checks theta, ``mc_draws`` and ``mc_seed``
+``values(theta, block, ...)`` for a finite-node or sampling family, or
+``density`` for a continuous one.  ``values`` calls ``block`` on the
+family's nodes, a sequence of samples, and returns what it gives, one value
+per node or several such columns, with the nodes' weights (None for equal
+weights): a node rule is decided in one method.  ``_Pass``, the one moment
+engine, reduces them: the weighted sum (the binomial sum, the Gauss-Hermite
+rule), or under equal weights (Monte Carlo) the plain mean and its standard
+error; where there are no nodes, quadrature times ``density``, the only
+quadrature in the package; it checks theta, ``mc_draws`` and ``mc_seed``
 before it calls ``values``, whether or not the family draws.  ``expect``
-(never overridden) is a pass of one quantity, ``gcore``'s slopes of several.
+(never overridden) is the one public door, a pass of one quantity;
+``gcore``'s slopes are passes of several, and the median law's information,
+variance and divergence are ``expect`` calls.
 ``scores(theta, ys)`` gives the score at every sample of a block; the base
 calls ``score`` per sample, and a family with a vectorised score
 (``CauchyLocation``, per Monte Carlo chunk) overrides it.  ``mle`` and
@@ -135,8 +138,12 @@ def _logit(p: float) -> float:
 
 
 def _logistic(theta: float) -> float:
-    """The p = 1 / (1 + e^-theta) of log odds theta, the inverse of ``_logit``."""
-    return 1.0 / (1.0 + math.exp(-theta))
+    """The p = 1 / (1 + e^-theta) of log odds theta, the inverse of ``_logit``;
+    e^theta where e^-theta overflows (theta below about -709.78), which p equals there to within rounding."""
+    try:
+        return 1.0 / (1.0 + math.exp(-theta))
+    except OverflowError:
+        return math.exp(theta)
 
 
 def median_density(k: int, z: float, theta: float) -> float:
@@ -186,11 +193,12 @@ class _Pass:
 
     Where ``f`` has nodes, ``f.values`` hands them to one block function,
     which computes each quantity once per node (the score by ``f.scores``,
-    once per Monte Carlo chunk) and keeps it as a column; the node weights
-    are read once.  Every mean is then a reduction of the kept columns,
+    once per Monte Carlo chunk) and keeps it as a column, and gives their
+    weights.  Every mean is then a reduction of the kept columns,
     ``np.dot(weights, column)``, or ``column.mean()`` with ``se`` under
     equal weights.  Without nodes, each mean is one quadrature of its
-    formula times the density, reading only the quantities it names.
+    formula times the density, reading only the quantities it names: the
+    package's one call of ``integrate_real_line``.
     """
 
     def __init__(self, f: Family, theta: float, quantities: dict, kw: dict):
@@ -201,9 +209,9 @@ class _Pass:
         score = lambda y: f.score(theta, y)
         self.quantities = {k: score if fn is _SCORE else fn for k, fn in quantities.items()}
         blocks = [(lambda ys: f.scores(theta, ys)) if fn is _SCORE else _per_row(fn) for fn in quantities.values()]
-        vals = f.values(theta, lambda ys: [b(ys) for b in blocks], **kw)
-        self.columns = None if vals is None else dict(zip(quantities, vals))
-        self.weights = None if vals is None else f.weights(theta)
+        nodes = f.values(theta, lambda ys: [b(ys) for b in blocks], **kw)
+        cols, self.weights = (None, None) if nodes is None else nodes
+        self.columns = None if cols is None else dict(zip(quantities, cols))
 
     def mean(self, formula: Optional[Callable], *names: str) -> float:
         """E[formula(*the quantities named)]; with no formula, E[the one
@@ -280,17 +288,19 @@ class Family:
         raise NotImplementedError
 
     def expect(self, theta: float, phi, *, mc_draws: int = DEFAULT_MC_DRAWS, mc_seed: int = 0) -> tuple:
-        """(E_theta[phi(Y)], standard error), the one expectation engine: a
-        ``_Pass`` of phi.  The mean of ``values`` under ``weights``, SE 0;
-        under equal weights (None, a sampling family) their plain mean and
-        its standard error; where ``values`` is None, quadrature of
-        phi * density, SE 0."""
+        """(E_theta[phi(Y)], standard error), the one expectation entry point:
+        a ``_Pass`` of phi.  The mean of phi at the nodes of ``values`` under
+        their weights, SE 0; under equal weights (None, a sampling family)
+        the plain mean and its standard error; where ``values`` is None,
+        quadrature of phi * density, SE 0."""
         one = _Pass(self, theta, {"phi": phi}, dict(mc_draws=mc_draws, mc_seed=mc_seed))
         return one.mean(None, "phi"), one.se("phi")
 
     def values(self, theta: float, block: Callable, *, mc_draws: int = DEFAULT_MC_DRAWS, mc_seed: int = 0):
-        """``block`` on the nodes of this family's expectations at theta, or
-        None where there are none and ``expect`` integrates the density.
+        """(columns, weights): ``block`` on the nodes of this family's
+        expectations at theta, and the nodes' weights, summing to 1, or None
+        for equal weights; or None where there are no nodes and ``expect``
+        integrates the density.
 
         ``block`` takes a sequence of samples and returns one value per
         sample, or several such columns; they come back as an array (nodes,)
@@ -302,11 +312,6 @@ class Family:
     def scores(self, theta: float, ys) -> np.ndarray:
         """The score at each sample of the block ``ys``, by ``score``."""
         return _per_row(lambda y: self.score(theta, y))(ys)
-
-    def weights(self, theta: float):
-        """The weights of the nodes of ``values`` at theta, summing to 1, or
-        None for equal weights."""
-        return None
 
     def mle(self, y: Sample) -> float:
         raise NotImplementedError
@@ -354,7 +359,9 @@ class Family:
         return center, max(self.kl(lo, center), self.kl(hi, center))
 
     def reference_info(self, theta: float) -> float:
-        """Full-sample information, the benchmark for efficiencies."""
+        """Full-sample information, the benchmark for efficiencies: n*I1 for a
+        family on a reduced statistic (the Cauchy median law), so that
+        efficiencies charge the reduction too."""
         return self.fisher_info(theta)
 
 
@@ -428,12 +435,10 @@ class Bernoulli(Family):
         p = self._p(theta)
         return int(np.count_nonzero(rng.random(self.n) < p))
 
-    def values(self, theta, block, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> np.ndarray:
-        """``block`` on the counts of the support: the exact binomial sum's nodes."""
-        return np.asarray(block([int(y) for y in self.support()]), dtype=float)
-
-    def weights(self, theta: float) -> np.ndarray:
-        return self.pmf(theta)
+    def values(self, theta, block, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> tuple:
+        """``block`` on the counts of the support under their binomial
+        weights: the exact binomial sum."""
+        return np.asarray(block([int(y) for y in self.support()]), dtype=float), self.pmf(theta)
 
     def mle(self, y: Sample) -> float:
         self.check_sample(y)
@@ -571,10 +576,11 @@ class CauchyLocation(Family):
         """The scores of a block (m, n) of sorted rows, in one ``score`` call."""
         return self.score(theta, ys)
 
-    def values(self, theta, block, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> np.ndarray:
+    def values(self, theta, block, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> tuple:
         """``block`` on ``mc_draws`` samples from Philox key (mc_seed, 0), in
-        the order drawn: once per chunk of up to 2**14 sorted rows (m, n).  The
-        caller checks theta and both arguments (``mc_draws`` >= 2, for the SE)."""
+        the order drawn, under equal weights: once per chunk of up to 2**14
+        sorted rows (m, n).  The caller checks theta and both arguments
+        (``mc_draws`` >= 2, for the SE)."""
         rng = np.random.Generator(np.random.Philox(key=[mc_seed, 0]))
         vals = None
         for c in range(0, mc_draws, _MC_CHUNK):
@@ -584,7 +590,7 @@ class CauchyLocation(Family):
             if vals is None:
                 vals = np.empty(chunk.shape[:-1] + (mc_draws,))
             vals[..., c : c + len(x)] = chunk
-        return vals
+        return vals, None
 
     def mle(self, y: Sample) -> float:
         return cauchy_mle(self._observations(y))
@@ -653,11 +659,8 @@ class CauchyMedian(Family):
         return float(y)
 
     def kl(self, theta1: float, theta2: float) -> float:
-        """By quadrature of the median law's log-density ratio."""
-        return integrate_real_line(
-            lambda z: self.density(theta1, z)
-            * (np.log(self.density(theta1, z)) - np.log(self.density(theta2, z)))
-        )
+        """E_theta1 of the median law's log-density ratio, by quadrature."""
+        return self.expect(theta1, lambda z: np.log(self.density(theta1, z)) - np.log(self.density(theta2, z)))[0]
 
     def reference_info(self, theta: float) -> float:
         """The information of the full sample the median reduces: ``CauchyLocation``'s."""
@@ -704,14 +707,13 @@ class BivariateNormalSlice(Family):
         sd = 1.0 / math.sqrt(self.n)
         return (float(rng.normal(theta, sd)), float(rng.normal(0.0, sd)))
 
-    def values(self, theta, block, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> np.ndarray:
-        """``block`` on the 64 x 64 Gauss-Hermite nodes (z1, z2), z1 the outer one."""
-        nodes = _gauss_hermite()[0]
+    def values(self, theta, block, *, mc_draws=DEFAULT_MC_DRAWS, mc_seed=0) -> tuple:
+        """``block`` on the 64 x 64 Gauss-Hermite nodes (z1, z2), z1 the outer
+        one, under the product weights over 2 pi."""
+        nodes, w = _gauss_hermite()
         sd = 1.0 / math.sqrt(self.n)
-        return np.asarray(block([(theta + sd * a, sd * b) for a in nodes for b in nodes]), dtype=float)
-
-    def weights(self, theta: float) -> np.ndarray:
-        return _gauss_hermite()[1]
+        ys = [(theta + sd * a, sd * b) for a in nodes for b in nodes]
+        return np.asarray(block(ys), dtype=float), np.outer(w, w).ravel() / (2.0 * math.pi)
 
 
 @functools.cache
@@ -725,14 +727,12 @@ def _log_binomials(n: int) -> np.ndarray:
 
 @functools.cache
 def _gauss_hermite() -> tuple:
-    """The 64-point rule for the standard normal weight e^(-x^2/2): its nodes,
-    and the product weights of the 64 x 64 rule over 2 pi, in the order of
-    ``BivariateNormalSlice.values``.  Computed on first use (about 13 ms)."""
-    nodes, w = np.polynomial.hermite_e.hermegauss(64)
-    product = np.outer(w, w).ravel() / (2.0 * math.pi)
-    for shared in (nodes, product):  # cached: every caller gets these arrays
+    """The 64-point rule for the standard normal weight e^(-x^2/2), its nodes
+    and weights.  Computed on first use (about 13 ms)."""
+    rule = np.polynomial.hermite_e.hermegauss(64)
+    for shared in rule:  # cached: every caller gets these arrays
         shared.flags.writeable = False
-    return nodes, product
+    return rule
 
 
 # The median information and variance are pure functions of k and each
@@ -743,18 +743,17 @@ def _gauss_hermite() -> tuple:
 
 @functools.lru_cache(maxsize=None, typed=True)
 def median_fisher_info(k: int) -> float:
-    """Fisher information of the median law, by quadrature."""
+    """Fisher information of the median law, E[score^2] at theta = 0 by
+    ``CauchyMedian.expect`` (quadrature); the score is taken in z directly,
+    without ``score``'s per-point checks."""
     k = check_int("k", k, 0)
-
-    def integrand(t: float) -> float:
-        return _square(_median_dlog_dtheta(k, np.asarray(t))) * _median_density(k, t, 0.0)
-
-    return integrate_real_line(integrand)
+    return CauchyMedian(k).expect(0.0, lambda z: _square(_median_dlog_dtheta(k, np.asarray(z))))[0]
 
 
 @functools.lru_cache(maxsize=None, typed=True)
 def median_variance(k: int) -> float:
-    """Variance of the median law, by quadrature; finite iff k >= 2.
+    """Variance of the median law, E[z^2] at theta = 0 by ``CauchyMedian.expect``
+    (quadrature); finite iff k >= 2.
 
     The median of 2k+1 standard Cauchy draws has density proportional to
     F^k (1 - F)^k f, with F and f the Cauchy cdf and density.  As
@@ -769,8 +768,4 @@ def median_variance(k: int) -> float:
         raise DivergentIntegralError(
             f"the median of {2 * k + 1} Cauchy draws has no variance: its tails fall as |z|^-{k + 2}"
         )
-
-    def integrand(t: float) -> float:
-        return t * t * _median_density(k, t, 0.0)
-
-    return integrate_real_line(integrand)
+    return CauchyMedian(k).expect(0.0, lambda z: z * z)[0]

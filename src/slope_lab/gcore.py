@@ -22,12 +22,13 @@ g's values, its slope and covariance, and the left side of the identity
 -E g' = E[g * score]; nothing else asks which estimator it holds.  A lift's
 keywords fill in whatever a call leaves out, for every moment of that call.
 
-Expectations are ``Family.expect``: a weighted mean of values at nodes,
-which are the Bernoulli support under the exact binomial weights, a
-Gauss-Hermite rule, or seeded Monte Carlo draws under equal weights (with
-reported standard error) for the full Cauchy sample space; or adaptive
-quadrature for the one-dimensional continuous families, which have no
-nodes.  Every slope quantity at theta is a view of one set of moments
+Expectations go through one door, ``Family.expect(theta, phi, ...) ->
+(value, se)``: a weighted mean of values at nodes, which are the Bernoulli
+support under the exact binomial weights, a Gauss-Hermite rule, or seeded
+Monte Carlo draws under equal weights (with reported standard error) for
+the full Cauchy sample space; or adaptive quadrature for the
+one-dimensional continuous families, which have no nodes.  Every slope
+quantity at theta is a view of one set of moments
 (V(g), E g', E[g * score]), each taken once, on first use, by
 ``families._Pass``, the one reduction of a moment: each the mean of an
 elementwise formula in per-sample quantities, g (u for a lift), g' or g
@@ -54,26 +55,8 @@ from typing import Callable, ClassVar, Optional, Sequence
 import numpy as np
 
 from .errors import BiasError, DivergentIntegralError, DomainError, OrientationError, ZeroVarianceError
-from .families import (DEFAULT_MC_DRAWS, Bernoulli, CauchyMedian, Family, _FD_STEP, _Pass, _SCORE, check_int,
-                       median_fisher_info, median_variance)
-
-
-def expect(
-    f: Family,
-    theta: float,
-    phi: Callable,
-    *,
-    mc_draws: int = DEFAULT_MC_DRAWS,
-    mc_seed: int = 0,
-    return_se: bool = False,
-):
-    """E_theta[phi(Y)] under family ``f``, by ``f.expect``: an exact sum or
-    rule, quadrature or seeded Monte Carlo.  With ``return_se=True`` the
-    Monte Carlo standard error is returned alongside (0.0 for the exact
-    engines).
-    """
-    value, se = f.expect(theta, phi, mc_draws=mc_draws, mc_seed=mc_seed)
-    return (value, se) if return_se else value
+from .families import (Bernoulli, CauchyMedian, Family, _FD_STEP, _Pass, _SCORE, check_int, median_fisher_info,
+                       median_variance)
 
 
 def variance(f: Family, theta: float, phi: Callable, **kw) -> float:
@@ -158,7 +141,7 @@ class _SlopeAt:
 
     @property
     def eff(self) -> float:
-        return self.lam / reference_info(self.g.family, self.theta)
+        return self.lam / self.g.family.reference_info(self.theta)
 
     @property
     def lhs(self) -> float:
@@ -342,15 +325,9 @@ def score_correlation2(g: GenEstimator, theta: float, **kw) -> float:
     return g._at(g, theta, kw).rho2
 
 
-def reference_info(f: Family, theta: float) -> float:
-    """Information benchmark for efficiency, ``f.reference_info``: the
-    full-sample information, n*I1 for a family on a reduced statistic (the
-    Cauchy median law), so that efficiencies charge the reduction too."""
-    return f.reference_info(theta)
-
-
 def lambda_efficiency(g: GenEstimator, theta: float, **kw) -> float:
-    """Eff^Lambda(g) = Lambda(g) / I, with I the full-sample information.
+    """Eff^Lambda(g) = Lambda(g) / I, with I the full-sample information
+    ``Family.reference_info``.
 
     On a full sample space this equals rho^2(g, score); on the median
     reduction it additionally charges the information lost by reducing

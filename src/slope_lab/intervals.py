@@ -56,12 +56,6 @@ class Interval:
         return self.lo < theta < self.hi
 
 
-def family_mle(f: Family, y) -> float:
-    """Maximum-likelihood point estimate (may lie on the closure for
-    Bernoulli boundary counts)."""
-    return f.mle(y)
-
-
 def observed_info(f: Family, theta_hat: float, y) -> float:
     """Observed information -l''(theta_hat; y)."""
     val = f.observed_info(theta_hat, y)

@@ -7,7 +7,9 @@ the integral goes through scipy's adaptive Gauss-Kronrod machinery with
 explicit failure signalling instead of silent inaccuracy.  Nothing here
 decides whether an integral converges: a caller integrates only what it
 knows to be finite, with an integrand that is bounded after the
-substitution (``families.median_variance`` states its rule).
+substitution (``families.median_variance`` states its rule).  Its one
+caller is ``families._Pass``, the moment engine behind ``Family.expect``,
+which integrates phi times the density of a family without nodes.
 
 Only ``scipy`` is imported here; ``scipy.integrate`` loads at the first
 integral, so a process that integrates nothing never pays for its import.

@@ -84,7 +84,7 @@ class TestScore:
     )
     def test_score_integrates_to_zero(self, family, grid):
         for th in grid:
-            mean = sl.expect(family, th, lambda y: family.score(th, y))
+            mean = family.expect(th, lambda y: family.score(th, y))[0]
             assert abs(mean) < 1e-8
 
     @pytest.mark.parametrize(
@@ -100,11 +100,10 @@ class TestScore:
         for th in grid:
             v = sl.variance(family, th, lambda y: family.score(th, y))
             h = 1e-5 * (1 + abs(th))
-            neg_e_dd = -sl.expect(
-                family,
+            neg_e_dd = -family.expect(
                 th,
                 lambda y: (family.score(th + h, y) - family.score(th - h, y)) / (2 * h),
-            )
+            )[0]
             assert v == pytest.approx(neg_e_dd, abs=1e-5 * max(1.0, v))
             assert v == pytest.approx(family.fisher_info(th), rel=1e-6)
 
@@ -202,11 +201,11 @@ class TestMcDraws:
     @pytest.mark.parametrize("draws", [0, 1, -3, 2.5, True, np.float64(100.0)])
     def test_rejected(self, draws):
         with pytest.raises(sl.DomainError, match="mc_draws"):
-            sl.expect(sl.CauchyLocation(5), 0.0, lambda x: float(x[2]), mc_draws=draws, return_se=True)
+            sl.CauchyLocation(5).expect(0.0, lambda x: float(x[2]), mc_draws=draws)
 
     @pytest.mark.parametrize("draws", [2, np.int64(3)])
     def test_two_draws_give_a_standard_error(self, draws):
-        value, se = sl.expect(sl.CauchyLocation(5), 0.0, lambda x: float(x[2]), mc_draws=draws, return_se=True)
+        value, se = sl.CauchyLocation(5).expect(0.0, lambda x: float(x[2]), mc_draws=draws)
         assert math.isfinite(value) and math.isfinite(se) and se > 0
 
 
@@ -220,15 +219,14 @@ class TestInputsAreChecked:
     method its sample and parameter, as ``CauchyLocation`` does."""
 
     CASES = {
-        "expect-bernoulli-mc": lambda: sl.expect(sl.Bernoulli(3), 0.5, lambda y: 1.0, mc_draws=2.5, mc_seed=True),
-        "expect-normal-mc": lambda: sl.expect(sl.NormalLocation(1.0, 3), 0.5, lambda y: 1.0,
-                                              mc_draws=-1, mc_seed="x"),
+        "expect-bernoulli-mc": lambda: sl.Bernoulli(3).expect(0.5, lambda y: 1.0, mc_draws=2.5, mc_seed=True),
+        "expect-normal-mc": lambda: sl.NormalLocation(1.0, 3).expect(0.5, lambda y: 1.0, mc_draws=-1, mc_seed="x"),
         "variance-median-mc": lambda: sl.variance(sl.CauchyMedian(3), 0.5, lambda z: z, mc_draws=-1),
         "median_density-bool": lambda: families.median_density(True, 0.0, 0.0),
         "median_sd-float": lambda: sl.mc.median_sd(7.5),
         "bernoulli-mle-above-n": lambda: sl.Bernoulli(10).mle(11),
         "bernoulli-mle-fraction": lambda: sl.Bernoulli(10).mle(2.5),
-        "family_mle-above-n": lambda: sl.family_mle(sl.Bernoulli(10), 11),
+        "family_mle-above-n": lambda: sl.Bernoulli(10).mle(11),
         "log-odds-mle-above-n": lambda: sl.Bernoulli(10, chart="log_odds").mle(11),
         "bernoulli-sup_loglik-above-n": lambda: sl.Bernoulli(10).sup_loglik(11, 1.1),
         "normal-mle-nan": lambda: sl.NormalLocation(1.0, 3).mle(math.nan),
@@ -253,8 +251,8 @@ class TestIntegerRule:
         "SimConfig.n": (lambda v: sl.SimConfig(n=v), 15),
         "SimConfig.reps": (lambda v: sl.SimConfig(reps=v), 20),
         "SimConfig.seed": (lambda v: sl.SimConfig(seed=v), 3),
-        "expect.mc_seed": (lambda v: sl.expect(sl.CauchyLocation(5), 0.0, lambda x: float(x[2]),
-                                               mc_draws=64, mc_seed=v, return_se=True), 3),
+        "expect.mc_seed": (lambda v: sl.CauchyLocation(5).expect(0.0, lambda x: float(x[2]), mc_draws=64,
+                                                                 mc_seed=v), 3),
         "bin_by_obs_info.bins": (lambda v: sl.bin_by_obs_info(_summary(), v).counts.tolist(), 4),
         "default_grid.points": (lambda v: sl.default_grid(sl.Bernoulli(3), v).tolist(), 5),
         "cauchy_table_row.n": (lambda v: sl.cauchy_table_row(v), 5),
@@ -387,6 +385,43 @@ class TestMedianDensity:
         assert (outcomes[0] is sl.DivergentIntegralError) == (k < 2)
 
 
+class TestMedianLawBits:
+    """The median law's information (k = 0..15), variance (k = 2..15) and
+    divergence, pinned by ``float.hex``: each is one ``CauchyMedian.expect``
+    and keeps the bits of its earlier own quadrature.  The uncached
+    functions are called, so each value is integrated here."""
+
+    FISHER_INFO = [
+        "0x1.0000000000000p-1", "0x1.173432eb10400p+0", "0x1.bedaa17c24990p+0", "0x1.385f97941c4c5p+1",
+        "0x1.94b0afe065388p+1", "0x1.f35711abd29cdp+1", "0x1.29d60f3c4c14ap+2", "0x1.5aa1077da9b4fp+2",
+        "0x1.8be6cc949e8ebp+2", "0x1.bd8cadfbb1e7cp+2", "0x1.ef7f36c49a135p+2", "0x1.10d7f0778add2p+3",
+        "0x1.2a09ce1a939e0p+3", "0x1.4350ea4e1aa1cp+3", "0x1.5ca9e4793aa17p+3", "0x1.76120a69a9dc2p+3",
+    ]
+    VARIANCE = [
+        "0x1.38a40a8e9757ap+0", "0x1.3962c4b3fdfcbp-1", "0x1.a277881994820p-2", "0x1.3a2ab7569834ap-2",
+        "0x1.f708c74e20b9ap-3", "0x1.a36d5de07796bp-3", "0x1.67aa355310288p-3", "0x1.3ad105a05604bp-3",
+        "0x1.17eac3d81d42ep-3", "0x1.f7f8ad328a27ep-4", "0x1.ca3fbaba5b049p-4", "0x1.a422885877b57p-4",
+        "0x1.83e02a039eb67p-4", "0x1.6837d66e9a275p-4",
+    ]
+    KL = {
+        (1, 0.0, 0.5): "0x1.0d2db51ff4c7ep-3",
+        (1, 1.0, -2.0): "0x1.28f70252d631cp+1",
+        (3, 0.0, 0.5): "0x1.2a1cbb41aa67fp-2",
+        (3, 1.0, -2.0): "0x1.1ffac099a19a0p+2",
+        (7, 0.0, 0.5): "0x1.464059d4b3e97p-1",
+        (7, 1.0, -2.0): "0x1.1444cad4a757ep+3",
+    }
+
+    def test_fisher_info(self):
+        assert [sl.median_fisher_info.__wrapped__(k).hex() for k in range(16)] == self.FISHER_INFO
+
+    def test_variance(self):
+        assert [sl.median_variance.__wrapped__(k).hex() for k in range(2, 16)] == self.VARIANCE
+
+    def test_kl(self):
+        assert {key: sl.CauchyMedian(key[0]).kl(*key[1:]).hex() for key in self.KL} == self.KL
+
+
 class TestDensitiesNormalize:
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_bernoulli_pmf_sums_to_one(self, p):
@@ -508,6 +543,30 @@ class TestReparam:
             sl.reparam(sl.Bernoulli(10), *charts, value)
 
 
+class TestLogOddsFarOut:
+    """Below theta of about -709.78 e^-theta overflows, and p = e^theta:
+    every log-odds method gives a value there, and the KL divergence the
+    DomainError of a p that rounds to 0."""
+
+    F = sl.Bernoulli(10, chart="log_odds")
+
+    def test_p_is_e_theta_where_e_minus_theta_overflows(self):
+        for theta in (-709.79, -720.0, -800.0):
+            assert families._logistic(theta) == math.exp(theta)
+        assert families._logistic(-709.78) == pytest.approx(math.exp(-709.78), rel=1e-15)
+
+    def test_methods_give_values(self):
+        assert self.F.fisher_info(-800.0) == 0.0 and self.F.fisher_info(-720.0) > 0.0
+        assert self.F.loglik(-800.0, 0) == 0.0 and self.F.loglik(-800.0, 3) == -2400.0
+        assert self.F.score(-800.0, 0) == 0.0 and self.F.score(-800.0, 3) == 3.0
+        assert sl.reparam(self.F, "log_odds", "p", -800.0) == 0.0
+        assert sl.reparam(self.F, "log_odds", "p", -720.0) == math.exp(-720.0)
+
+    def test_kl_where_p_rounds_to_0(self):
+        with pytest.raises(sl.DomainError, match="not both in"):
+            sl.kl_divergence(self.F, -800.0, 0.0)
+
+
 _CAUCHY_Y = np.array([-1.3, -0.2, 0.1, 0.4, 2.0])
 _CAUCHY_MLE = 0.07355630226354834  # a root of the score, pinned below
 _BERN_INFO = 10 / (0.3 * 0.7)
@@ -572,16 +631,15 @@ class TestFamilyContract:
     def test_expect(self, f, th, y, want):
         phi = lambda s: f.score(th, s) ** 2
         kw = dict(mc_draws=2000, mc_seed=1)
-        for value, se in (f.expect(th, phi, **kw), sl.expect(f, th, phi, return_se=True, **kw)):
-            assert value == pytest.approx(want["expect"][0], rel=REL)
-            assert se == pytest.approx(want["expect"][1], rel=REL)
+        value, se = f.expect(th, phi, **kw)
+        assert value == pytest.approx(want["expect"][0], rel=REL)
+        assert se == pytest.approx(want["expect"][1], rel=REL)
         # E[score^2] is the Fisher information, up to the Monte Carlo error
         assert abs(value - f.fisher_info(th)) <= max(se, 1e-9)
 
     @pytest.mark.parametrize("f,th,y,want", CONTRACT, ids=CONTRACT_IDS)
     def test_information(self, f, th, y, want):
-        for info in (f.reference_info(th), sl.reference_info(f, th)):
-            assert info == pytest.approx(want["reference_info"], rel=1e-14)
+        assert f.reference_info(th) == pytest.approx(want["reference_info"], rel=1e-14)
         # a central difference except for the Normal and Cauchy closed forms
         for info in (f.observed_info(th, y), sl.observed_info(f, th, y)):
             assert info == pytest.approx(want["observed_info"], rel=1e-8)
@@ -590,13 +648,12 @@ class TestFamilyContract:
     def test_mle_and_sup_loglik(self, f, th, y, want):
         if want["mle"] is None:
             for call in (
-                lambda: f.mle(y), lambda: sl.family_mle(f, y), lambda: sl.lrt_interval(sl.lrt_estimate(f, y), 1.96)
+                lambda: f.mle(y), lambda: sl.lrt_interval(sl.lrt_estimate(f, y), 1.96)
             ):
                 with pytest.raises(NotImplementedError):
                     call()
             return
-        for mle in (f.mle(y), sl.family_mle(f, y)):
-            assert mle == pytest.approx(want["mle"], rel=1e-12)
+        assert f.mle(y) == pytest.approx(want["mle"], rel=1e-12)
         assert f.score(want["mle"], y) == pytest.approx(0.0, abs=1e-12)
         L = sl.lrt_estimate(f, y)
         assert L.mle == pytest.approx(want["mle"], rel=1e-12)
@@ -642,8 +699,8 @@ class Logistic(sl.Family):
 @dataclass(frozen=True)
 class Coin(sl.Family):
     """One flip with success probability theta: a node family defined
-    outside the package, with ``values`` and ``weights`` and the base
-    ``scores``."""
+    outside the package, with ``values`` giving its nodes' weights, and the
+    base ``scores``."""
 
     def param_domain(self):
         return (0.0, 1.0)
@@ -655,10 +712,7 @@ class Coin(sl.Family):
         return 1.0 / (theta * (1.0 - theta))
 
     def values(self, theta, block, *, mc_draws=families.DEFAULT_MC_DRAWS, mc_seed=0):
-        return np.asarray(block([0, 1]), dtype=float)
-
-    def weights(self, theta):
-        return np.array([1.0 - theta, theta])
+        return np.asarray(block([0, 1]), dtype=float), np.array([1.0 - theta, theta])
 
 
 class Flat(sl.Family):
@@ -676,13 +730,13 @@ class TestNewFamily:
 
     def test_base_methods_serve_the_public_functions(self):
         f = Logistic()
-        assert sl.expect(f, 0.4, lambda y: f.score(0.4, y) ** 2) == pytest.approx(1 / 3, rel=1e-8)
+        assert f.expect(0.4, lambda y: f.score(0.4, y) ** 2)[0] == pytest.approx(1 / 3, rel=1e-8)
         # the sample value is unbiased with variance pi^2 / 3
         g = sl.lift_point_estimator(f, lambda y: y, mean_fn=lambda th: th, mean_deriv=lambda th: 1.0)
         assert sl.squared_slope(g, 0.4) == pytest.approx(3 / math.pi**2, rel=1e-7)
         assert sl.lambda_efficiency(g, 0.4) == pytest.approx(9 / math.pi**2, rel=1e-7)
         assert sl.observed_info(f, 0.0, 0.0) == pytest.approx(0.5, rel=1e-8)
-        assert sl.reference_info(f, 0.4) == 1 / 3
+        assert f.reference_info(0.4) == 1 / 3
         assert sl.default_grid(f, 3).tolist() == [-4.0, 0.0, 4.0]
 
     def test_a_node_family_needs_values_and_weights(self):

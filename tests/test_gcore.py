@@ -57,21 +57,19 @@ def lift_y2():
 
 class TestExpect:
     def test_binomial_mean(self):
-        assert sl.expect(BERN, 0.3, lambda y: y) == pytest.approx(3.0)
+        assert BERN.expect(0.3, lambda y: y)[0] == pytest.approx(3.0)
 
     def test_binomial_variance_exact(self):
-        assert sl.expect(BERN, 0.5, lambda y: (y - 5) ** 2) == pytest.approx(2.5)
+        assert BERN.expect(0.5, lambda y: (y - 5) ** 2)[0] == pytest.approx(2.5)
 
     def test_median_second_moment_matches_table(self):
         # 1 / Lambda(median) for n = 15
-        v = sl.expect(sl.CauchyMedian(7), 0.0, lambda z: z * z)
+        v = sl.CauchyMedian(7).expect(0.0, lambda z: z * z)[0]
         assert v == pytest.approx(1.0 / 4.88286, abs=1e-4)
 
     def test_cauchy_mc_reports_se(self):
         f = sl.CauchyLocation(3)
-        val, se = sl.expect(
-            f, 0.0, lambda x: float(np.median(x)), mc_draws=20_000, return_se=True
-        )
+        val, se = f.expect(0.0, lambda x: float(np.median(x)), mc_draws=20_000)
         assert se > 0
         assert abs(val) < 4 * se + 0.05
 
@@ -142,7 +140,7 @@ class TestParameterChecks:
         with pytest.raises(sl.DomainError):
             sl.v_efficiency(f, u, theta, mc_draws=10)
         with pytest.raises(sl.DomainError):
-            sl.expect(f, theta, u, mc_draws=10)
+            f.expect(theta, u, mc_draws=10)
 
     @pytest.mark.parametrize("f", FAMILIES, ids=lambda f: type(f).__name__)
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
@@ -224,7 +222,7 @@ class TestLift:
         med.calls = 0
         sl.squared_slope(g, 0.2, mc_draws=500)
         assert med.calls == 500
-        assert g.ups(0.4, mc_seed=3) == sl.expect(f, 0.4, lambda x: float(x[2]), mc_draws=1000, mc_seed=3)
+        assert g.ups(0.4, mc_seed=3) == f.expect(0.4, lambda x: float(x[2]), mc_draws=1000, mc_seed=3)[0]
 
 
 class TestStandardize:
@@ -239,7 +237,7 @@ class TestStandardize:
         g = lift_yy1()
         for p in [0.2, 0.6]:
             v = g.var(p)
-            total = sl.expect(BERN, p, lambda y: (g(y, p) / math.sqrt(v)) ** 2)
+            total = BERN.expect(p, lambda y: (g(y, p) / math.sqrt(v)) ** 2)[0]
             assert total == pytest.approx(1.0, abs=1e-10)
 
     ROLES = {
@@ -490,7 +488,7 @@ class TestMonteCarloBlocks:
         """``everything`` from explicit per-moment expectations with per-row
         integrands: the definitions, none of them the slope engine's."""
         f, med, x = self.F, self.MED, np.sort(th + np.random.default_rng(1).standard_cauchy(15))
-        E = lambda phi: sl.expect(f, th, phi, **kw)
+        E = lambda phi: f.expect(th, phi, **kw)[0]
         score = lambda y, t=th: f.score(t, y)
         info, h = f.fisher_info(th), 1e-5 * (1.0 + abs(th))
         if name == "score":

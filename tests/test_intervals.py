@@ -216,16 +216,16 @@ def test_cauchy_score_keeps_its_argument_and_bits():
 
 class TestFamilyMle:
     def test_bernoulli_p(self):
-        assert sl.family_mle(sl.Bernoulli(10), 3) == pytest.approx(0.3)
+        assert sl.Bernoulli(10).mle(3) == pytest.approx(0.3)
 
     def test_bernoulli_log_odds_boundary(self):
         f = sl.Bernoulli(10, chart="log_odds")
-        assert sl.family_mle(f, 0) == -math.inf
-        assert sl.family_mle(f, 10) == math.inf
-        assert sl.family_mle(f, 5) == pytest.approx(0.0)
+        assert f.mle(0) == -math.inf
+        assert f.mle(10) == math.inf
+        assert f.mle(5) == pytest.approx(0.0)
 
     def test_normal(self):
-        assert sl.family_mle(sl.NormalLocation(2.0, 5), 1.4) == 1.4
+        assert sl.NormalLocation(2.0, 5).mle(1.4) == 1.4
 
 
 class TestObservedInfo:

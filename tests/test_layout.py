@@ -1,7 +1,8 @@
 """The package's import graph: imports only at module level, scipy
 imported bare, and the Cauchy module standing on numpy and ``errors`` alone; the family
-contract: an override keeps its base method's signature, and no family
-overrides the one expectation engine, ``Family.expect``; and the estimator
+contract: an override keeps its base method's signature, no family
+overrides the one expectation engine, ``Family.expect``, and only its moment
+engine reads a family's nodes or integrates; and the estimator
 roles: chosen by type, with no field naming them and no test of which
 estimator the moment code holds; the Cauchy sums, whose order one helper
 decides; the one helper that decides what counts as an integer; and every
@@ -63,7 +64,7 @@ def test_family_overrides_keep_the_base_signature():
                 assert _shape(fn) == _shape(base[name]), f"{cls.__name__}.{name}"
                 checked += 1
     assert checked > 20
-    # one expectation engine: families give values and weights, or a density
+    # one expectation engine: families give values with their weights, or a density
     assert "expect" in vars(families.Family)
     assert [c.__name__ for c in subclasses if "expect" in vars(c)] == []
     assert list(inspect.signature(families.Family.lrt_hull).parameters) == ["self", "y", "drop"]
@@ -79,17 +80,31 @@ def test_families_take_a_block_and_give_scores():
     assert [c.__name__ for c in subclasses if "scores" in vars(c)] == ["Family", "CauchyLocation"]
 
 
-def test_only_families_reads_node_weights():
-    # a moment is reduced in one place, families._Pass, which reads the weights
+def test_only_families_calls_values():
+    # a moment is reduced in one place, families._Pass, which takes a
+    # family's nodes and their weights from values(theta, block, ...); a
+    # dict's values() takes no argument
     callers = []
     for path in sorted(SRC.glob("*.py")):
         if path.name != "families.py":
             callers += [
                 f"{path.name}:{node.lineno}"
                 for node in ast.walk(_tree(path.name))
-                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "weights"
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "values"
+                and (node.args or node.keywords)
             ]
     assert callers == []
+    assert "weights" not in vars(families.Family)
+
+
+def test_only_the_moment_engine_integrates():
+    # every expectation, the median law's information, variance and
+    # divergence too, goes through Family.expect or a slope's pass, so
+    # families._Pass.mean is the one call of the quadrature
+    integrates = lambda c: "integrate_real_line" in (getattr(c.func, "id", None), getattr(c.func, "attr", None))
+    found = [(path.name, fn) for path in sorted(SRC.glob("*.py")) for fn, _ in _calls(_tree(path.name), integrates)]
+    engine = next(c for c in _tree("families.py").body if isinstance(c, ast.ClassDef) and c.name == "_Pass")
+    assert found == [("families.py", "mean")] and len(_calls(engine, integrates)) == 1, found
 
 
 def test_estimator_roles_are_types_not_fields():
