@@ -36,11 +36,12 @@ weights): a node rule is decided in one method.  ``_Pass``, the one moment
 engine, reduces them: the weighted sum (the binomial sum, the Gauss-Hermite
 rule), or under equal weights (Monte Carlo) the plain mean and its standard
 error; where there are no nodes, quadrature times ``density``, the only
-quadrature in the package; it checks theta, ``mc_draws`` and ``mc_seed``
+quadrature in the package, which keeps each point's density and quantities
+for the pass's later means; it checks theta, ``mc_draws`` and ``mc_seed``
 before it calls ``values``, whether or not the family draws.  ``expect``
 (never overridden) is the one public door, a pass of one quantity;
-``gcore``'s slopes are passes of several, and the median law's information,
-variance and divergence are ``expect`` calls.
+``gcore``'s slopes are passes of several, the median law's divergence is an
+``expect`` call, and its information and variance are means of one pass.
 ``scores(theta, ys)`` gives the score at every sample of a block; the base
 calls ``score`` per sample, and a family with a vectorised score
 (``CauchyLocation``, per Monte Carlo chunk) overrides it.  ``mle`` and
@@ -187,6 +188,23 @@ def _square(v):
 _SCORE = object()  # marks the family's score among a _Pass's quantities
 
 
+class _Kept(dict):
+    """fn's value at each point asked, computed at the first ask and kept: a
+    dict from the point whose missing key calls fn."""
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+
+    def __missing__(self, y):
+        if y:
+            v = self[y] = self.fn(y)
+            return v
+        sign = (math.copysign(1.0, y),)  # 0.0 and -0.0 are one key: a zero is kept under (its sign,)
+        if sign not in self:
+            self[sign] = self.fn(y)
+        return self[sign]
+
+
 class _Pass:
     """Means of elementwise formulas in named per-sample quantities under
     ``f`` at theta: each a function of one sample, or ``_SCORE``.
@@ -198,20 +216,27 @@ class _Pass:
     ``np.dot(weights, column)``, or ``column.mean()`` with ``se`` under
     equal weights.  Without nodes, each mean is one quadrature of its
     formula times the density, reading only the quantities it names: the
-    package's one call of ``integrate_real_line``.
+    package's one call of ``integrate_real_line``.  The pass keeps the
+    density and each quantity at every point a quadrature visits, one flat
+    dict each, for its later means: each is taken once per point and pass,
+    and every quadrature gets the same floats.
     """
 
     def __init__(self, f: Family, theta: float, quantities: dict, kw: dict):
         f.check_param(theta)
         kw = {**kw, "mc_seed": check_int("mc_seed", kw.get("mc_seed", 0), 0, SEED_END),
               "mc_draws": check_int("mc_draws", kw.get("mc_draws", DEFAULT_MC_DRAWS), 2)}
-        self.f, self.theta = f, theta
         score = lambda y: f.score(theta, y)
         self.quantities = {k: score if fn is _SCORE else fn for k, fn in quantities.items()}
         blocks = [(lambda ys: f.scores(theta, ys)) if fn is _SCORE else _per_row(fn) for fn in quantities.values()]
         nodes = f.values(theta, lambda ys: [b(ys) for b in blocks], **kw)
-        cols, self.weights = (None, None) if nodes is None else nodes
-        self.columns = None if cols is None else dict(zip(quantities, cols))
+        if nodes is None:
+            self.columns = self.weights = None
+            self.kept = {k: _Kept(fn).__getitem__ for k, fn in self.quantities.items()}
+            self.density = _Kept(functools.partial(f.density, theta)).__getitem__
+        else:
+            cols, self.weights = nodes
+            self.columns = dict(zip(quantities, cols))
 
     def mean(self, formula: Optional[Callable], *names: str) -> float:
         """E[formula(*the quantities named)]; with no formula, E[the one
@@ -220,9 +245,9 @@ class _Pass:
             cols = [self.columns[k] for k in names]
             vals = cols[0] if formula is None else formula(*cols)
             return float(vals.mean() if self.weights is None else np.dot(self.weights, vals))
-        q = [self.quantities[k] for k in names]
+        q, density = [self.kept[k] for k in names], self.density
         at = q[0] if formula is None else lambda y: formula(*[a(y) for a in q])
-        return integrate_real_line(lambda y: at(y) * self.f.density(self.theta, y))
+        return integrate_real_line(lambda y: at(y) * density(y))
 
     def se(self, name: str) -> float:
         """The Monte Carlo standard error of E[the quantity named], else 0.0."""
@@ -739,21 +764,30 @@ def _gauss_hermite() -> tuple:
 # costs an adaptive quadrature, so each k is integrated once per process.
 # Each checks k first, and is cached by k's type as well as its value, so a
 # float or a bool equal to a good k is refused, never answered from the cache.
+# Both then read the one pass of their law, ``_median_law(k)``.
+
+
+@functools.lru_cache(maxsize=1)
+def _median_law(k: int) -> _Pass:
+    """The pass of the median law at theta = 0 with both its integrands, the
+    squared score and z^2, so that ``cauchy_table_row``'s information and
+    variance of one k share the points of their quadratures.  The score is
+    taken in z directly, without ``score``'s per-point checks."""
+    return _Pass(CauchyMedian(k), 0.0,
+                 {"info": lambda z: _square(_median_dlog_dtheta(k, np.asarray(z))), "var": lambda z: z * z}, {})
 
 
 @functools.lru_cache(maxsize=None, typed=True)
 def median_fisher_info(k: int) -> float:
-    """Fisher information of the median law, E[score^2] at theta = 0 by
-    ``CauchyMedian.expect`` (quadrature); the score is taken in z directly,
-    without ``score``'s per-point checks."""
-    k = check_int("k", k, 0)
-    return CauchyMedian(k).expect(0.0, lambda z: _square(_median_dlog_dtheta(k, np.asarray(z))))[0]
+    """Fisher information of the median law, E[score^2] at theta = 0, by
+    quadrature in the law's pass."""
+    return _median_law(check_int("k", k, 0)).mean(None, "info")
 
 
 @functools.lru_cache(maxsize=None, typed=True)
 def median_variance(k: int) -> float:
-    """Variance of the median law, E[z^2] at theta = 0 by ``CauchyMedian.expect``
-    (quadrature); finite iff k >= 2.
+    """Variance of the median law, E[z^2] at theta = 0, by quadrature in the
+    law's pass; finite iff k >= 2.
 
     The median of 2k+1 standard Cauchy draws has density proportional to
     F^k (1 - F)^k f, with F and f the Cauchy cdf and density.  As
@@ -768,4 +802,4 @@ def median_variance(k: int) -> float:
         raise DivergentIntegralError(
             f"the median of {2 * k + 1} Cauchy draws has no variance: its tails fall as |z|^-{k + 2}"
         )
-    return CauchyMedian(k).expect(0.0, lambda z: z * z)[0]
+    return _median_law(k).mean(None, "var")

@@ -39,9 +39,10 @@ hands its nodes to one block function, which runs a user statistic once per
 node and takes the score from ``Family.scores`` (a Monte Carlo score once
 per chunk); every moment is a reduction of the kept columns under the
 weights, read once per theta.  Under quadrature each moment is one
-quadrature pass.  A lift's h' = -dups(theta) is the same at every sample,
-so no moment of it is taken: its slope is -dups, and its central
-difference is the difference of ups at theta +- h.  A variance or a
+quadrature, and the pass keeps each point's density and quantities, so a
+point the moments share is taken once.  A lift's h' = -dups(theta) is the
+same at every sample, so no moment of it is taken: its slope is -dups, and
+its central difference is the difference of ups at theta +- h.  A variance or a
 standardized value keeps only g's own column.
 """
 
@@ -380,8 +381,9 @@ def slope_report(g: GenEstimator, grid: Sequence[float], **kw) -> SlopeReport:
     function.  Each moment behind them is taken once per theta: where the
     family has nodes (a sum, a rule, Monte Carlo draws) one pass over them,
     and a lift without a closed-form mean adds one pass each at theta +- h;
-    under quadrature 3 quadrature passes for a lift with closed forms (7
-    without), 4 for a custom estimator and 1 for the score."""
+    under quadrature 3 quadratures for a lift with closed forms (7
+    without), 4 for a custom estimator and 1 for the score, where each pass
+    takes a point's density and quantities once for all its quadratures."""
     rows = [(s.lam, s.rho2, s.eff, s.eff * g.family.n, s.residual) for s in (g._at(g, th, kw) for th in grid)]
     return SlopeReport(np.asarray(grid, dtype=float), *np.array(rows, dtype=float).reshape(-1, 5).T.copy())
 

@@ -422,6 +422,81 @@ class TestMedianLawBits:
         assert {key: sl.CauchyMedian(key[0]).kl(*key[1:]).hex() for key in self.KL} == self.KL
 
 
+class TestQuadraturePointsOnce:
+    """A quadrature pass keeps each point's density and quantities: every mean
+    of the pass reads them there, so each is taken once per distinct point,
+    and a median law's information and variance share one pass."""
+
+    @staticmethod
+    def counting_median(k: int, seen: list):
+        """A ``CauchyMedian(k)`` that records the point of each density it takes."""
+
+        class Counting(sl.CauchyMedian):
+            def density(self, theta, y):
+                seen.append(float(y).hex())
+                return super().density(theta, y)
+
+        return Counting(k)
+
+    @staticmethod
+    def count_integrand_calls(monkeypatch) -> list:
+        """The point of every integrand call the quadrature makes."""
+        calls, integrate = [], families.integrate_real_line
+        monkeypatch.setattr(families, "integrate_real_line",
+                            lambda fn: integrate(lambda y: calls.append(float(y).hex()) or fn(y)))
+        return calls
+
+    @pytest.mark.parametrize("role", ["lift_closed_form", "custom_fd"])
+    def test_each_point_once_per_pass(self, role, monkeypatch):
+        # a lift with closed forms takes 3 means of (u, score) in one pass, a
+        # custom estimator by central differences 4 of (g, g at theta +- h, score)
+        densities, stats = [], []
+        f, th = self.counting_median(3, densities), 0.4
+
+        def stat(z, at=th):
+            stats.append((at, float(z).hex()))
+            return math.atan(z - at)
+
+        if role == "lift_closed_form":
+            g = sl.lift_point_estimator(f, stat, mean_fn=lambda t: 0.0, mean_deriv=lambda t: 0.0)
+        else:
+            g = sl.GenEstimator(f, lambda z, t: stat(z, t))
+        scores, score = [], sl.CauchyMedian.score
+        monkeypatch.setattr(sl.CauchyMedian, "score", lambda self, t, y: scores.append(float(y).hex())
+                            or score(self, t, y))
+        integrand = self.count_integrand_calls(monkeypatch)
+        sl.slope_report(g, [th])  # one pass at theta
+        assert len(densities) == len(set(densities)) == len(set(integrand)) < len(integrand)
+        assert len(stats) == len(set(stats)) and {y for _, y in stats} == set(densities)
+        assert len(scores) == len(set(scores)) and set(scores) <= set(densities)
+
+    def test_a_median_law_shares_one_pass(self, monkeypatch):
+        # cauchy_table_row asks for the information and the variance of one
+        # law: two quadratures, one density per distinct point between them
+        for cached in (sl.median_fisher_info, sl.median_variance, families._median_law):
+            cached.cache_clear()
+        densities, density = [], sl.CauchyMedian.density
+        monkeypatch.setattr(sl.CauchyMedian, "density", lambda self, theta, y: densities.append(float(y).hex())
+                            or density(self, theta, y))
+        integrand = self.count_integrand_calls(monkeypatch)
+        row = sl.cauchy_table_row(13)
+        assert row.lam_median_score.hex() == TestMedianLawBits.FISHER_INFO[6]
+        assert row.lam_median == 1.0 / float.fromhex(TestMedianLawBits.VARIANCE[4])
+        assert len(densities) == len(set(densities)) == len(set(integrand)) < len(integrand)
+
+    def test_minus_zero_is_its_own_point(self, monkeypatch):
+        # 0.0 == -0.0 with one hash: the pass keeps them apart, each taken once
+        visits = [1.5, 0.0, -0.0, 0.0, -0.0, 1.5]
+        monkeypatch.setattr(families, "integrate_real_line", lambda fn: [fn(y) for y in visits])
+        densities, signs = [], []
+        f = self.counting_median(2, densities)
+        one = families._Pass(f, 0.0, {"sign": lambda z: signs.append(z) or math.copysign(1.0, z)}, {})
+        d, d0 = f.density(0.0, 1.5), f.density(0.0, 0.0)
+        assert one.mean(None, "sign") == one.mean(lambda s: s, "sign") == [d, d0, -d0, d0, -d0, d]
+        assert [math.copysign(1.0, z) for z in signs] == [1.0, 1.0, -1.0]
+        assert densities == [y.hex() for y in (1.5, 0.0, 1.5, 0.0, -0.0)]  # d and d0, then the pass's
+
+
 class TestDensitiesNormalize:
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_bernoulli_pmf_sums_to_one(self, p):

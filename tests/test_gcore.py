@@ -95,9 +95,9 @@ class TestScoreEstimator:
     @pytest.mark.parametrize("f", [BERN, sl.NormalLocation(1.0, 3), sl.CauchyLocation(15), sl.CauchyMedian(3),
                                    sl.BivariateNormalSlice(3)], ids=lambda f: type(f).__name__)
     def test_closed_forms_take_no_pass(self, f, monkeypatch):
-        passes = count_passes(monkeypatch, f)
         g, th = sl.score_estimator(f), 0.3
-        info = f.fisher_info(th)
+        info = f.fisher_info(th)  # the median law's information is a cached quadrature, and not a moment
+        passes = count_passes(monkeypatch, f)
         assert sl.squared_slope(g, th) == info
         assert sl.score_correlation2(g, th) == 1.0
         assert sl.lambda_efficiency(g, th) == info / f.reference_info(th)
@@ -424,6 +424,117 @@ class TestSlopeReport:
         for name, fn in columns.items():
             want = np.array([fn(g, th, **kw) for th in grid])
             assert getattr(rep, name).tobytes() == want.tobytes(), name
+
+
+class TestQuadratureBits:
+    """Every ``slope_report`` column under quadrature, pinned by ``float.hex``
+    (rows lam, rho2, eff_lambda, eff_n, identity_residual; columns THETAS)
+    for four roles: a lift with closed forms (3 quadratures per theta), a
+    lift without them (7), a custom estimator by central differences (4) and
+    the score (1).  However the engine shares its work between these
+    quadratures, each must keep these bits."""
+
+    THETAS = [-1.25, 0.0, 2.5]
+    FAMILIES = {"median3": sl.CauchyMedian(3), "median7": sl.CauchyMedian(7), "normal": sl.NormalLocation(1.0, 4)}
+    ESTIMATORS = {
+        "lift_closed_form": lambda f: sl.lift_point_estimator(f, lambda z: z, mean_fn=lambda th: th,
+                                                              mean_deriv=lambda th: 1.0),
+        "lift_engine": lambda f: sl.lift_point_estimator(f, lambda z: math.atan(z)),
+        "custom_fd": lambda f: sl.GenEstimator(f, lambda z, th: math.atan(z - th)),
+        "score": sl.score_estimator,
+    }
+    REPORTS = {
+        ("median3", "lift_closed_form"): [
+            "0x1.a23eadea37f21p+0", "0x1.a23eadea37f20p+0", "0x1.a23eadea37f1cp+0",
+            "0x1.56c3d8d95e931p-1", "0x1.56c3d8d95e933p-1", "0x1.56c3d8d95e937p-1",
+            "0x1.ddfe7d9df6cb8p-2", "0x1.ddfe7d9df6cb7p-2", "0x1.ddfe7d9df6cb2p-2",
+            "0x1.a23eadea37f21p+1", "0x1.a23eadea37f20p+1", "0x1.a23eadea37f1cp+1",
+            "0x1.c6f0000000000p-40", "0x1.8000000000000p-51", "0x1.cf00000000000p-43",
+        ],
+        ("median3", "lift_engine"): [
+            "0x1.7447486ff8f13p+0", "0x1.1c2c685cf6227p+1", "0x1.942b35228d239p-1",
+            "0x1.311816da11234p-1", "0x1.d1c74b7885308p-1", "0x1.4b3aafc842ef1p-2",
+            "0x1.a97609a48a383p-2", "0x1.44c5098ed0276p-1", "0x1.cde83cb9c5df8p-3",
+            "0x1.7447486ff8f13p+1", "0x1.1c2c685cf6227p+2", "0x1.942b35228d239p+0",
+            "0x1.bc00000000000p-37", "0x1.c8bd000000000p-37", "0x1.5e11e00000000p-36",
+        ],
+        ("median3", "custom_fd"): [
+            "0x1.1c2c685c4196ep+1", "0x1.1c2c685cd345dp+1", "0x1.1c2c685b383f6p+1",
+            "0x1.d1c74b7885300p-1", "0x1.d1c74b7885308p-1", "0x1.d1c74b788530ep-1",
+            "0x1.44c5098e01d10p-1", "0x1.44c5098ea84fdp-1", "0x1.44c5098cd2919p-1",
+            "0x1.1c2c685c4196ep+2", "0x1.1c2c685cd345dp+2", "0x1.1c2c685b383f6p+2",
+            "0x1.fb8ec00000000p-35", "0x1.8806000000000p-37", "0x1.3960a00000000p-33",
+        ],
+        ("median3", "score"): [
+            "0x1.385f97941c4c5p+1", "0x1.385f97941c4c5p+1", "0x1.385f97941c4c5p+1",
+            "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+            "0x1.64ff88a944e98p-1", "0x1.64ff88a944e98p-1", "0x1.64ff88a944e98p-1",
+            "0x1.385f97941c4c5p+2", "0x1.385f97941c4c5p+2", "0x1.385f97941c4c5p+2",
+            "0x0.0p+0", "0x0.0p+0", "0x1.4000000000000p-49",
+        ],
+        ("median7", "lift_closed_form"): [
+            "0x1.38809b95181f9p+2", "0x1.38809b95181f9p+2", "0x1.38809b95181f6p+2",
+            "0x1.cd97937b58849p-1", "0x1.cd97937b58844p-1", "0x1.cd97937b5884dp-1",
+            "0x1.4d55fb49b354ep-1", "0x1.4d55fb49b354ep-1", "0x1.4d55fb49b354bp-1",
+            "0x1.38809b95181f9p+3", "0x1.38809b95181f9p+3", "0x1.38809b95181f6p+3",
+            "0x1.c6c0000000000p-40", "0x1.8000000000000p-51", "0x1.ce80000000000p-43",
+        ],
+        ("median7", "lift_engine"): [
+            "0x1.0bcf9bf5ffd1bp+2", "0x1.4f86fdd606953p+2", "0x1.f2b9ed3b71994p+1",
+            "0x1.8b944424ed753p-1", "0x1.ef9a12b2e7dabp-1", "0x1.705486237de2fp-1",
+            "0x1.1daa3ff55523fp-1", "0x1.65e553066d6bfp-1", "0x1.09fcc2ca5eb82p-1",
+            "0x1.0bcf9bf5ffd1bp+3", "0x1.4f86fdd606953p+3", "0x1.f2b9ed3b71994p+2",
+            "0x1.09a5200000000p-35", "0x1.c73a000000000p-37", "0x1.584ce00000000p-36",
+        ],
+        ("median7", "custom_fd"): [
+            "0x1.4f86fdd4eaa58p+2", "0x1.4f86fdd5ce897p+2", "0x1.4f86fdd34d90cp+2",
+            "0x1.ef9a12b2e7ea3p-1", "0x1.ef9a12b2e7dabp-1", "0x1.ef9a12b2e8101p-1",
+            "0x1.65e553053e8e6p-1", "0x1.65e5530631a3bp-1", "0x1.65e5530385efcp-1",
+            "0x1.4f86fdd4eaa58p+3", "0x1.4f86fdd5ce897p+3", "0x1.4f86fdd34d90cp+3",
+            "0x1.7a00c00000000p-34", "0x1.2a69000000000p-36", "0x1.cffea00000000p-33",
+        ],
+        ("median7", "score"): [
+            "0x1.5aa1077da9b4fp+2", "0x1.5aa1077da9b4fp+2", "0x1.5aa1077da9b4fp+2",
+            "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+            "0x1.71bcd4ca4e9eep-1", "0x1.71bcd4ca4e9eep-1", "0x1.71bcd4ca4e9eep-1",
+            "0x1.5aa1077da9b4fp+3", "0x1.5aa1077da9b4fp+3", "0x1.5aa1077da9b4fp+3",
+            "0x1.2000000000000p-47", "0x0.0p+0", "0x1.1000000000000p-46",
+        ],
+        ("normal", "lift_closed_form"): [
+            "0x1.ffffffffffffcp+1", "0x1.0000000000000p+2", "0x1.ffffffffffff8p+1",
+            "0x1.0000000000002p+0", "0x1.0000000000000p+0", "0x1.0000000000004p+0",
+            "0x1.ffffffffffffcp-1", "0x1.0000000000000p+0", "0x1.ffffffffffff8p-1",
+            "0x1.ffffffffffffcp+1", "0x1.0000000000000p+2", "0x1.ffffffffffff8p+1",
+            "0x1.c6f0000000000p-40", "0x0.0p+0", "0x1.d000000000000p-43",
+        ],
+        ("normal", "lift_engine"): [
+            "0x1.d15bf7f81cc3ap+1", "0x1.fa313aba2bb66p+1", "0x1.dc943e3cf4833p+1",
+            "0x1.d15bf7f81cc45p-1", "0x1.fa313aba2bb66p-1", "0x1.dc943e3cf4796p-1",
+            "0x1.d15bf7f81cc3ap-1", "0x1.fa313aba2bb66p-1", "0x1.dc943e3cf4833p-1",
+            "0x1.d15bf7f81cc3ap+1", "0x1.fa313aba2bb66p+1", "0x1.dc943e3cf4833p+1",
+            "0x1.6e16800000000p-36", "0x1.dcc5000000000p-37", "0x1.af0b400000000p-36",
+        ],
+        ("normal", "custom_fd"): [
+            "0x1.fa313ab8bec11p+1", "0x1.fa313ab9e38b1p+1", "0x1.fa313ab6a87b5p+1",
+            "0x1.fa313aba2bb67p-1", "0x1.fa313aba2bb66p-1", "0x1.fa313aba2bb6ep-1",
+            "0x1.fa313ab8bec11p-1", "0x1.fa313ab9e38b1p-1", "0x1.fa313ab6a87b5p-1",
+            "0x1.fa313ab8bec11p+1", "0x1.fa313ab9e38b1p+1", "0x1.fa313ab6a87b5p+1",
+            "0x1.3717e00000000p-34", "0x1.ec24000000000p-37", "0x1.7f41a00000000p-33",
+        ],
+        ("normal", "score"): [
+            "0x1.0000000000000p+2", "0x1.0000000000000p+2", "0x1.0000000000000p+2",
+            "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+            "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+            "0x1.0000000000000p+2", "0x1.0000000000000p+2", "0x1.0000000000000p+2",
+            "0x1.0000000000000p-49", "0x0.0p+0", "0x1.0000000000000p-48",
+        ],
+    }
+
+    @pytest.mark.parametrize("family, estimator", list(REPORTS))
+    def test_report_bits(self, family, estimator):
+        rep = sl.slope_report(self.ESTIMATORS[estimator](self.FAMILIES[family]), self.THETAS)
+        columns = (rep.lam, rep.rho2, rep.eff_lambda, rep.eff_n, rep.identity_residual)
+        assert [float(v).hex() for col in columns for v in col] == self.REPORTS[family, estimator]
 
 
 class TestMonteCarloBlocks:

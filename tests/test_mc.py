@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import slope_lab as sl
-from slope_lab import cauchy, cli
+from slope_lab import cauchy, cli, intervals
 from slope_lab.cauchy import cauchy_level_set_batch, cauchy_level_set_ends
 from slope_lab.mc import _draw_batch, _run_batch
 
@@ -126,7 +126,7 @@ class TestBatchMle:
     def test_capped_rows_fail_instead_of_returning(self, monkeypatch):
         x = _draw_batch(0, 0, 200, 15, 0.0)
         full = _mle_batch(x)
-        drop = sl.SimConfig().z ** 2 / 2.0  # the LRT level set _run_batch certifies too
+        drop = intervals.lrt_drop(sl.SimConfig().z)  # the LRT level set _run_batch certifies too
         needs_halving, lrt_needs_halving = np.zeros((2, 200), dtype=bool)
         for r in range(200):
             for flags, d in ((needs_halving, 0.0), (lrt_needs_halving, drop)):
@@ -301,7 +301,7 @@ def _check_skip_is_sound(x, drop):
     return int(skipped.sum())
 
 
-_SKIP_DROPS = (0.0, 0.5, sl.SimConfig().z ** 2 / 2.0, 4.5)  # 0 and z^2 / 2 for z = 1, 1.96, 3
+_SKIP_DROPS = (0.0, 0.5, intervals.lrt_drop(sl.SimConfig().z), 4.5)  # 0 and z^2 / 2 for z = 1, 1.96, 3
 
 
 class TestWindowSkip:
@@ -366,7 +366,7 @@ class TestWindowSkip:
 
     def test_batch_counts_match_the_mask(self):
         x = _draw_batch(0, 0, 512, 15, 0.0)
-        drop = sl.SimConfig().z ** 2 / 2.0
+        drop = intervals.lrt_drop(sl.SimConfig().z)
         counters = cauchy.MleCounters()
         got = cauchy_level_set_batch(x, drop, counters)
         assert counters.windows_skipped == cauchy._unreachable_windows(x.T, drop).sum() > 0
@@ -431,7 +431,7 @@ class TestKernelLayout:
         c = 20.0 + np.sort(np.random.default_rng(4).uniform(0.0, 1.0, 7))
         x[4] = np.r_[-c[::-1], 0.0, c]  # symmetric: two tied maxima
         perm = np.random.default_rng(1).permutation(len(x))
-        for drop in (0.0, sl.SimConfig().z ** 2 / 2.0):
+        for drop in (0.0, intervals.lrt_drop(sl.SimConfig().z)):
             theta_hat, target, outer, disconnected = cauchy_level_set_batch(x, drop)
             ends = cauchy_level_set_ends(x, outer, target)
             got = cauchy_level_set_batch(x[perm], drop)
@@ -442,7 +442,7 @@ class TestKernelLayout:
     @pytest.mark.parametrize("n", [3, 15, 61])
     def test_element_budgets_give_the_same_outputs(self, n, monkeypatch):
         x = _draw_batch(n, 0, 250, n, 0.0)
-        drop = sl.SimConfig().z ** 2 / 2.0
+        drop = intervals.lrt_drop(sl.SimConfig().z)
 
         def run():
             counters = cauchy.MleCounters()
@@ -481,7 +481,7 @@ class TestLeanKernel:
     """Cells the score closes are never built and windows are tested
     outside-in, and neither moves an output."""
 
-    @pytest.mark.parametrize("drop", [0.0, sl.SimConfig().z ** 2 / 2.0])
+    @pytest.mark.parametrize("drop", [0.0, intervals.lrt_drop(sl.SimConfig().z)])
     @pytest.mark.parametrize("n", [2, 3, 15, 61])
     def test_outputs_match_every_cell_and_every_window(self, n, drop):
         x = _draw_batch(0, 0, 512, n, 0.0)
@@ -494,7 +494,7 @@ class TestLeanKernel:
         assert got == outputs(_level_set_laying_every_window(x, drop))
         assert counters == full and counters.brackets > 0
 
-    @pytest.mark.parametrize("drop", [0.0, sl.SimConfig().z ** 2 / 2.0])
+    @pytest.mark.parametrize("drop", [0.0, intervals.lrt_drop(sl.SimConfig().z)])
     @pytest.mark.parametrize("n", [2, 3, 15, 61, 201])
     def test_outside_in_mask_is_the_full_tests_end_runs(self, n, drop):
         x = _draw_batch(1, 0, 512, n, 0.0)
@@ -528,7 +528,7 @@ class TestRowBitsAreItsOwn:
             if m == 1:
                 assert np.asarray(cauchy._sum_obs(u[:, 0])).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("drop", [0.0, sl.SimConfig().z ** 2 / 2.0])
+    @pytest.mark.parametrize("drop", [0.0, intervals.lrt_drop(sl.SimConfig().z)])
     @pytest.mark.parametrize("n", [2, 3, 15, 61])
     def test_a_row_alone_gives_its_batch_row(self, n, drop):
         x = _draw_batch(0, 0, 512, n, 0.0)
@@ -547,7 +547,7 @@ class TestRowBitsAreItsOwn:
         rng = np.random.default_rng(7)
         draws = [_scaled_cauchy_draw(rng) for _ in range(1143)]
         for i in (23, 174, 843, 1142):
-            theta_hat = cauchy.certified_level_set(draws[i][None], sl.SimConfig().z ** 2 / 2.0)[0][0]
+            theta_hat = cauchy.certified_level_set(draws[i][None], intervals.lrt_drop(sl.SimConfig().z))[0][0]
             assert sl.cauchy_mle(draws[i]) == theta_hat, i
 
     def test_a_last_batch_of_one_gives_the_replicates_bits(self, monkeypatch):
